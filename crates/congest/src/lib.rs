@@ -76,6 +76,7 @@ pub mod partition;
 pub mod profile;
 pub mod telemetry;
 pub mod trace;
+mod wake;
 pub mod wire;
 
 pub use faults::{CrashWindow, FaultDecision, FaultPlan};

@@ -18,10 +18,15 @@
 //!
 //! - **double-buffered inboxes** — current and next-round inboxes swap each
 //!   round, so per-node `Vec` allocations are reused instead of reallocated;
-//! - **idle-node skipping** — a node whose inbox is empty and whose
-//!   [`Protocol::idle_at`] returns `true` is not stepped at all (sound
-//!   because `idle_at` promises the step would be a no-op); disable via
-//!   [`Config::skip_idle`] as a correctness escape hatch;
+//! - **a wake calendar** — a round visits only the nodes that received
+//!   mail and those whose timer ([`Protocol::next_wake`]) names this round
+//!   (`crate::wake`), so an idle round costs `O(n/64)`, not `O(n)`. A due
+//!   node with an empty inbox is still skipped when [`Protocol::idle_at`]
+//!   says the step is a no-op, so protocols that only answer `idle_at` are
+//!   polled every round and skipped where it says so. The first round of each
+//!   run, every round under a fault plan, and every round with
+//!   [`Config::skip_idle`] off (the correctness escape hatch) visit every
+//!   node;
 //! - **a sharded data plane** — [`Network::run_parallel`] spawns a
 //!   persistent pool of workers, each *owning* one shard of node states and
 //!   inboxes for the whole run (assignment chosen by
@@ -41,6 +46,7 @@ use crate::partition::{Partition, ShardMap};
 use crate::profile::{Profiler, RoundSpan};
 use crate::telemetry::{Telemetry, TelemetryHandle};
 use crate::trace::{ProtocolDetail, TraceEvent, TraceSink, ViolationKind};
+use crate::wake::WakeSet;
 use bc_graph::{Graph, NodeId};
 use bc_numeric::bits::id_bits;
 use std::fmt;
@@ -93,9 +99,10 @@ pub struct Config {
     /// Optional edge cut across which bit flow is measured.
     pub cut: Option<EdgeCut>,
     /// Skip stepping nodes whose inbox is empty and whose
-    /// [`Protocol::idle_at`] returns `true`. On by default; turn off to
-    /// force every node to step every round (correctness escape hatch —
-    /// output must not change either way).
+    /// [`Protocol::idle_at`] returns `true`, and visit only the nodes the
+    /// wake calendar names. On by default; turn off to force every node to
+    /// step every round (correctness escape hatch — output must not change
+    /// either way).
     pub skip_idle: bool,
     /// Optional fault-injection plan applied between outboxes and
     /// inboxes: per-edge/per-round drop, duplication, corruption, and
@@ -210,15 +217,27 @@ pub trait Protocol {
     /// no messages are in flight.
     fn is_halted(&self) -> bool;
 
+    /// The earliest round `≥ round` in which calling [`Protocol::round`]
+    /// with an *empty* inbox would not be a no-op (a no-op sends nothing,
+    /// traces nothing, and changes no observable state), assuming no
+    /// message arrives before it; `None` if only a message can wake the
+    /// node. The engines keep a wake calendar from it: a node with no mail
+    /// is visited only in the round its timer names (unless
+    /// [`Config::skip_idle`] is off). The default, `Some(round)`, means
+    /// "poll every round".
+    fn next_wake(&self, round: u64) -> Option<u64> {
+        Some(round)
+    }
+
     /// Returns `true` if calling [`Protocol::round`] for `round` with an
-    /// *empty* inbox would be a no-op: no sends, no trace events, and no
-    /// observable state change. The engine then skips the call entirely
-    /// (unless [`Config::skip_idle`] is off). The default is `false` —
-    /// protocols that act on a schedule rather than on messages must keep
-    /// it that way for the rounds they act in.
+    /// empty inbox would be a no-op, so the engine may skip the call. The
+    /// engines ask it of every due node with an empty inbox before
+    /// stepping it. It is derived from [`Protocol::next_wake`]; a wrapper
+    /// may forward it alone, in which case its nodes are polled every round
+    /// (the default `next_wake`) and skipped exactly where the inner
+    /// protocol says so.
     fn idle_at(&self, round: u64) -> bool {
-        let _ = round;
-        false
+        self.next_wake(round) != Some(round)
     }
 }
 
@@ -399,6 +418,8 @@ pub struct Network<P> {
     /// Fault-delayed messages still in flight:
     /// `(delivery round, target, port, message)` in injection order.
     delayed: Vec<(u64, NodeId, usize, Message)>,
+    /// Which nodes the serial engine's next round visits.
+    wake: WakeSet,
     metrics: NetMetrics,
     round: u64,
     sink: Option<Box<dyn TraceSink>>,
@@ -439,6 +460,7 @@ impl<P: Protocol> Network<P> {
             port_scratch: Vec::new(),
             touched: Vec::new(),
             delayed: Vec::new(),
+            wake: WakeSet::new(n),
             metrics: NetMetrics::default(),
             round: 0,
             sink: None,
@@ -527,6 +549,7 @@ impl<P: Protocol> Network<P> {
     /// [`Enforcement::Strict`], or [`CongestError::NodePanic`] if a node's
     /// step panicked.
     pub fn run(&mut self, max_rounds: u64) -> Result<RunReport, CongestError> {
+        self.wake.reset();
         while !self.quiescent() {
             if self.round >= max_rounds {
                 return Err(CongestError::RoundLimit { max_rounds });
@@ -543,23 +566,29 @@ impl<P: Protocol> Network<P> {
     ///
     /// Returns a constraint violation under [`Enforcement::Strict`].
     pub fn run_rounds(&mut self, rounds: u64) -> Result<RunReport, CongestError> {
+        self.wake.reset();
         for _ in 0..rounds {
             self.step()?;
         }
         Ok(RunReport { rounds: self.round })
     }
 
+    /// No mail in flight and every node halted: read off the wake
+    /// calendar's counters, or scanned in full before a run's first round.
     fn quiescent(&self) -> bool {
-        self.inboxes.iter().all(|i| i.is_empty())
-            && self.delayed.is_empty()
-            && self.nodes.iter().all(|p| p.is_halted())
+        self.delayed.is_empty()
+            && self.wake.quiet().unwrap_or_else(|| {
+                self.inboxes.iter().all(|i| i.is_empty())
+                    && self.nodes.iter().all(|p| p.is_halted())
+            })
     }
 
     /// Executes a single round serially.
     fn step(&mut self) -> Result<(), CongestError> {
-        let n = self.graph.n();
         let round = self.round;
         let skip_idle = self.config.skip_idle;
+        let faults = self.config.faults.as_ref();
+        self.wake.begin_round(round, skip_idle && faults.is_none());
         let mut first_error: Option<CongestError> = None;
         if !self.delayed.is_empty() {
             for (target, port, msg) in take_due(&mut self.delayed, round) {
@@ -570,6 +599,7 @@ impl<P: Protocol> Network<P> {
                 // which is the canonical order the parallel engine's shard
                 // drain reproduces.
                 inbox.sort_by_key(|&(port, _)| port);
+                self.wake.mark(target as usize);
             }
         }
         self.metrics.begin_round(round);
@@ -588,18 +618,19 @@ impl<P: Protocol> Network<P> {
         let mut nodes_stepped = 0u64;
         let mut touched = std::mem::take(&mut self.touched);
         let spare = &mut self.spare;
-        let faults = self.config.faults.as_ref();
         debug_assert!(spare.iter().all(|i| i.is_empty()));
-        for v in 0..n {
+        while let Some(v) = self.wake.next_due() {
             // A crashed node is down for the whole round: it neither steps
             // nor keeps the messages that arrived while it was down.
             if faults.is_some_and(|p| p.crashed(v as NodeId, round)) {
                 self.inboxes[v].clear();
+                self.wake.settle(v, round, &self.nodes[v], false);
                 continue;
             }
             let node = &mut self.nodes[v];
             let inbox = &self.inboxes[v];
             if inbox.is_empty() && skip_idle && node.idle_at(round) {
+                self.wake.settle(v, round, node, false);
                 continue;
             }
             nodes_stepped += 1;
@@ -670,6 +701,7 @@ impl<P: Protocol> Network<P> {
             self.stage_sends = sends;
             self.stage_events = events;
             self.inboxes[v].clear();
+            self.wake.settle(v, round, &self.nodes[v], true);
         }
         self.sink = sink;
         if let (Some(err), Enforcement::Strict) = (&first_error, self.config.enforcement) {
@@ -684,6 +716,7 @@ impl<P: Protocol> Network<P> {
             // Stable for the same reason as the delayed-message insertion
             // above: staging order breaks equal-port ties canonically.
             spare[t as usize].sort_by_key(|&(port, _)| port);
+            self.wake.post(t as usize);
         }
         touched.clear();
         self.touched = touched;
@@ -963,6 +996,8 @@ struct ShardWorker<'a, P> {
     /// Local indices whose inbox went non-empty this round (sorted once
     /// after all deliveries).
     touched: Vec<u32>,
+    /// Which of the shard's nodes each round visits.
+    wake: WakeSet,
     /// False until the first `Step`: the initial inboxes arrive pre-filled
     /// and pre-sorted with the shard, not over the lanes.
     lanes_live: bool,
@@ -1199,8 +1234,11 @@ impl<P: Protocol> ShardWorker<'_, P> {
             }
             inbox.push((port, msg));
         }
+        self.wake
+            .begin_round(round, self.skip_idle && self.faults.is_none());
         for &local in &self.touched {
             self.inboxes[local as usize].sort_by_key(|&(port, _)| port);
+            self.wake.mark(local as usize);
         }
         self.touched.clear();
         // Restock outboxes from buffers peers have returned.
@@ -1245,16 +1283,19 @@ impl<P: Protocol> ShardWorker<'_, P> {
         let mut inbox_messages = 0u64;
         let mut nodes_stepped = 0u64;
         let (mut routed, mut intra, mut cross) = (0u64, 0u64, 0u64);
-        for (i, node) in self.nodes.iter_mut().enumerate() {
+        while let Some(i) = self.wake.next_due() {
             let v = shard[i];
+            let node = &mut self.nodes[i];
             // Crash handling mirrors the serial engine: a down node is not
             // stepped and loses its inbox for the round.
             if self.faults.is_some_and(|p| p.crashed(v, round)) {
                 self.inboxes[i].clear();
+                self.wake.settle(i, round, node, false);
                 continue;
             }
             let inbox = &self.inboxes[i];
             if inbox.is_empty() && self.skip_idle && node.idle_at(round) {
+                self.wake.settle(i, round, node, false);
                 continue;
             }
             nodes_stepped += 1;
@@ -1337,8 +1378,9 @@ impl<P: Protocol> ShardWorker<'_, P> {
             if panic.is_some() {
                 break;
             }
+            self.wake.settle(i, round, &self.nodes[i], true);
         }
-        let all_halted = self.nodes.iter().all(|p| p.is_halted());
+        let all_halted = self.wake.all_halted();
 
         // Publish this round's batches — exactly one per peer, empty or
         // not, which is what gives the next round's drain its barrier.
@@ -1409,6 +1451,9 @@ impl<P: Protocol + Send> Network<P> {
         threads: usize,
     ) -> Result<RunReport, CongestError> {
         assert!(threads > 0, "need at least one worker thread");
+        // Workers keep calendars of their own, so the serial one misses
+        // what earlier pooled runs did: check quiescence by a full scan.
+        self.wake.reset();
         if self.quiescent() {
             return Ok(RunReport { rounds: self.round });
         }
@@ -1519,6 +1564,7 @@ impl<P: Protocol + Send> Network<P> {
                     pending_intra: Vec::new(),
                     out: (0..workers).map(|_| Vec::new()).collect(),
                     touched: Vec::new(),
+                    wake: WakeSet::new(map_ref.shards()[w].len()),
                     lanes_live: false,
                     lane_tx: std::mem::take(&mut lane_tx[w]),
                     lane_rx: std::mem::take(&mut lane_rx[w]),

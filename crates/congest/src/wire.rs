@@ -55,6 +55,7 @@ use crate::network::{account_sends, panic_message, CongestError, Protocol, Round
 use crate::partition::ShardMap;
 use crate::telemetry::{Telemetry, TelemetryHandle, COUNTERS, SCHEMA_VERSION};
 use crate::trace::TraceSink;
+use crate::wake::WakeSet;
 use bc_graph::{Graph, NodeId};
 use bc_numeric::bits::BitWriter;
 use std::fmt;
@@ -719,10 +720,10 @@ pub struct ShardRunOutcome<P> {
 /// lanes, mirroring the in-process free-running `ShardWorker` exactly:
 /// same delivery order (peer batches in ascending shard order, own
 /// intra-shard staging in its slot, stable per-port inbox sort), same
-/// ascending-id stepping with idle skipping and panic capture, same
-/// `account_sends` validation and routing, and the same verdict rule —
-/// which every shard computes locally from the identical
-/// `(routed, all_halted, fatal)` sums carried on the batches.
+/// ascending-id stepping over the wake calendar with idle skipping and
+/// panic capture, same `account_sends` validation and routing, and the
+/// same verdict rule — which every shard computes locally from the
+/// identical `(routed, all_halted, fatal)` sums carried on the batches.
 ///
 /// `peers[d]` must be a connected stream for every `d != me` and `None`
 /// at `me`. `telemetry`, when present, is a *local* registry: the engine
@@ -764,6 +765,7 @@ pub fn run_shard_engine<P: Protocol>(
     let mut pending_intra: Vec<(u32, u32, Message)> = Vec::new();
     let mut out: Vec<Vec<(u32, u32, Message)>> = (0..k).map(|_| Vec::new()).collect();
     let mut touched: Vec<u32> = Vec::new();
+    let mut wake = WakeSet::new(shard.len());
     let mut stage_sends: Vec<(usize, Message)> = Vec::new();
     let mut stage_events = Vec::new();
     let mut port_scratch: Vec<u8> = Vec::new();
@@ -798,25 +800,29 @@ pub fn run_shard_engine<P: Protocol>(
                 inbox.push((port as usize, msg));
             }
         }
+        wake.begin_round(round, cfg.skip_idle);
         for &local in &touched {
             inboxes[local as usize].sort_by_key(|&(port, _)| port);
+            wake.mark(local as usize);
         }
         touched.clear();
         if let Some(t) = t {
             route_ns += t.elapsed().as_nanos() as u64;
         }
 
-        // Step the shard in ascending node-id order.
+        // Step the due nodes in ascending node-id order.
         let mut first_error: Option<CongestError> = None;
         let mut panic: Option<(NodeId, String)> = None;
         let mut compute_ns = 0u64;
         let mut inbox_messages = 0u64;
         let mut nodes_stepped = 0u64;
         let (mut routed, mut intra, mut cross) = (0u64, 0u64, 0u64);
-        for (i, node) in nodes.iter_mut().enumerate() {
+        while let Some(i) = wake.next_due() {
             let v = shard[i];
+            let node = &mut nodes[i];
             let inbox = &inboxes[i];
             if inbox.is_empty() && cfg.skip_idle && node.idle_at(round) {
+                wake.settle(i, round, node, false);
                 continue;
             }
             nodes_stepped += 1;
@@ -881,8 +887,9 @@ pub fn run_shard_engine<P: Protocol>(
             if panic.is_some() {
                 break;
             }
+            wake.settle(i, round, &nodes[i], true);
         }
-        let all_halted = nodes.iter().all(|p| p.is_halted());
+        let all_halted = wake.all_halted();
         let fatal_local = panic.is_some() || (cfg.strict && first_error.is_some());
 
         // Publish: exactly one batch per peer, empty or not — the frame

@@ -120,7 +120,7 @@ impl AlgoOptions {
 #[derive(Debug)]
 pub struct DistBcNode {
     /// This node's id (also available as `ctx.id()`; stored so
-    /// [`Protocol::idle_at`] can answer without a context).
+    /// [`Protocol::next_wake`] can answer without a context).
     me: u32,
     /// Network size `N` (per-source arrays below are `O(|S|)`, not `O(N)`).
     n: usize,
@@ -461,13 +461,19 @@ impl DistBcNode {
             };
             self.send_pm(ctx, p, &msg);
         } else {
-            // Root: phase A is globally complete; start counting now. The
-            // token departs riding the root's own wave.
+            // Root: phase A is globally complete; start counting now. A
+            // sampled root waves next round with the token riding its wave;
+            // a sampled-out root relays the token at once, like any other
+            // non-source on first visit.
             self.tree_depth = Some(self.subtree_max_depth);
             self.visited = true;
             ctx.trace(ProtocolDetail::PhaseEnter { phase: 'B' });
-            self.wave_round = Some(r + 1);
-            self.token_forward_round = Some(r + 1);
+            if self.is_source_self {
+                self.wave_round = Some(r + 1);
+                self.token_forward_round = Some(r + 1);
+            } else {
+                self.forward_token(r);
+            }
         }
     }
 
@@ -985,60 +991,63 @@ impl Protocol for DistBcNode {
         self.done
     }
 
-    /// True when `round(r)` with an empty inbox is provably a no-op, so the
-    /// engine may skip stepping this node. Each clause below mirrors one
-    /// self-timed trigger in [`DistBcNode::round`] — anything message-driven
-    /// is covered by the engine's own non-empty-inbox check.
-    fn idle_at(&self, r: u64) -> bool {
+    /// The next round `≥ r` in which `round` with an empty inbox does
+    /// something. Each candidate below mirrors one self-timed trigger in
+    /// [`DistBcNode::round`]: a trigger at a fixed round `X` contributes
+    /// `X` until it has passed, one that holds from `X` on contributes
+    /// `max(X, r)`, and one that depends on state alone contributes `r`.
+    /// Message-driven work needs no candidate: the engine steps every node
+    /// with mail.
+    fn next_wake(&self, r: u64) -> Option<u64> {
+        // Plain minima over `u64`, `NONE` standing for no candidate: a
+        // polling engine asks this of every idle node in every round.
+        const NONE: u64 = u64::MAX;
+        let at = |x: u64| if x >= r { x } else { NONE };
+        let root = self.me == 0;
+        let adaptive = self.opts.scheduling == Scheduling::Adaptive;
+        let mut wake = NONE;
         // Phase A: the root kicks off the tree at round 0; adaptive nodes
-        // report SubtreeDone two rounds after their own announce.
-        if r == 0 && self.me == 0 {
-            return false;
+        // report SubtreeDone two rounds after their own announce, once
+        // every child has.
+        if root {
+            wake = wake.min(at(0));
         }
-        if self.opts.scheduling == Scheduling::Adaptive
-            && !self.subtree_done_sent
-            && self.announce_round.is_some_and(|a| r >= a + 2)
-            && self.children_done >= self.children_ports.len()
-        {
-            return false;
+        if let Some(a) = self.announce_round {
+            if adaptive
+                && !self.subtree_done_sent
+                && self.children_done >= self.children_ports.len()
+            {
+                wake = wake.min((a + 2).max(r));
+            }
         }
         // Phase B: self-timed wave starts and token forwards.
         match self.opts.scheduling {
-            Scheduling::DfsPipelined => {
-                if self.me == 0 && !self.visited && r == self.sched.counting_start {
-                    return false;
-                }
+            Scheduling::DfsPipelined if root && !self.visited => {
+                wake = wake.min(at(self.sched.counting_start));
             }
-            Scheduling::Sequential => {
-                if r >= self.sched.counting_start
-                    && self.wave_round.is_none()
-                    && self.is_source_self
-                {
-                    return false;
-                }
+            Scheduling::Sequential if self.wave_round.is_none() && self.is_source_self => {
+                wake = wake.min(self.sched.counting_start.max(r));
             }
-            Scheduling::Adaptive => {}
+            _ => {}
         }
-        if self.wave_round == Some(r) || self.token_forward_round == Some(r) {
-            return false;
+        if let Some(x) = self.wave_round {
+            wake = wake.min(at(x));
+        }
+        if let Some(x) = self.token_forward_round {
+            wake = wake.min(at(x));
         }
         // Phase C: reduce arming and the root's broadcast trigger.
-        match self.opts.scheduling {
-            Scheduling::Adaptive => {
-                if self.start_reduce_round == Some(r) {
-                    return false;
-                }
-                if self.me == 0 && self.agg_info.is_some() && !self.agg_announced {
-                    return false;
-                }
+        if adaptive {
+            if let Some(x) = self.start_reduce_round {
+                wake = wake.min(at(x));
             }
-            _ => {
-                if r == self.sched.reduce_start {
-                    return false;
-                }
-                if self.me == 0 && r == self.sched.broadcast_start {
-                    return false;
-                }
+            if root && self.agg_info.is_some() && !self.agg_announced {
+                wake = wake.min(r);
+            }
+        } else {
+            wake = wake.min(at(self.sched.reduce_start));
+            if root {
+                wake = wake.min(at(self.sched.broadcast_start));
             }
         }
         if self.agg_info.is_none()
@@ -1046,19 +1055,15 @@ impl Protocol for DistBcNode {
             && !self.reduce_sent
             && self.reduce_received >= self.children_ports.len()
         {
-            return false;
+            wake = wake.min(r);
         }
         // Phase D: scheduled aggregation slots and the halting round.
-        if self
-            .agg_schedule
-            .get(self.agg_cursor)
-            .is_some_and(|&(round, _)| round == r)
-        {
-            return false;
+        if let Some(&(x, _)) = self.agg_schedule.get(self.agg_cursor) {
+            wake = wake.min(at(x));
         }
-        if !self.done && self.agg_info.is_some_and(|info| r >= info.end_round()) {
-            return false;
+        if let (Some(info), false) = (self.agg_info, self.done) {
+            wake = wake.min(info.end_round().max(r));
         }
-        true
+        (wake != NONE).then_some(wake)
     }
 }

@@ -349,3 +349,50 @@ proptest! {
         prop_assert!(out.rounds <= 4 * g.n() as u64 + out.diameter as u64 + 16);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn adaptive_sample_without_the_root_matches_centralized_fold(
+        g in arb_connected_graph(26),
+        k in 1usize..8,
+        seed in any::<u64>(),
+    ) {
+        // Adaptive runs start the DFS at node 0. When the sample leaves it
+        // out, the root relays the token without a wave of its own; the
+        // estimate is still the Brandes–Pich fold over the drawn set.
+        let k = k.min(g.n() - 1);
+        let Some(seed) = (seed..seed.saturating_add(64))
+            .find(|&s| !source_mask(&SourceSelection::Sample { k, seed: s }, g.n())[0])
+        else {
+            return Ok(());
+        };
+        let sources = SourceSelection::Sample { k, seed };
+        let mask = source_mask(&sources, g.n());
+        let out = run_distributed_bc(
+            &g,
+            DistBcConfig { sources, scheduling: Scheduling::Adaptive, ..DistBcConfig::default() },
+        )
+        .expect("runs");
+        prop_assert!(out.metrics.congest_compliant());
+        let drawn: Vec<usize> = mask.iter().enumerate().filter(|(_, &b)| b).map(|(v, _)| v).collect();
+        prop_assert_eq!(drawn.len(), out.sample_size);
+        let scale = g.n() as f64 / drawn.len() as f64;
+        let mut expect = vec![0.0f64; g.n()];
+        for &s in &drawn {
+            for (v, d) in dependencies_from(&g, s as u32).into_iter().enumerate() {
+                if v != s {
+                    expect[v] += d;
+                }
+            }
+        }
+        for (v, (a, e)) in out.betweenness.iter().zip(&expect).enumerate() {
+            let e = e * scale / 2.0;
+            prop_assert!(
+                (a - e).abs() <= 1e-2 * (1.0 + e),
+                "node {}: {} vs {}", v, a, e
+            );
+        }
+    }
+}

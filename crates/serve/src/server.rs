@@ -580,6 +580,7 @@ mod tests {
     use bc_brandes::betweenness_f64;
     use bc_graph::generators;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::Barrier;
 
     fn test_addr() -> String {
         static NEXT: AtomicUsize = AtomicUsize::new(0);
@@ -805,15 +806,20 @@ mod tests {
         let srv = start(g);
         let addr = srv.addr.clone();
         let stop = Arc::new(AtomicBool::new(false));
+        // Every reader completes a batch before the writer starts, so the
+        // torn-batch check runs even when the writer would otherwise
+        // finish before any reader thread is scheduled.
+        let started = Arc::new(Barrier::new(4));
         let readers: Vec<_> = (0..3)
             .map(|_| {
                 let addr = addr.clone();
                 let stop = Arc::clone(&stop);
+                let started = Arc::clone(&started);
                 thread::spawn(move || {
                     let mut client = QueryClient::connect(&addr).unwrap();
                     let mut last_version = 0u64;
                     let mut served = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
+                    loop {
                         let resps = client
                             .batch(&[
                                 QueryRequest::Meta,
@@ -847,6 +853,12 @@ mod tests {
                         assert_ne!(gh, 0);
                         last_version = mv;
                         served += 3;
+                        if served == 3 {
+                            started.wait();
+                        }
+                        if stop.load(Ordering::Relaxed) {
+                            break;
+                        }
                     }
                     client.close();
                     served
@@ -855,6 +867,7 @@ mod tests {
             .collect();
         // Mutate concurrently with the readers.
         let mut writer = QueryClient::connect(&addr).unwrap();
+        started.wait();
         for (u, v) in [(0u32, 12u32), (3, 15), (6, 18), (9, 21)] {
             let r = writer
                 .batch(&[QueryRequest::AddEdge { u, v }, QueryRequest::Flush])

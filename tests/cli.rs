@@ -628,3 +628,23 @@ fn adaptive_metrics_reports_phase_table() {
     assert!(!err.contains("not yet derived"), "{err}");
     assert!(!err.contains("no phase boundaries"), "{err}");
 }
+
+/// Adaptive sampled runs whose sample leaves out node 0, the root of the
+/// DFS, used to panic ("own wave from a non-source"); the root now relays
+/// the token without a wave, as every sampled-out node does.
+#[test]
+fn adaptive_sampled_run_without_the_root() {
+    for (spec, n) in [("path:40", 40), ("ba:300:2:5", 300)] {
+        let run = distbc(&[
+            "centrality",
+            "--generate",
+            spec,
+            "--algorithm",
+            "sampled:17",
+            "--adaptive",
+            "--csv",
+        ]);
+        assert!(run.status.success(), "{spec}: {run:?}");
+        assert_eq!(stdout(&run).lines().count(), n + 1, "{spec}");
+    }
+}
