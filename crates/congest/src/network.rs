@@ -345,27 +345,31 @@ impl<'a> RoundCtx<'a> {
     /// Executes one *virtual* round of a nested protocol on behalf of a
     /// wrapper protocol (e.g. a reliable-transport layer). `inner.round`
     /// runs with a context for the same node and graph but round number
-    /// `vround`, and the messages it stages are returned to the wrapper —
-    /// which transports them itself — instead of going to the engine.
-    /// Trace events staged by the nested protocol are re-staged into this
+    /// `vround`, and the messages it stages land in `sends` (cleared
+    /// first) for the wrapper — which transports them itself — instead of
+    /// going to the engine. The wrapper keeps `sends` between calls, so a
+    /// virtual round allocates nothing once the buffer has grown. Trace
+    /// events staged by the nested protocol are re-staged into this
     /// context, so they surface under the wrapper's physical round.
     pub fn nested_round<P: Protocol>(
         &mut self,
         vround: u64,
         inner: &mut P,
         inbox: &[(usize, Message)],
-    ) -> Vec<(usize, Message)> {
+        sends: &mut Vec<(usize, Message)>,
+    ) {
+        sends.clear();
         let mut ctx = RoundCtx::with_buffers(
             self.id,
             vround,
             self.graph,
             self.tracing,
-            Vec::new(),
+            std::mem::take(sends),
             Vec::new(),
         );
         inner.round(&mut ctx, inbox);
         self.events.append(&mut ctx.events);
-        ctx.sends
+        *sends = ctx.sends;
     }
 
     /// Returns `true` when a trace sink is attached to the engine, so

@@ -20,7 +20,13 @@
 //!   corruption is detected (each body bit feeds exactly one checksum
 //!   bit), and a mismatching frame is silently discarded — the
 //!   retransmission machinery recovers it, so corruption degrades into
-//!   loss and never reaches the inner protocol's decoder.
+//!   loss and never reaches the inner protocol's decoder. The fold is
+//!   taken over the body's 64-bit chunks, and the 67-bit body header
+//!   shifts payload chunk `k` across body chunks `k + 1` and `k + 2`; so
+//!   the checksum is computed up front from the header fields and the
+//!   payload's chunk XOR rotated left by 3, and one writer emits the
+//!   frame reading the queued payload by reference. The decoder checks it
+//!   the same way and copies the payload out chunk by chunk.
 //! * `ack` — cumulative: the number of contiguous frames received on this
 //!   edge, piggybacked on every frame (including retransmissions and
 //!   ack-only frames).
@@ -48,6 +54,19 @@
 //! roughly `1 / (1 − p)` physical rounds per virtual round at drop
 //! probability `p`.
 //!
+//! Each port keeps the received frames the inner protocol has not read
+//! yet in a reorder ring indexed by `vround − base`. A running node never
+//! receives a frame more than one virtual round ahead of the last one it
+//! read, so the ring holds at most two slots; a frame past a fixed window
+//! is discarded as if lost. Once the inner protocol has halted, frames
+//! still advance the cumulative ack (so peers' frames are acknowledged
+//! and peers halt), but their payloads are dropped, not buffered.
+//!
+//! With a 192-bit inline [`bc_numeric::bits::BitBuf`] behind every
+//! [`Message`], a frame with up to 117 payload bits is encoded, sent,
+//! decoded and dropped without a heap allocation, and a virtual round
+//! reuses its inbox and send buffers.
+//!
 //! Crash-recover windows compose with this: a crashed node loses the
 //! frames delivered while it was down, but its transport state survives,
 //! so peers' retransmissions repair the gap after recovery. Crash-*stop*
@@ -56,8 +75,8 @@
 
 use bc_congest::telemetry::{Counter, Telemetry};
 use bc_congest::{Message, Protocol, RoundCtx};
-use bc_numeric::bits::BitWriter;
-use std::collections::{BTreeMap, VecDeque};
+use bc_numeric::bits::{BitReader, BitWriter};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Frame-header overhead in bits: checksum (8) + flags (3) + vround (32)
@@ -119,13 +138,13 @@ impl TransportStats {
     }
 }
 
-/// A decoded frame.
-struct Frame {
+/// The fixed fields of a frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Header {
     ack_only: bool,
     halted: bool,
     vround: u64,
     ack: u64,
-    payload: Option<Message>,
 }
 
 /// One queued outbound frame awaiting acknowledgment.
@@ -137,15 +156,31 @@ struct OutFrame {
     last_sent: Option<u64>,
 }
 
+/// A received frame waiting in a port's reorder ring: its payload and
+/// its halted flag.
+type Received = (Option<Message>, bool);
+
+/// Reorder-ring slots a port keeps past its first unread virtual round. A
+/// running receiver never sees a frame more than one virtual round ahead
+/// of the last one it read (a peer runs virtual round `v` only after
+/// receiving this node's frame `v − 1`), so the ring holds at most two
+/// slots. Only a halted receiver, whose peers run ahead on its promise,
+/// can see more; a frame past the window is discarded as if lost, and the
+/// sender's retransmission delivers it again once the gap before it fills.
+const RECEIVE_WINDOW: u64 = 64;
+
 /// Per-port (per-incident-edge) transport state.
 struct PortState {
     /// Outbound frames not yet cumulatively acknowledged, oldest first.
     out: VecDeque<OutFrame>,
     /// Peer's cumulative ack: frames with `vround < acked_upto` are done.
     acked_upto: u64,
-    /// Received frames not yet consumed by the inner protocol, keyed by
-    /// virtual round (holds out-of-order arrivals too).
-    frames: BTreeMap<u64, (Option<Message>, bool)>,
+    /// Reorder ring of received frames not yet consumed by the inner
+    /// protocol: slot `i` holds virtual round `base + i` (`None` = not
+    /// arrived yet).
+    frames: VecDeque<Option<Received>>,
+    /// Virtual round of the ring's first slot.
+    base: u64,
     /// Number of contiguous virtual rounds received — doubles as the
     /// cumulative ack we send.
     expected: u64,
@@ -162,10 +197,27 @@ impl PortState {
         PortState {
             out: VecDeque::new(),
             acked_upto: 0,
-            frames: BTreeMap::new(),
+            frames: VecDeque::new(),
+            base: 0,
             expected: 0,
             peer_halted_from: None,
             owes_ack: false,
+        }
+    }
+
+    /// The ring slot of virtual round `vround`, if inside the ring.
+    fn slot(&self, vround: u64) -> Option<&Option<Received>> {
+        let i = vround.checked_sub(self.base)?;
+        self.frames.get(usize::try_from(i).ok()?)
+    }
+
+    /// Drops every slot below `expected`: a halted inner protocol never
+    /// reads them, so only the frames still out of order stay.
+    fn drop_received(&mut self) {
+        if self.base < self.expected {
+            let n = (self.expected - self.base).min(self.frames.len() as u64);
+            self.frames.drain(..n as usize);
+            self.base = self.expected;
         }
     }
 }
@@ -182,11 +234,14 @@ pub struct Reliable<P> {
     inner_halted: bool,
     ports: Vec<PortState>,
     stats: TransportStats,
-    /// Live telemetry mirror of `stats` (registry + shard). Counter-only:
-    /// never consulted by the protocol, so it cannot perturb execution.
+    /// Live telemetry mirror of `stats` (registry + shard); the frame
+    /// counters are added once per physical round. Counter-only: never
+    /// consulted by the protocol, so it cannot perturb execution.
     telemetry: Option<(Arc<Telemetry>, usize)>,
     /// Recycled inbox staging buffer for nested rounds.
     scratch: Vec<(usize, Message)>,
+    /// Recycled send buffer for nested rounds.
+    sends: Vec<(usize, Message)>,
 }
 
 impl<P: Protocol> Reliable<P> {
@@ -201,6 +256,7 @@ impl<P: Protocol> Reliable<P> {
             stats: TransportStats::default(),
             telemetry: None,
             scratch: Vec::new(),
+            sends: Vec::new(),
         }
     }
 
@@ -243,7 +299,7 @@ impl<P: Protocol> Reliable<P> {
     }
 
     fn process_frame(&mut self, port: usize, raw: &Message) {
-        let Some(frame) = decode(raw) else {
+        let Some((frame, payload)) = decode(raw) else {
             self.stats.checksum_drops += 1;
             if let Some((t, s)) = &self.telemetry {
                 t.add(*s, Counter::ChecksumDrops, 1);
@@ -261,17 +317,29 @@ impl<P: Protocol> Reliable<P> {
             return;
         }
         ps.owes_ack = true;
-        if frame.vround < ps.expected || ps.frames.contains_key(&frame.vround) {
+        if frame.vround < ps.expected || ps.slot(frame.vround).is_some_and(Option::is_some) {
             self.stats.deduped += 1;
             if let Some((t, s)) = &self.telemetry {
                 t.add(*s, Counter::FramesDeduped, 1);
             }
             return;
         }
-        ps.frames
-            .insert(frame.vround, (frame.payload, frame.halted));
-        while let Some(halted) = ps.frames.get(&ps.expected).map(|e| e.1) {
-            if halted {
+        let Some(i) = frame
+            .vround
+            .checked_sub(ps.base)
+            .filter(|&i| i < RECEIVE_WINDOW)
+        else {
+            return;
+        };
+        let i = i as usize;
+        if ps.frames.len() <= i {
+            ps.frames.resize(i + 1, None);
+        }
+        // A halted inner protocol reads nothing more: keep only the flag.
+        let payload = if self.inner_halted { None } else { payload };
+        ps.frames[i] = Some((payload, frame.halted));
+        while let Some(Some((_, halted))) = ps.slot(ps.expected) {
+            if *halted {
                 ps.peer_halted_from = Some(ps.expected + 1);
             }
             ps.expected += 1;
@@ -279,42 +347,50 @@ impl<P: Protocol> Reliable<P> {
     }
 
     /// Runs every inner virtual round whose inbox is complete and queues
-    /// the resulting frames.
+    /// the resulting frames. Once the inner protocol has halted, frames
+    /// keep advancing `expected` (so acks flow and peers halt) but their
+    /// slots are dropped instead of buffered.
     fn advance_inner(&mut self, ctx: &mut RoundCtx<'_>) {
         while !self.inner_halted && self.executable() {
             let vr = self.vr;
             assert!(vr < SEQ_LIMIT, "virtual round exceeds 32-bit frame field");
             let mut inbox = std::mem::take(&mut self.scratch);
-            inbox.clear();
             if vr > 0 {
                 for (port, ps) in self.ports.iter_mut().enumerate() {
-                    if let Some((Some(m), _)) = ps.frames.remove(&(vr - 1)) {
+                    debug_assert_eq!(ps.base, vr - 1);
+                    if let Some(Some((Some(m), _))) = ps.frames.pop_front() {
                         inbox.push((port, m));
                     }
+                    ps.base = vr;
                 }
             }
-            let sends = ctx.nested_round(vr, &mut self.inner, &inbox);
+            ctx.nested_round(vr, &mut self.inner, &inbox, &mut self.sends);
             inbox.clear();
             self.scratch = inbox;
             self.inner_halted = self.inner.is_halted();
-            let mut per_port: Vec<Option<Message>> = vec![None; self.ports.len()];
-            for (port, m) in sends {
-                assert!(
-                    per_port[port].is_none(),
-                    "nested protocol sent two messages on port {port} in one round \
-                     (CONGEST violation)"
-                );
-                per_port[port] = Some(m);
-            }
-            for (port, payload) in per_port.into_iter().enumerate() {
-                self.ports[port].out.push_back(OutFrame {
+            for ps in &mut self.ports {
+                ps.out.push_back(OutFrame {
                     vround: vr,
                     halted: self.inner_halted,
-                    payload,
+                    payload: None,
                     last_sent: None,
                 });
             }
+            for (port, m) in self.sends.drain(..) {
+                let f = self.ports[port].out.back_mut().expect("frame queued above");
+                assert!(
+                    f.payload.is_none(),
+                    "nested protocol sent two messages on port {port} in one round \
+                     (CONGEST violation)"
+                );
+                f.payload = Some(m);
+            }
             self.vr = vr + 1;
+        }
+        if self.inner_halted {
+            for ps in &mut self.ports {
+                ps.drop_received();
+            }
         }
     }
 
@@ -322,66 +398,52 @@ impl<P: Protocol> Reliable<P> {
     /// first, else an RTO retransmission of the oldest unacked frame,
     /// else an ack-only frame if one is owed.
     fn emit_frames(&mut self, ctx: &mut RoundCtx<'_>, now: u64) {
-        for port in 0..self.ports.len() {
-            let ps = &mut self.ports[port];
+        let rto = self.cfg.rto;
+        let (mut sent, mut retransmits, mut ack_only) = (0, 0, 0);
+        for (port, ps) in self.ports.iter_mut().enumerate() {
             let ack = ps.expected;
             assert!(ack < SEQ_LIMIT, "cumulative ack exceeds 32-bit frame field");
-            if let Some(f) = ps.out.iter_mut().find(|f| f.last_sent.is_none()) {
+            let fresh = ps.out.iter().position(|f| f.last_sent.is_none());
+            let resend = fresh.is_none()
+                && ps
+                    .out
+                    .front()
+                    .and_then(|f| f.last_sent)
+                    .is_some_and(|t| now >= t + rto);
+            let msg = if let Some(i) = fresh.or(resend.then_some(0)) {
+                let f = &mut ps.out[i];
                 f.last_sent = Some(now);
-                let msg = encode(&Frame {
+                retransmits += resend as u64;
+                let header = Header {
                     ack_only: false,
                     halted: f.halted,
                     vround: f.vround,
                     ack,
-                    payload: f.payload.clone(),
-                });
-                ps.owes_ack = false;
-                self.stats.frames_sent += 1;
-                if let Some((t, s)) = &self.telemetry {
-                    t.add(*s, Counter::FramesSent, 1);
-                }
-                ctx.send(port, msg);
-                continue;
-            }
-            let rto = self.cfg.rto;
-            if let Some(f) = ps.out.front_mut() {
-                if f.last_sent.is_some_and(|t| now >= t + rto) {
-                    f.last_sent = Some(now);
-                    let msg = encode(&Frame {
-                        ack_only: false,
-                        halted: f.halted,
-                        vround: f.vround,
-                        ack,
-                        payload: f.payload.clone(),
-                    });
-                    ps.owes_ack = false;
-                    self.stats.frames_sent += 1;
-                    self.stats.retransmits += 1;
-                    if let Some((t, s)) = &self.telemetry {
-                        t.add(*s, Counter::FramesSent, 1);
-                        t.add(*s, Counter::Retransmits, 1);
-                    }
-                    ctx.send(port, msg);
-                    continue;
-                }
-            }
-            if ps.owes_ack {
-                let msg = encode(&Frame {
+                };
+                encode(header, f.payload.as_ref())
+            } else if ps.owes_ack {
+                ack_only += 1;
+                let header = Header {
                     ack_only: true,
                     halted: false,
                     vround: 0,
                     ack,
-                    payload: None,
-                });
-                ps.owes_ack = false;
-                self.stats.frames_sent += 1;
-                self.stats.ack_only_frames += 1;
-                if let Some((t, s)) = &self.telemetry {
-                    t.add(*s, Counter::FramesSent, 1);
-                    t.add(*s, Counter::AckOnlyFrames, 1);
-                }
-                ctx.send(port, msg);
-            }
+                };
+                encode(header, None)
+            } else {
+                continue;
+            };
+            ps.owes_ack = false;
+            sent += 1;
+            ctx.send(port, msg);
+        }
+        self.stats.frames_sent += sent;
+        self.stats.retransmits += retransmits;
+        self.stats.ack_only_frames += ack_only;
+        if let Some((t, s)) = &self.telemetry {
+            t.add(*s, Counter::FramesSent, sent);
+            t.add(*s, Counter::Retransmits, retransmits);
+            t.add(*s, Counter::AckOnlyFrames, ack_only);
         }
     }
 }
@@ -416,95 +478,81 @@ fn fold_checksum(acc: u64) -> u64 {
     x & 0xff
 }
 
-/// XOR-fold of a bit stream read in `min(64, remaining)`-bit chunks —
-/// both sides chunk identically, so the fold is well-defined.
-fn checksum_bits(r: &mut bc_numeric::bits::BitReader<'_>, mut rem: usize) -> u64 {
-    let mut acc = 0u64;
-    while rem > 0 {
-        let w = rem.min(64);
-        acc ^= r.read(w as u32);
-        rem -= w;
-    }
-    fold_checksum(acc)
+/// The next `bits` bits of `r` in `min(64, remaining)`-bit chunks, as
+/// `(value, width)` pairs.
+fn chunks(mut r: BitReader<'_>, mut bits: usize) -> impl Iterator<Item = (u64, u32)> + '_ {
+    std::iter::from_fn(move || {
+        (bits > 0).then(|| {
+            let width = bits.min(64) as u32;
+            bits -= width as usize;
+            (r.read(width), width)
+        })
+    })
 }
 
-fn encode(f: &Frame) -> Message {
-    let mut body = BitWriter::new();
-    body.push(f.ack_only as u64, 1);
-    body.push(f.payload.is_some() as u64, 1);
-    body.push(f.halted as u64, 1);
-    body.push(f.vround, 32);
-    body.push(f.ack, 32);
-    if let Some(p) = &f.payload {
-        let buf = p.payload();
-        let mut r = buf.reader();
-        let mut rem = buf.bit_len();
-        while rem > 0 {
-            let w = rem.min(64);
-            body.push(r.read(w as u32), w as u32);
-            rem -= w;
+/// Checksum of a frame body: the XOR-fold of its 64-bit chunks. The
+/// 67-bit body header fills chunk 0 and the low 3 bits of chunk 1, so
+/// payload chunk `k` straddles body chunks `k + 1` and `k + 2` shifted
+/// left by 3 — the payload's chunk XOR `x` enters rotated left by 3.
+fn body_checksum(flags: u64, vround: u64, ack: u64, x: u64) -> u64 {
+    fold_checksum((flags | vround << 3 | ack << 35) ^ ack >> 29 ^ x.rotate_left(3))
+}
+
+/// Encodes one frame with a single writer: the checksum goes first, so it
+/// is computed up front from the header fields and the payload's chunks.
+fn encode(h: Header, payload: Option<&Message>) -> Message {
+    let flags = h.ack_only as u64 | (payload.is_some() as u64) << 1 | (h.halted as u64) << 2;
+    let payload = payload.map(Message::payload);
+    let x = payload.map_or(0, |p| {
+        chunks(p.reader(), p.bit_len()).fold(0, |x, (c, _)| x ^ c)
+    });
+    let checksum = body_checksum(flags, h.vround, h.ack, x);
+    let mut w = BitWriter::new();
+    w.push(checksum | flags << 8 | h.vround << 11, 43);
+    w.push(h.ack, 32);
+    if let Some(p) = payload {
+        for (c, width) in chunks(p.reader(), p.bit_len()) {
+            w.push(c, width);
         }
     }
-    let body = body.finish();
-    let checksum = checksum_bits(&mut body.reader(), body.bit_len());
-    let mut out = BitWriter::new();
-    out.push(checksum, 8);
-    let mut r = body.reader();
-    let mut rem = body.bit_len();
-    while rem > 0 {
-        let w = rem.min(64);
-        out.push(r.read(w as u32), w as u32);
-        rem -= w;
-    }
-    Message::new(out.finish())
+    Message::new(w.finish())
 }
 
-/// Decodes a frame; `None` means the frame is malformed or fails its
-/// checksum and must be treated as lost.
-fn decode(msg: &Message) -> Option<Frame> {
+/// Decodes a frame and its payload; `None` means the frame is malformed
+/// or fails its checksum and must be treated as lost.
+fn decode(msg: &Message) -> Option<(Header, Option<Message>)> {
     let total = msg.bit_len();
     if total < HEADER_BITS {
         return None;
     }
-    let buf = msg.payload();
-    let mut r = buf.reader();
+    let mut r = msg.payload().reader();
     let stored = r.read(8);
-    let computed = {
-        let mut rr = buf.reader();
-        let _ = rr.read(8);
-        checksum_bits(&mut rr, total - 8)
-    };
-    if computed != stored {
-        return None;
-    }
-    let ack_only = r.read(1) == 1;
-    let has_payload = r.read(1) == 1;
-    let halted = r.read(1) == 1;
+    let flags = r.read(3);
     let vround = r.read(32);
     let ack = r.read(32);
     let payload_bits = total - HEADER_BITS;
-    let payload = if has_payload {
+    let x = chunks(r.clone(), payload_bits).fold(0, |x, (c, _)| x ^ c);
+    if body_checksum(flags, vround, ack, x) != stored {
+        return None;
+    }
+    let payload = if flags & 0b10 != 0 {
         let mut w = BitWriter::new();
-        let mut rem = payload_bits;
-        while rem > 0 {
-            let width = rem.min(64);
-            w.push(r.read(width as u32), width as u32);
-            rem -= width;
+        for (c, width) in chunks(r, payload_bits) {
+            w.push(c, width);
         }
         Some(Message::new(w.finish()))
+    } else if payload_bits != 0 {
+        return None;
     } else {
-        if payload_bits != 0 {
-            return None;
-        }
         None
     };
-    Some(Frame {
-        ack_only,
-        halted,
+    let header = Header {
+        ack_only: flags & 0b1 != 0,
+        halted: flags & 0b100 != 0,
         vround,
         ack,
-        payload,
-    })
+    };
+    Some((header, payload))
 }
 
 #[cfg(test)]
@@ -513,33 +561,153 @@ mod tests {
     use bc_congest::faults::{corrupt_message, FaultPlan};
     use bc_congest::{Budget, Config, Network};
     use bc_graph::{generators, Graph, NodeId};
+    use proptest::prelude::*;
 
-    fn frame_roundtrip(f: Frame) {
-        let msg = encode(&f);
-        assert_eq!(
-            msg.bit_len() - f.payload.as_ref().map_or(0, |p| p.bit_len()),
-            HEADER_BITS
-        );
-        let d = decode(&msg).expect("valid frame decodes");
-        assert_eq!(d.ack_only, f.ack_only);
-        assert_eq!(d.halted, f.halted);
-        assert_eq!(d.vround, f.vround);
-        assert_eq!(d.ack, f.ack);
-        match (&d.payload, &f.payload) {
-            (None, None) => {}
-            (Some(a), Some(b)) => {
-                assert_eq!(a.bit_len(), b.bit_len());
-                let mut ra = a.payload().reader();
-                let mut rb = b.payload().reader();
-                let mut rem = a.bit_len();
+    /// The frame codec as first written — a body writer, a checksum pass
+    /// over the finished body, then a second writer copying the body
+    /// behind the checksum. `encode` and `decode` must stay bit-identical
+    /// to it.
+    mod reference {
+        use super::super::{fold_checksum, Header, HEADER_BITS};
+        use bc_congest::Message;
+        use bc_numeric::bits::{BitReader, BitWriter};
+
+        fn checksum_bits(r: &mut BitReader<'_>, mut rem: usize) -> u64 {
+            let mut acc = 0u64;
+            while rem > 0 {
+                let w = rem.min(64);
+                acc ^= r.read(w as u32);
+                rem -= w;
+            }
+            fold_checksum(acc)
+        }
+
+        pub fn encode(h: Header, payload: Option<&Message>) -> Message {
+            let mut body = BitWriter::new();
+            body.push(h.ack_only as u64, 1);
+            body.push(payload.is_some() as u64, 1);
+            body.push(h.halted as u64, 1);
+            body.push(h.vround, 32);
+            body.push(h.ack, 32);
+            if let Some(p) = payload {
+                let buf = p.payload();
+                let mut r = buf.reader();
+                let mut rem = buf.bit_len();
                 while rem > 0 {
                     let w = rem.min(64);
-                    assert_eq!(ra.read(w as u32), rb.read(w as u32));
+                    body.push(r.read(w as u32), w as u32);
                     rem -= w;
                 }
             }
-            _ => panic!("payload presence mismatch"),
+            let body = body.finish();
+            let checksum = checksum_bits(&mut body.reader(), body.bit_len());
+            let mut out = BitWriter::new();
+            out.push(checksum, 8);
+            let mut r = body.reader();
+            let mut rem = body.bit_len();
+            while rem > 0 {
+                let w = rem.min(64);
+                out.push(r.read(w as u32), w as u32);
+                rem -= w;
+            }
+            Message::new(out.finish())
         }
+
+        pub fn decode(msg: &Message) -> Option<(Header, Option<Message>)> {
+            let total = msg.bit_len();
+            if total < HEADER_BITS {
+                return None;
+            }
+            let buf = msg.payload();
+            let mut r = buf.reader();
+            let stored = r.read(8);
+            let computed = {
+                let mut rr = buf.reader();
+                let _ = rr.read(8);
+                checksum_bits(&mut rr, total - 8)
+            };
+            if computed != stored {
+                return None;
+            }
+            let ack_only = r.read(1) == 1;
+            let has_payload = r.read(1) == 1;
+            let halted = r.read(1) == 1;
+            let vround = r.read(32);
+            let ack = r.read(32);
+            let payload_bits = total - HEADER_BITS;
+            let payload = if has_payload {
+                let mut w = BitWriter::new();
+                let mut rem = payload_bits;
+                while rem > 0 {
+                    let width = rem.min(64);
+                    w.push(r.read(width as u32), width as u32);
+                    rem -= width;
+                }
+                Some(Message::new(w.finish()))
+            } else {
+                if payload_bits != 0 {
+                    return None;
+                }
+                None
+            };
+            let header = Header {
+                ack_only,
+                halted,
+                vround,
+                ack,
+            };
+            Some((header, payload))
+        }
+    }
+
+    /// The first `bits` bits of `msg`.
+    fn truncated(msg: &Message, bits: usize) -> Message {
+        let mut w = BitWriter::new();
+        for (c, width) in chunks(msg.payload().reader(), bits) {
+            w.push(c, width);
+        }
+        Message::new(w.finish())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn codec_matches_the_reference(
+            (ack_only, halted, has_payload) in (any::<bool>(), any::<bool>(), any::<bool>()),
+            (vround, ack) in (any::<u32>(), any::<u32>()),
+            (bits, words) in (0usize..=300, prop::collection::vec(any::<u64>(), 5)),
+        ) {
+            let header = Header { ack_only, halted, vround: vround as u64, ack: ack as u64 };
+            let mut w = BitWriter::new();
+            for (i, &word) in words.iter().enumerate().take(bits.div_ceil(64)) {
+                let width = (bits - 64 * i).min(64) as u32;
+                w.push(if width == 64 { word } else { word & ((1 << width) - 1) }, width);
+            }
+            let payload = has_payload.then(|| Message::new(w.finish()));
+            let msg = encode(header, payload.as_ref());
+            prop_assert_eq!(&msg, &reference::encode(header, payload.as_ref()));
+            prop_assert_eq!(decode(&msg), Some((header, payload)));
+            for bit in 0..msg.bit_len() {
+                let flipped = corrupt_message(&msg, bit as u64);
+                prop_assert_eq!(decode(&flipped), reference::decode(&flipped), "flip of bit {}", bit);
+            }
+            for len in 0..msg.bit_len() {
+                let cut = truncated(&msg, len);
+                prop_assert_eq!(decode(&cut), reference::decode(&cut), "truncation to {} bits", len);
+            }
+        }
+    }
+
+    fn frame_roundtrip(h: Header, payload: Option<Message>) {
+        let msg = encode(h, payload.as_ref());
+        assert_eq!(
+            msg.bit_len() - payload.as_ref().map_or(0, |p| p.bit_len()),
+            HEADER_BITS
+        );
+        let (dh, dp) = decode(&msg).expect("valid frame decodes");
+        assert_eq!(dh, h);
+        assert_eq!(dp, payload);
     }
 
     fn payload(bits: &[(u64, u32)]) -> Message {
@@ -552,36 +720,44 @@ mod tests {
 
     #[test]
     fn frames_roundtrip() {
-        frame_roundtrip(Frame {
-            ack_only: true,
-            halted: false,
-            vround: 0,
-            ack: 17,
-            payload: None,
-        });
-        frame_roundtrip(Frame {
-            ack_only: false,
-            halted: true,
-            vround: 65_535,
-            ack: 65_535,
-            payload: None,
-        });
-        frame_roundtrip(Frame {
-            ack_only: false,
-            halted: false,
-            vround: 12,
-            ack: 3,
-            payload: Some(payload(&[(0xdead_beef, 32), (5, 3)])),
-        });
+        frame_roundtrip(
+            Header {
+                ack_only: true,
+                halted: false,
+                vround: 0,
+                ack: 17,
+            },
+            None,
+        );
+        frame_roundtrip(
+            Header {
+                ack_only: false,
+                halted: true,
+                vround: 65_535,
+                ack: 65_535,
+            },
+            None,
+        );
+        frame_roundtrip(
+            Header {
+                ack_only: false,
+                halted: false,
+                vround: 12,
+                ack: 3,
+            },
+            Some(payload(&[(0xdead_beef, 32), (5, 3)])),
+        );
         // Zero-length payloads are representable and distinct from "no
         // payload".
-        frame_roundtrip(Frame {
-            ack_only: false,
-            halted: false,
-            vround: 1,
-            ack: 1,
-            payload: Some(payload(&[])),
-        });
+        frame_roundtrip(
+            Header {
+                ack_only: false,
+                halted: false,
+                vround: 1,
+                ack: 1,
+            },
+            Some(payload(&[])),
+        );
     }
 
     #[test]
@@ -589,20 +765,24 @@ mod tests {
         // Regression: vround/ack were 16-bit fields until a long run
         // wrapped the sequence space at 65 536 virtual rounds; frames must
         // round-trip well past the old boundary.
-        frame_roundtrip(Frame {
-            ack_only: false,
-            halted: false,
-            vround: 65_536,
-            ack: 65_536,
-            payload: None,
-        });
-        frame_roundtrip(Frame {
-            ack_only: false,
-            halted: true,
-            vround: (1 << 32) - 1,
-            ack: 1 << 20,
-            payload: Some(payload(&[(0xfeed, 16)])),
-        });
+        frame_roundtrip(
+            Header {
+                ack_only: false,
+                halted: false,
+                vround: 65_536,
+                ack: 65_536,
+            },
+            None,
+        );
+        frame_roundtrip(
+            Header {
+                ack_only: false,
+                halted: true,
+                vround: (1 << 32) - 1,
+                ack: 1 << 20,
+            },
+            Some(payload(&[(0xfeed, 16)])),
+        );
     }
 
     /// Broadcasts the current round number every round up to a limit;
@@ -663,15 +843,89 @@ mod tests {
         }
     }
 
+    /// Broadcasts its round number every round until round `stop`, then
+    /// halts for good; folds everything it hears while running.
+    #[derive(Debug, PartialEq)]
+    struct Talker {
+        stop: u64,
+        heard: u64,
+        done: bool,
+    }
+
+    impl Protocol for Talker {
+        fn round(&mut self, ctx: &mut RoundCtx<'_>, inbox: &[(usize, Message)]) {
+            if self.done {
+                return;
+            }
+            for (_, m) in inbox {
+                let v = m.payload().reader().read(32);
+                self.heard = self.heard.wrapping_mul(31).wrapping_add(v + 1);
+            }
+            let mut w = BitWriter::new();
+            w.push(ctx.round(), 32);
+            ctx.broadcast(&Message::new(w.finish()));
+            self.done = ctx.round() + 1 >= self.stop;
+        }
+
+        fn is_halted(&self) -> bool {
+            self.done
+        }
+    }
+
+    #[test]
+    fn halted_receiver_drops_payloads_but_keeps_acking() {
+        // Regression: a node whose inner protocol halted buffered every
+        // later frame its running neighbour sent until the run ended.
+        let g = generators::path(2);
+        let talker = |v: NodeId| Talker {
+            stop: if v == 0 { 2 } else { 502 },
+            heard: 0,
+            done: false,
+        };
+        let mut bare = Network::new(&g, Config::default(), |v, _| talker(v));
+        bare.run(10_000).unwrap();
+        let lossy = FaultPlan {
+            drop: 0.2,
+            duplicate: 0.1,
+            delay: 0.2,
+            max_delay: 3,
+            ..FaultPlan::seeded(5)
+        };
+        for (plan, bound) in [(None, 1), (Some(lossy), RECEIVE_WINDOW as usize)] {
+            let cfg = Config {
+                budget: Budget::Unlimited,
+                faults: plan,
+                ..Config::default()
+            };
+            let mut net = Network::new(&g, cfg, |v, g| {
+                Reliable::new(talker(v), g.degree(v), ReliableConfig { rto: 5 })
+            });
+            let mut peak = 0;
+            while !g.nodes().all(|v| net.node(v).is_halted()) {
+                net.run_rounds(1).unwrap();
+                peak = peak.max(net.node(0).ports[0].frames.len());
+                assert!(net.metrics().rounds < 50_000, "run did not halt");
+            }
+            net.run(50_000).unwrap();
+            assert!(peak <= bound, "halted side buffered {peak} frames");
+            assert!(net.node(1).virtual_rounds() > 500);
+            for v in g.nodes() {
+                assert_eq!(net.node(v).inner(), bare.node(v), "node {v}");
+            }
+        }
+    }
+
     #[test]
     fn every_single_bit_flip_is_detected() {
-        let msg = encode(&Frame {
-            ack_only: false,
-            halted: false,
-            vround: 40,
-            ack: 39,
-            payload: Some(payload(&[(0x1234_5678_9abc_def0, 64), (0x2a, 7)])),
-        });
+        let msg = encode(
+            Header {
+                ack_only: false,
+                halted: false,
+                vround: 40,
+                ack: 39,
+            },
+            Some(&payload(&[(0x1234_5678_9abc_def0, 64), (0x2a, 7)])),
+        );
         for bit in 0..msg.bit_len() as u64 {
             let corrupted = corrupt_message(&msg, bit);
             assert!(

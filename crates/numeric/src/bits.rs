@@ -6,14 +6,42 @@
 //! to a bit string with [`BitWriter`] and parsed back with [`BitReader`];
 //! the simulator then enforces its per-message bit budget against
 //! [`BitBuf::bit_len`].
+//!
+//! A [`BitBuf`] of up to 192 bits keeps its words inline, so building,
+//! cloning, reading and dropping an `O(log N)`-bit message never touches
+//! the heap. Longer strings spill to a `Vec`; the representation is
+//! invisible to every caller (`==` and `Hash` compare content).
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
+
+/// 64-bit words a [`BitBuf`] stores inline before it spills to the heap.
+/// Their 192 bits cover every protocol message in the workspace and every
+/// reliable frame with up to 117 payload bits.
+const INLINE_WORDS: usize = 3;
+
+/// Backing words. Bits past the string's length are always zero, and a
+/// heap vector holds exactly the words the length needs.
+#[derive(Clone)]
+enum Words {
+    Inline([u64; INLINE_WORDS]),
+    Heap(Vec<u64>),
+}
 
 /// An immutable packed bit string (little-endian within 64-bit words).
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Clone)]
 pub struct BitBuf {
-    words: Vec<u64>,
+    words: Words,
     bits: usize,
+}
+
+impl Default for BitBuf {
+    fn default() -> Self {
+        BitBuf {
+            words: Words::Inline([0; INLINE_WORDS]),
+            bits: 0,
+        }
+    }
 }
 
 impl BitBuf {
@@ -34,7 +62,61 @@ impl BitBuf {
 
     /// Starts reading this buffer from the beginning.
     pub fn reader(&self) -> BitReader<'_> {
-        BitReader { buf: self, pos: 0 }
+        BitReader {
+            words: self.storage(),
+            bits: self.bits,
+            pos: 0,
+        }
+    }
+
+    /// Every backing word, including zero inline words past the end.
+    fn storage(&self) -> &[u64] {
+        match &self.words {
+            Words::Inline(w) => w,
+            Words::Heap(v) => v,
+        }
+    }
+
+    /// The words that hold the string's bits.
+    fn used_words(&self) -> &[u64] {
+        &self.storage()[..self.bits.div_ceil(64)]
+    }
+
+    /// The backing words, grown (spilling to the heap past
+    /// `INLINE_WORDS` words) to hold `bits` bits.
+    fn storage_for(&mut self, bits: usize) -> &mut [u64] {
+        let need = bits.div_ceil(64);
+        if need > INLINE_WORDS {
+            if let Words::Inline(w) = self.words {
+                let mut v = Vec::with_capacity(need.max(2 * INLINE_WORDS));
+                v.extend_from_slice(&w);
+                self.words = Words::Heap(v);
+            }
+        }
+        match &mut self.words {
+            Words::Inline(w) => w,
+            Words::Heap(v) => {
+                if v.len() < need {
+                    v.resize(need, 0);
+                }
+                v
+            }
+        }
+    }
+}
+
+impl PartialEq for BitBuf {
+    fn eq(&self, other: &Self) -> bool {
+        self.bits == other.bits && self.used_words() == other.used_words()
+    }
+}
+
+impl Eq for BitBuf {}
+
+impl Hash for BitBuf {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.used_words().hash(state);
+        self.bits.hash(state);
     }
 }
 
@@ -87,18 +169,15 @@ impl BitWriter {
         if width == 0 {
             return;
         }
-        let bit_pos = self.buf.bits % 64;
-        if bit_pos == 0 {
-            self.buf.words.push(value);
-        } else {
-            let word = self.buf.words.last_mut().expect("non-empty on unaligned");
-            *word |= value << bit_pos;
-            let spill = 64 - bit_pos as u32;
-            if width > spill {
-                self.buf.words.push(value >> spill);
-            }
+        let start = self.buf.bits;
+        let end = start + width as usize;
+        let words = self.buf.storage_for(end);
+        let (idx, bit_pos) = (start / 64, (start % 64) as u32);
+        words[idx] |= value << bit_pos;
+        if bit_pos + width > 64 {
+            words[idx + 1] = value >> (64 - bit_pos);
         }
-        self.buf.bits += width as usize;
+        self.buf.bits = end;
     }
 
     /// Appends a single boolean bit.
@@ -120,7 +199,8 @@ impl BitWriter {
 /// Sequential reader over a [`BitBuf`].
 #[derive(Debug, Clone)]
 pub struct BitReader<'a> {
-    buf: &'a BitBuf,
+    words: &'a [u64],
+    bits: usize,
     pos: usize,
 }
 
@@ -133,17 +213,17 @@ impl BitReader<'_> {
     pub fn read(&mut self, width: u32) -> u64 {
         assert!(width <= 64, "bit field wider than 64");
         assert!(
-            self.pos + width as usize <= self.buf.bits,
+            self.pos + width as usize <= self.bits,
             "BitReader overrun: reading {width} bits at position {} of {}",
             self.pos,
-            self.buf.bits
+            self.bits
         );
         if width == 0 {
             return 0;
         }
         let word_idx = self.pos / 64;
         let bit_pos = (self.pos % 64) as u32;
-        let lo = self.buf.words[word_idx] >> bit_pos;
+        let lo = self.words[word_idx] >> bit_pos;
         let avail = 64 - bit_pos;
         let v = if width <= avail {
             if width == 64 {
@@ -152,7 +232,7 @@ impl BitReader<'_> {
                 lo & ((1u64 << width) - 1)
             }
         } else {
-            let hi = self.buf.words[word_idx + 1] << avail;
+            let hi = self.words[word_idx + 1] << avail;
             (lo | hi)
                 & if width == 64 {
                     u64::MAX
@@ -171,7 +251,7 @@ impl BitReader<'_> {
 
     /// Bits not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.buf.bits - self.pos
+        self.bits - self.pos
     }
 }
 

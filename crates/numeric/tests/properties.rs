@@ -2,12 +2,85 @@
 //! machine-word oracles, division/gcd identities, Lemma 1 bounds, and wire
 //! round-trips.
 
-use bc_numeric::bits::{id_bits, BitWriter};
+use bc_numeric::bits::{id_bits, BitBuf, BitWriter};
 use bc_numeric::{BigRational, BigUint, CeilFloat, FpParams, Rounding};
 use proptest::prelude::*;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 
 fn big(v: u128) -> BigUint {
     BigUint::from(v)
+}
+
+/// The low `width` bits of `v`.
+fn low_bits(v: u64, width: u32) -> u64 {
+    if width == 64 {
+        v
+    } else {
+        v & ((1 << width) - 1)
+    }
+}
+
+/// Masks `(value, width)` fields to their widths and keeps a prefix of at
+/// most 400 bits in total.
+fn fields_upto_400_bits(raw: Vec<(u64, u32)>) -> Vec<(u64, u32)> {
+    let mut total = 0;
+    raw.into_iter()
+        .map(|(v, w)| (low_bits(v, w), w))
+        .take_while(|&(_, w)| {
+            total += w;
+            total <= 400
+        })
+        .collect()
+}
+
+/// Plain reference model of a bit string: LSB-first words, set bit by bit.
+fn reference(fields: &[(u64, u32)]) -> (Vec<u64>, usize) {
+    let mut words = Vec::new();
+    let mut bits = 0;
+    for &(v, w) in fields {
+        for i in 0..w as usize {
+            if bits % 64 == 0 {
+                words.push(0);
+            }
+            words[bits / 64] |= ((v >> i) & 1) << (bits % 64);
+            bits += 1;
+        }
+    }
+    (words, bits)
+}
+
+/// Writes the bits of `fields` in `chunk`-bit pushes (the last one
+/// shorter), so equal strings can come from different push sequences.
+fn rechunked(fields: &[(u64, u32)], chunk: u32) -> BitBuf {
+    let (words, bits) = reference(fields);
+    let mut w = BitWriter::new();
+    let mut at = 0;
+    while at < bits {
+        let width = (bits - at).min(chunk as usize);
+        let (i, o) = (at / 64, at % 64);
+        let mut v = words[i] >> o;
+        if o + width > 64 {
+            v |= words[i + 1] << (64 - o);
+        }
+        w.push(low_bits(v, width as u32), width as u32);
+        at += width;
+    }
+    w.finish()
+}
+
+fn build(fields: &[(u64, u32)]) -> BitBuf {
+    let mut w = BitWriter::new();
+    for &(v, width) in fields {
+        w.push(v, width);
+    }
+    w.finish()
+}
+
+fn hash_of<T: Hash>(t: &T) -> u64 {
+    let mut h = DefaultHasher::new();
+    t.hash(&mut h);
+    h.finish()
 }
 
 proptest! {
@@ -223,6 +296,40 @@ proptest! {
         // One bit fewer would not fit.
         if b > 1 {
             prop_assert!(((n - 1) as u64) >= (1u64 << (b - 1)));
+        }
+    }
+
+    #[test]
+    /// Lengths of 0–400 bits cross the inline/heap boundary
+    /// (192 bits) in both directions.
+    fn bitbuf_is_independent_of_its_representation(
+        a in prop::collection::vec((any::<u64>(), 1u32..=64), 0..16),
+        b in prop::collection::vec((any::<u64>(), 1u32..=64), 0..16),
+        chunk in 1u32..=64,
+        same in any::<bool>(),
+    ) {
+        let a = fields_upto_400_bits(a);
+        // Half the cases compare a string with itself written in other
+        // chunks, so equal pairs are common, not a fluke.
+        let b = if same { a.clone() } else { fields_upto_400_bits(b) };
+        let (buf_a, buf_b) = (build(&a), rechunked(&b, chunk));
+        let (ref_a, ref_b) = (reference(&a), reference(&b));
+        prop_assert_eq!(buf_a.bit_len(), ref_a.1);
+        let mut r = buf_a.reader();
+        for &(v, width) in &a {
+            prop_assert_eq!(r.read(width), v);
+        }
+        prop_assert_eq!(r.remaining(), 0);
+        prop_assert_eq!(buf_a == buf_b, ref_a == ref_b);
+        if buf_a == buf_b {
+            prop_assert_eq!(hash_of(&buf_a), hash_of(&buf_b));
+        }
+        let copy = buf_a.clone();
+        drop(buf_a);
+        prop_assert_eq!(&copy, &rechunked(&a, chunk));
+        let mut r = copy.reader();
+        for &(v, width) in &a {
+            prop_assert_eq!(r.read(width), v);
         }
     }
 }
