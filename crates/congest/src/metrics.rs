@@ -179,27 +179,33 @@ impl NetMetrics {
         }
     }
 
-    /// Records one message of `bits` payload bits sent in `round` into the
-    /// per-round timelines and the size histogram.
-    pub(crate) fn record_message(&mut self, round: u64, bits: usize) {
+    /// Commits one node step's sends, tallied in `tally`, into the totals,
+    /// the per-round timelines of `round` and the size histogram, and
+    /// empties the tally for the next step.
+    pub(crate) fn record_sends(&mut self, round: u64, tally: &mut SendTally) {
+        if tally.messages == 0 {
+            return;
+        }
+        self.begin_round(round);
         let r = round as usize;
-        if self.per_round_messages.len() <= r {
-            self.per_round_messages.resize(r + 1, 0);
+        self.total_messages += tally.messages;
+        self.total_bits += tally.bits;
+        self.max_message_bits = self.max_message_bits.max(tally.max_bits);
+        self.per_round_messages[r] += tally.messages;
+        self.per_round_bits[r] += tally.bits;
+        self.per_round_max_bits[r] = self.per_round_max_bits[r].max(tally.max_bits as u32);
+        let top = (u64::BITS - tally.used.leading_zeros()) as usize;
+        if self.message_size_hist.len() < top {
+            self.message_size_hist.resize(top, 0);
         }
-        if self.per_round_bits.len() <= r {
-            self.per_round_bits.resize(r + 1, 0);
+        while tally.used != 0 {
+            let bucket = tally.used.trailing_zeros() as usize;
+            tally.used &= tally.used - 1;
+            self.message_size_hist[bucket] += std::mem::take(&mut tally.buckets[bucket]);
         }
-        if self.per_round_max_bits.len() <= r {
-            self.per_round_max_bits.resize(r + 1, 0);
-        }
-        self.per_round_messages[r] += 1;
-        self.per_round_bits[r] += bits as u64;
-        self.per_round_max_bits[r] = self.per_round_max_bits[r].max(bits as u32);
-        let bucket = Self::size_bucket(bits);
-        if self.message_size_hist.len() <= bucket {
-            self.message_size_hist.resize(bucket + 1, 0);
-        }
-        self.message_size_hist[bucket] += 1;
+        tally.messages = 0;
+        tally.bits = 0;
+        tally.max_bits = 0;
     }
 
     /// The log₂ histogram bucket for a message of `bits` bits.
@@ -238,6 +244,44 @@ impl NetMetrics {
                 .max()
                 .unwrap_or(0) as usize,
         }
+    }
+}
+
+/// The messages of one node step, counted as they are sent and folded
+/// into a [`NetMetrics`] once per step by [`NetMetrics::record_sends`].
+/// The size histogram stays exact: each log₂ bucket counts on its own.
+#[derive(Debug)]
+pub(crate) struct SendTally {
+    messages: u64,
+    bits: u64,
+    max_bits: usize,
+    /// Messages per log₂ size bucket ([`NetMetrics::size_bucket`]).
+    buckets: [u64; usize::BITS as usize],
+    /// Bit `b` is set iff `buckets[b]` is nonzero.
+    used: u64,
+}
+
+impl Default for SendTally {
+    fn default() -> Self {
+        SendTally {
+            messages: 0,
+            bits: 0,
+            max_bits: 0,
+            buckets: [0; usize::BITS as usize],
+            used: 0,
+        }
+    }
+}
+
+impl SendTally {
+    /// Counts one message of `bits` payload bits.
+    pub(crate) fn add(&mut self, bits: usize) {
+        self.messages += 1;
+        self.bits += bits as u64;
+        self.max_bits = self.max_bits.max(bits);
+        let bucket = NetMetrics::size_bucket(bits);
+        self.buckets[bucket] += 1;
+        self.used |= 1 << bucket;
     }
 }
 
@@ -337,11 +381,20 @@ mod tests {
     }
 
     #[test]
-    fn record_message_builds_timelines() {
+    fn record_sends_builds_timelines() {
         let mut m = NetMetrics::default();
-        m.record_message(0, 8);
-        m.record_message(2, 32);
-        m.record_message(2, 5);
+        let mut tally = SendTally::default();
+        tally.add(8);
+        m.record_sends(0, &mut tally);
+        tally.add(32);
+        tally.add(5);
+        m.record_sends(2, &mut tally);
+        // An empty step records nothing, and the tally starts over.
+        m.record_sends(2, &mut tally);
+        assert_eq!(
+            (m.total_messages, m.total_bits, m.max_message_bits),
+            (3, 45, 32)
+        );
         assert_eq!(m.per_round_messages, vec![1, 0, 2]);
         assert_eq!(m.per_round_bits, vec![8, 0, 37]);
         assert_eq!(m.per_round_max_bits, vec![8, 0, 32]);

@@ -41,13 +41,13 @@
 
 use crate::faults::{self, FaultPlan};
 use crate::message::Message;
-use crate::metrics::{EdgeCut, NetMetrics};
+use crate::metrics::{EdgeCut, NetMetrics, SendTally};
 use crate::partition::{Partition, ShardMap};
 use crate::profile::{Profiler, RoundSpan};
 use crate::telemetry::{Telemetry, TelemetryHandle};
 use crate::trace::{ProtocolDetail, TraceEvent, TraceSink, ViolationKind};
 use crate::wake::WakeSet;
-use bc_graph::{Graph, NodeId};
+use bc_graph::{Graph, NodeId, ReversePorts};
 use bc_numeric::bits::id_bits;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -403,6 +403,8 @@ pub struct RunReport {
 /// A simulated synchronous network executing protocol `P` on every node.
 pub struct Network<P> {
     graph: Graph,
+    /// Reverse ports of `graph`, built once per engine for routing.
+    reverse: ReversePorts,
     config: Config,
     budget_bits: Option<usize>,
     nodes: Vec<P>,
@@ -414,8 +416,8 @@ pub struct Network<P> {
     /// Recycled staging buffers for the serial engine's `RoundCtx`.
     stage_sends: Vec<(usize, Message)>,
     stage_events: Vec<ProtocolDetail>,
-    /// Recycled per-port collision counters for `account_sends`.
-    port_scratch: Vec<u8>,
+    /// Recycled scratch of `account_sends`.
+    send_scratch: SendScratch,
     /// Recycled list of next-inbox indices touched in the current round
     /// (only those get sorted).
     touched: Vec<NodeId>,
@@ -455,13 +457,14 @@ impl<P: Protocol> Network<P> {
         Network {
             budget_bits: config.budget.resolve(n),
             graph: graph.clone(),
+            reverse: ReversePorts::new(graph),
             config,
             nodes,
             inboxes: vec![Vec::new(); n],
             spare: vec![Vec::new(); n],
             stage_sends: Vec::new(),
             stage_events: Vec::new(),
-            port_scratch: Vec::new(),
+            send_scratch: SendScratch::default(),
             touched: Vec::new(),
             delayed: Vec::new(),
             wake: WakeSet::new(n),
@@ -602,7 +605,7 @@ impl<P: Protocol> Network<P> {
                 // duplicates) keep arrival order — normal before delayed —
                 // which is the canonical order the parallel engine's shard
                 // drain reproduces.
-                inbox.sort_by_key(|&(port, _)| port);
+                sort_inbox(inbox);
                 self.wake.mark(target as usize);
             }
         }
@@ -686,10 +689,11 @@ impl<P: Protocol> Network<P> {
                 round,
                 sends.drain(..),
                 &self.graph,
+                &self.reverse,
                 self.budget_bits,
                 self.config.cut.as_ref(),
                 &mut self.metrics,
-                &mut self.port_scratch,
+                &mut self.send_scratch,
                 |target, reverse_port, msg| {
                     let inbox = &mut spare[target as usize];
                     if inbox.is_empty() {
@@ -719,7 +723,7 @@ impl<P: Protocol> Network<P> {
         for &t in &touched {
             // Stable for the same reason as the delayed-message insertion
             // above: staging order breaks equal-port ties canonically.
-            spare[t as usize].sort_by_key(|&(port, _)| port);
+            sort_inbox(&mut spare[t as usize]);
             self.wake.post(t as usize);
         }
         touched.clear();
@@ -974,6 +978,7 @@ struct ShardWorker<'a, P> {
     me: usize,
     map: &'a ShardMap,
     graph: &'a Graph,
+    reverse: &'a ReversePorts,
     budget_bits: Option<usize>,
     cut: Option<&'a EdgeCut>,
     faults: Option<&'a FaultPlan>,
@@ -988,7 +993,7 @@ struct ShardWorker<'a, P> {
     metrics: NetMetrics,
     stage_sends: Vec<(usize, Message)>,
     stage_events: Vec<ProtocolDetail>,
-    port_scratch: Vec<u8>,
+    send_scratch: SendScratch,
     /// Untagged fault-delay staging for `account_sends`; drained per node
     /// into the sender-tagged reply buffer.
     delayed_scratch: Vec<(u64, NodeId, usize, Message)>,
@@ -1048,7 +1053,7 @@ impl<P: Protocol> ShardWorker<'_, P> {
                         // post-swap state.
                         self.drain_lanes();
                         for &local in &self.touched {
-                            self.inboxes[local as usize].sort_by_key(|&(port, _)| port);
+                            sort_inbox(&mut self.inboxes[local as usize]);
                         }
                         self.touched.clear();
                     }
@@ -1166,7 +1171,7 @@ impl<P: Protocol> ShardWorker<'_, P> {
             // the last stepped round's batches are still in flight.
             self.drain_lanes();
             for &local in &self.touched {
-                self.inboxes[local as usize].sort_by_key(|&(port, _)| port);
+                sort_inbox(&mut self.inboxes[local as usize]);
             }
             self.touched.clear();
         }
@@ -1241,7 +1246,7 @@ impl<P: Protocol> ShardWorker<'_, P> {
         self.wake
             .begin_round(round, self.skip_idle && self.faults.is_none());
         for &local in &self.touched {
-            self.inboxes[local as usize].sort_by_key(|&(port, _)| port);
+            sort_inbox(&mut self.inboxes[local as usize]);
             self.wake.mark(local as usize);
         }
         self.touched.clear();
@@ -1266,7 +1271,8 @@ impl<P: Protocol> ShardWorker<'_, P> {
         let graph = self.graph;
         let shard = &map.shards()[me];
         let metrics = &mut self.metrics;
-        let port_scratch = &mut self.port_scratch;
+        let reverse = self.reverse;
+        let send_scratch = &mut self.send_scratch;
         let delayed_scratch = &mut self.delayed_scratch;
         let pending_intra = &mut self.pending_intra;
         let out = &mut self.out;
@@ -1338,10 +1344,11 @@ impl<P: Protocol> ShardWorker<'_, P> {
                         round,
                         node_sends.drain(..),
                         graph,
+                        reverse,
                         self.budget_bits,
                         self.cut,
                         metrics,
-                        port_scratch,
+                        send_scratch,
                         |target, reverse_port, msg| {
                             routed += 1;
                             let entry = (map.local_of(target) as u32, reverse_port, msg);
@@ -1493,6 +1500,7 @@ impl<P: Protocol + Send> Network<P> {
         }
 
         let graph = &self.graph;
+        let reverse = &self.reverse;
         let metrics = &mut self.metrics;
         let profiler = &mut self.profiler;
         let round_ref = &mut self.round;
@@ -1554,6 +1562,7 @@ impl<P: Protocol + Send> Network<P> {
                     me: w,
                     map: map_ref,
                     graph,
+                    reverse,
                     budget_bits,
                     cut,
                     faults,
@@ -1563,7 +1572,7 @@ impl<P: Protocol + Send> Network<P> {
                     metrics: NetMetrics::default(),
                     stage_sends: Vec::new(),
                     stage_events: Vec::new(),
-                    port_scratch: Vec::new(),
+                    send_scratch: SendScratch::default(),
                     delayed_scratch: Vec::new(),
                     pending_intra: Vec::new(),
                     out: (0..workers).map(|_| Vec::new()).collect(),
@@ -1912,6 +1921,26 @@ fn take_due(
     due
 }
 
+/// Restores an inbox's canonical order: ascending port, equal ports in
+/// arrival order (a stable sort). Most inboxes arrive in that order
+/// already — a serial round steps senders in ascending id order, and a
+/// node's port to each neighbour grows with the neighbour's id — so they
+/// are only checked, not sorted.
+pub(crate) fn sort_inbox(inbox: &mut [(usize, Message)]) {
+    if !inbox.is_sorted_by_key(|&(port, _)| port) {
+        inbox.sort_by_key(|&(port, _)| port);
+    }
+}
+
+/// Scratch of [`account_sends`], kept by each engine across node steps.
+#[derive(Debug, Default)]
+pub(crate) struct SendScratch {
+    /// Messages per port of the current sender (collision detection).
+    port_counts: Vec<u8>,
+    /// The current sender's messages, committed to the metrics once.
+    tally: SendTally,
+}
+
 /// Validates and delivers one node's staged sends: collision detection,
 /// budget enforcement, metric accounting, cut-flow accounting, and — via
 /// `deliver` — enqueueing into the receivers' next-round inboxes. With a
@@ -1925,10 +1954,11 @@ pub(crate) fn account_sends<S: TraceSink + ?Sized>(
     round: u64,
     staged: impl Iterator<Item = (usize, Message)>,
     graph: &Graph,
+    reverse: &ReversePorts,
     budget_bits: Option<usize>,
     cut: Option<&EdgeCut>,
     metrics: &mut NetMetrics,
-    port_counts: &mut Vec<u8>,
+    scratch: &mut SendScratch,
     mut deliver: impl FnMut(NodeId, usize, Message),
     first_error: &mut Option<CongestError>,
     mut sink: Option<&mut S>,
@@ -1938,7 +1968,10 @@ pub(crate) fn account_sends<S: TraceSink + ?Sized>(
     // Collision detection: count messages per port (the scratch buffer is
     // only reset when the node actually sent something).
     let neighbors = graph.neighbors(v);
+    let reverse = reverse.of(graph, v);
+    let SendScratch { port_counts, tally } = scratch;
     let mut prepared = false;
+    let mut max_per_port = 0u8;
     for (port, msg) in staged {
         if !prepared {
             prepared = true;
@@ -1946,6 +1979,7 @@ pub(crate) fn account_sends<S: TraceSink + ?Sized>(
             port_counts.resize(neighbors.len(), 0);
         }
         port_counts[port] = port_counts[port].saturating_add(1);
+        max_per_port = max_per_port.max(port_counts[port]);
         if port_counts[port] > 1 {
             metrics.collisions += 1;
             if first_error.is_none() {
@@ -1963,14 +1997,8 @@ pub(crate) fn account_sends<S: TraceSink + ?Sized>(
                 });
             }
         }
-        metrics.max_messages_per_edge_round = metrics
-            .max_messages_per_edge_round
-            .max(port_counts[port] as u32);
         let bits = msg.bit_len();
-        metrics.total_messages += 1;
-        metrics.total_bits += bits as u64;
-        metrics.max_message_bits = metrics.max_message_bits.max(bits);
-        metrics.record_message(round, bits);
+        tally.add(bits);
         if let Some(budget) = budget_bits {
             if bits > budget {
                 metrics.oversized_messages += 1;
@@ -2018,10 +2046,7 @@ pub(crate) fn account_sends<S: TraceSink + ?Sized>(
                 metrics.cut_messages += 1;
             }
         }
-        let reverse_port = graph
-            .neighbors(target)
-            .binary_search(&v)
-            .expect("undirected graph: reverse edge exists");
+        let reverse_port = reverse[port] as usize;
         if decision.is_clean() {
             deliver(target, reverse_port, msg);
             continue;
@@ -2057,4 +2082,7 @@ pub(crate) fn account_sends<S: TraceSink + ?Sized>(
             }
         }
     }
+    metrics.max_messages_per_edge_round =
+        metrics.max_messages_per_edge_round.max(max_per_port as u32);
+    metrics.record_sends(round, tally);
 }

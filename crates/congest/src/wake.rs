@@ -7,18 +7,24 @@
 //! bitset built from two sources:
 //!
 //! - **timers** — after a node is visited it is rescheduled from
-//!   `next_wake(round + 1)`: into the next round's bitset, into a
-//!   `(round, node)` min-heap for later rounds, or nowhere if only a
-//!   message can wake it;
+//!   `next_wake(round + 1)`: into the next round's bitset, into the slot
+//!   of its round in a timing wheel (a fixed ring of [`WHEEL`] bitsets)
+//!   when that is at most `WHEEL` rounds ahead, into a `(round, node)`
+//!   min-heap when it is further ahead, or nowhere if only a message can
+//!   wake it. A node keeps one stored wake: rescheduling clears its old
+//!   wheel bit, and a heap entry whose round no longer matches the stored
+//!   one is dropped when it comes up;
 //! - **mail** — the engine marks every node whose inbox received messages.
 //!
-//! A round then costs `O(due nodes + n/64)`: heap entries are popped as
-//! their round arrives (stale ones are recognised by the node's stored
-//! wake round and dropped), and the set bits are walked in ascending
-//! order, so nodes are still visited in id order and traces and metrics
-//! do not change. The set also tracks how many nodes are halted and how
-//! many inboxes hold mail, which replaces the engines' per-round full
-//! scans for quiescence.
+//! Round `r` visits exactly the nodes with mail and the nodes whose latest
+//! wake is `r`. It costs `O(due nodes + n/64)`: the round takes its wheel
+//! slot and the next-round bits word by word, pops the heap entries due,
+//! and walks the set bits in ascending order, so nodes are still visited
+//! in id order and traces and metrics do not change. The wheel and the
+//! per-node arrays are sized once from the shard; only the heap, which
+//! holds the rare far-ahead wakes, can grow. The set also tracks how many
+//! nodes are halted and how many inboxes hold mail, which replaces the
+//! engines' per-round full scans for quiescence.
 //!
 //! A round that cannot trust the calendar — the first round after
 //! [`WakeSet::reset`], or any round the engine runs without it (faults,
@@ -30,25 +36,38 @@ use crate::network::Protocol;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Stored wake round of a node with no heap entry.
+/// Stored wake round of a node with no timer.
 const NEVER: u64 = u64::MAX;
+
+/// Rounds the timing wheel covers: a wake at most this far past the
+/// current round takes a wheel bit, one further ahead a heap entry.
+const WHEEL: u64 = 256;
 
 /// The calendar of one shard's nodes, addressed by shard-local index.
 #[derive(Debug)]
 pub(crate) struct WakeSet {
     len: usize,
+    /// Words per bitset.
+    words: usize,
     /// Nodes due this round; [`WakeSet::next_due`] clears bits as it
     /// yields them.
     due: Vec<u64>,
-    /// Nodes due next round: rescheduled for `round + 1`, or sent mail.
+    /// Nodes due next round: sent mail, or rescheduled for `round + 1`.
+    /// The next round takes these bits whole, so a node woken every round
+    /// (a polled one) needs no stored wake and no wheel slot.
     next: Vec<u64>,
+    /// `WHEEL` bitsets of `words` words: slot `r % WHEEL` holds the nodes
+    /// whose stored wake is round `r`, for `r` up to `WHEEL` rounds past
+    /// the current one.
+    wheel: Vec<u64>,
+    /// Bit `s` is set iff wheel slot `s` may hold bits; a round whose slot
+    /// is empty (every round of a polled shard) leaves the wheel alone.
+    filled: [u64; WHEEL as usize / 64],
     /// Word of `due` that [`WakeSet::next_due`] is scanning.
     cursor: usize,
-    /// Each node's stored wake round, `NEVER` if none. A heap entry is
-    /// live iff it matches this. A stored round is kept when the node is
-    /// rescheduled for the next round or loses its timer, so a timer that
-    /// recurs needs no second heap entry; if it does not recur, the visit
-    /// it causes finds an empty inbox and `idle_at` skips the node.
+    /// Each node's stored wake round, `NEVER` if none. A node has a wheel
+    /// bit only at its stored round, and a heap entry is live iff it
+    /// matches it.
     at: Vec<u64>,
     heap: BinaryHeap<Reverse<(u64, u32)>>,
     halted: Vec<u64>,
@@ -71,8 +90,11 @@ impl WakeSet {
         let words = len.div_ceil(64);
         WakeSet {
             len,
+            words,
             due: vec![0; words],
             next: vec![0; words],
+            wheel: vec![0; WHEEL as usize * words],
+            filled: [0; WHEEL as usize / 64],
             cursor: 0,
             at: vec![NEVER; len],
             heap: BinaryHeap::new(),
@@ -90,6 +112,8 @@ impl WakeSet {
     /// moved since the last one.
     pub(crate) fn reset(&mut self) {
         self.next.fill(0);
+        self.wheel.fill(0);
+        self.filled = [0; WHEEL as usize / 64];
         self.at.fill(NEVER);
         self.heap.clear();
         self.halted.fill(0);
@@ -98,14 +122,38 @@ impl WakeSet {
         self.fresh = true;
     }
 
+    /// The wheel slot of `round`.
+    fn slot(&mut self, round: u64) -> &mut [u64] {
+        let at = (round % WHEEL) as usize * self.words;
+        &mut self.wheel[at..at + self.words]
+    }
+
+    /// Sets node `i`'s bit in the wheel slot of `round`.
+    fn set_slot_bit(&mut self, round: u64, i: usize) {
+        let s = (round % WHEEL) as usize;
+        self.filled[s / 64] |= 1 << (s % 64);
+        self.slot(round)[i / 64] |= 1 << (i % 64);
+    }
+
     /// Builds the due set of `round`. With `calendar` off every node is
     /// due, as in the first round after a reset; with it on, the nodes
-    /// rescheduled for this round or sent mail last round are. Mail that
-    /// arrives at the start of the round is added with [`WakeSet::mark`].
+    /// whose stored wake is this round or that were sent mail last round
+    /// are. Mail that arrives at the start of the round is added with
+    /// [`WakeSet::mark`]. Rounds must be begun in order.
     pub(crate) fn begin_round(&mut self, round: u64, calendar: bool) {
-        std::mem::swap(&mut self.due, &mut self.next);
-        // A round that stopped early (a node panic) leaves bits behind.
-        self.next.fill(0);
+        // A round that stopped early (a node panic) leaves `due` bits
+        // behind; they are overwritten here.
+        let s = (round % WHEEL) as usize;
+        if self.filled[s / 64] >> (s % 64) & 1 != 0 {
+            self.filled[s / 64] &= !(1 << (s % 64));
+            let slot = &mut self.wheel[s * self.words..][..self.words];
+            for ((due, timer), next) in self.due.iter_mut().zip(slot).zip(&mut self.next) {
+                *due = std::mem::take(timer) | std::mem::take(next);
+            }
+        } else {
+            std::mem::swap(&mut self.due, &mut self.next);
+            self.next.fill(0);
+        }
         self.cursor = 0;
         self.mail = 0;
         self.calendar = calendar;
@@ -174,13 +222,30 @@ impl WakeSet {
         if !self.calendar {
             return;
         }
-        match node.next_wake(round + 1) {
-            Some(at) if at <= round + 1 => self.next[word] |= bit,
-            Some(at) if self.at[i] != at => {
-                self.at[i] = at;
-                self.heap.push(Reverse((at, i as u32)));
+        let wake = node
+            .next_wake(round + 1)
+            .map_or(NEVER, |at| at.max(round + 1));
+        let old = self.at[i];
+        if old == wake {
+            return;
+        }
+        // Only a stored wake still inside the wheel can hold a bit: a
+        // taken one's slot has been cleared, and a heap entry goes stale.
+        if old != NEVER && old > round && old - round <= WHEEL {
+            self.slot(old)[word] &= !bit;
+        }
+        if wake == round + 1 {
+            self.next[word] |= bit;
+            if old != NEVER {
+                self.at[i] = NEVER;
             }
-            _ => {}
+            return;
+        }
+        self.at[i] = wake;
+        match wake {
+            NEVER => {}
+            at if at - round <= WHEEL => self.set_slot_bit(at, i),
+            at => self.heap.push(Reverse((at, i as u32))),
         }
     }
 
@@ -254,6 +319,84 @@ mod tests {
         set.settle(1, 5, &nodes[1], true);
         set.begin_round(9, true);
         assert_eq!(due(&mut set), vec![1]);
+    }
+
+    /// Answers `next_wake` with whatever the test scripted for this visit.
+    struct Scripted(Option<u64>);
+
+    impl Protocol for Scripted {
+        fn round(&mut self, _: &mut RoundCtx<'_>, _: &[(usize, Message)]) {}
+        fn is_halted(&self) -> bool {
+            false
+        }
+        fn next_wake(&self, _: u64) -> Option<u64> {
+            self.0
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn calendar_matches_a_brute_force_model(
+            len in 1usize..150,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let mut set = WakeSet::new(len);
+            let storage = |s: &WakeSet| {
+                (s.wheel.len(), s.wheel.capacity(), s.due.capacity(), s.next.capacity(), s.at.capacity())
+            };
+            let before = storage(&set);
+            // The model: each node's latest wake answer, and who has mail.
+            let mut wake: Vec<Option<u64>> = vec![None; len];
+            let mut mail = vec![false; len];
+            for round in 0..1200u64 {
+                set.begin_round(round, true);
+                let mut want: Vec<usize> = (0..len)
+                    .filter(|&i| round == 0 || mail[i] || wake[i] == Some(round))
+                    .collect();
+                // Mail that arrives at the start of the round.
+                for _ in 0..rng.gen_range(0..3usize) {
+                    let i = rng.gen_range(0..len);
+                    set.mark(i);
+                    want.push(i);
+                }
+                want.sort_unstable();
+                want.dedup();
+                let got = due(&mut set);
+                proptest::prop_assert_eq!(&got, &want, "round {}", round);
+                mail.fill(false);
+                for &i in &got {
+                    // None, the next round, a gap below the wheel, its
+                    // edge, past it, or the stored answer again; visits
+                    // by mail move a stored wake earlier or later.
+                    let ahead = match rng.gen_range(0..7u32) {
+                        0 => None,
+                        1 => Some(1),
+                        2 => Some(rng.gen_range(2..WHEEL)),
+                        3 => Some(WHEEL + rng.gen_range(0..2u64)),
+                        4 => Some(rng.gen_range(WHEEL + 2..4 * WHEEL)),
+                        5 => wake[i].map(|w| w.max(round + 1) - round),
+                        _ => Some(0),
+                    };
+                    let answer = ahead.map(|a| round + a);
+                    set.settle(i, round, &Scripted(answer), true);
+                    wake[i] = answer.map(|a| a.max(round + 1));
+                }
+                for _ in 0..rng.gen_range(0..len / 8 + 2) {
+                    let i = rng.gen_range(0..len);
+                    if !mail[i] {
+                        set.post(i);
+                        mail[i] = true;
+                    }
+                }
+            }
+            // The wheel and the per-node arrays keep their size however
+            // many rounds run; only far-ahead wakes reach the heap.
+            proptest::prop_assert_eq!(storage(&set), before);
+        }
     }
 
     #[test]

@@ -51,12 +51,14 @@
 use crate::faults::{corrupt_message, FaultPlan};
 use crate::message::Message;
 use crate::metrics::NetMetrics;
-use crate::network::{account_sends, panic_message, CongestError, Protocol, RoundCtx};
+use crate::network::{
+    account_sends, panic_message, sort_inbox, CongestError, Protocol, RoundCtx, SendScratch,
+};
 use crate::partition::ShardMap;
 use crate::telemetry::{Telemetry, TelemetryHandle, COUNTERS, SCHEMA_VERSION};
 use crate::trace::TraceSink;
 use crate::wake::WakeSet;
-use bc_graph::{Graph, NodeId};
+use bc_graph::{Graph, NodeId, ReversePorts};
 use bc_numeric::bits::BitWriter;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -768,7 +770,8 @@ pub fn run_shard_engine<P: Protocol>(
     let mut wake = WakeSet::new(shard.len());
     let mut stage_sends: Vec<(usize, Message)> = Vec::new();
     let mut stage_events = Vec::new();
-    let mut port_scratch: Vec<u8> = Vec::new();
+    let reverse = ReversePorts::new(graph);
+    let mut send_scratch = SendScratch::default();
     let mut delayed_scratch: Vec<(u64, NodeId, usize, Message)> = Vec::new();
     let mut handle = telemetry.map(|t| TelemetryHandle::new(t.clone(), 0));
     let mut last_snap = telemetry.map(|t| t.snapshot());
@@ -802,7 +805,7 @@ pub fn run_shard_engine<P: Protocol>(
         }
         wake.begin_round(round, cfg.skip_idle);
         for &local in &touched {
-            inboxes[local as usize].sort_by_key(|&(port, _)| port);
+            sort_inbox(&mut inboxes[local as usize]);
             wake.mark(local as usize);
         }
         touched.clear();
@@ -849,10 +852,11 @@ pub fn run_shard_engine<P: Protocol>(
                         round,
                         node_sends.drain(..),
                         graph,
+                        &reverse,
                         cfg.budget_bits,
                         None,
                         &mut metrics,
-                        &mut port_scratch,
+                        &mut send_scratch,
                         |target, reverse_port, msg| {
                             routed += 1;
                             let entry = (map.local_of(target) as u32, reverse_port as u32, msg);

@@ -42,10 +42,6 @@ use bc_congest::{Message, Protocol, RoundCtx};
 use bc_numeric::{CeilFloat, FpParams};
 use std::sync::Arc;
 
-/// First-contact wave messages for one source in one round:
-/// `(port, sender distance, σ̂)` per predecessor.
-type WaveBatch = Vec<(usize, u32, CeilFloat)>;
-
 /// The globally agreed aggregation parameters, fixed by the root's
 /// `AggStart` broadcast: a common base round plus the reduced
 /// `(min T_s, max T_s, D)`.
@@ -72,6 +68,22 @@ impl AggInfo {
     fn end_round(&self) -> u64 {
         self.base + (self.max_ts - self.min_ts) + self.d as u64 + 2
     }
+}
+
+/// The per-source values every counting and aggregation message of a
+/// source touches, kept together so that handling one message touches one
+/// record instead of five arrays (valid iff the source is seen).
+#[derive(Debug, Clone, Copy)]
+struct SourceState {
+    /// `d(s, v)`.
+    dist: u32,
+    /// `P_s(v)` as the CSR slice `pred_arena[pred_start..][..pred_len]`.
+    pred_start: u32,
+    pred_len: u32,
+    /// `σ̂_sv`.
+    sigma: CeilFloat,
+    /// Accumulated `ψ̂_s(v)` (Eq. 14).
+    psi: CeilFloat,
 }
 
 /// Algorithm-level options shared by every node of a run (engine-level
@@ -147,29 +159,25 @@ pub struct DistBcNode {
     tree_depth: Option<u32>,
     /// Root only: the round to flood `StartReduce` (counting + drain over).
     start_reduce_round: Option<u64>,
-    // Phase B: per-source state as a struct-of-arrays keyed by the dense
-    // source index (`L_v` of Algorithm 2, memory-dieted to O(|S|)).
+    // Phase B: per-source state keyed by the dense source index (`L_v` of
+    // Algorithm 2, memory-dieted to O(|S|)): one hot record per source,
+    // plus the arrays no per-message path reads.
     /// Bitset over dense indices: which sources' waves reached this node.
     seen: Vec<u64>,
-    /// `T_s` per dense index (valid iff seen).
+    /// `T_s` per dense index (valid iff seen). Read only to arm the reduce
+    /// and build the aggregation schedule; in the record it would pad it.
     ts: Vec<u64>,
-    /// `d(s, v)` per dense index (valid iff seen).
-    dist: Vec<u32>,
-    /// `σ̂_sv` per dense index (valid iff seen).
-    sigma: Vec<CeilFloat>,
-    /// Accumulated `ψ̂_s(v)` (Eq. 14) per dense index.
-    psi: Vec<CeilFloat>,
+    /// The hot record per dense index.
+    src: Vec<SourceState>,
     /// Accumulated `ρ̂_s(v)` per dense index (empty unless stress).
     rho: Vec<CeilFloat>,
     /// Accumulated in-sample-target `ψ̂^S_s(v)` per dense index (empty
     /// unless `refined`).
     psi_in: Vec<CeilFloat>,
-    /// CSR predecessor-port lists: `pred_arena[pred_start[i]..][..pred_len[i]]`
-    /// holds `P_s(v)` for dense index `i`. Valid because each source's
-    /// first-contact wave batch arrives in exactly one round (Lemma 4), so
-    /// the arena is bump-appended once per source.
-    pred_start: Vec<u32>,
-    pred_len: Vec<u32>,
+    /// Predecessor ports of every source, one contiguous slice each (see
+    /// [`SourceState`]). Valid because each source's first-contact wave
+    /// batch arrives in exactly one round (Lemma 4), so the arena is
+    /// bump-appended once per source.
     pred_arena: Vec<u32>,
     visited: bool,
     wave_round: Option<u64>,
@@ -190,11 +198,12 @@ pub struct DistBcNode {
     /// order by construction, no hashing in the round hot path.
     agg_schedule: Vec<(u64, u32)>,
     agg_cursor: usize,
-    // Per-round staging: wave sends (at most one per port — Lemma 4) and
-    // an optional token move, merged at flush into `WaveWithToken` when
-    // they share an edge so the token travels at wave speed without
-    // collisions.
-    out_waves: Vec<(usize, u32, u32, CeilFloat)>,
+    // Per-round staging: the waves to rebroadcast, `(source, own
+    // distance, σ̂)` each, expanded to every port at flush (at most one per
+    // round — Lemma 4), and an optional token move, merged at flush into
+    // `WaveWithToken` when they share an edge so the token travels at
+    // wave speed without collisions.
+    out_waves: Vec<(u32, u32, CeilFloat)>,
     out_token: Option<usize>,
     // Results.
     delta_sum: f64,
@@ -227,17 +236,22 @@ impl DistBcNode {
             refined,
             seen: vec![0u64; k.div_ceil(64)],
             ts: vec![0; k],
-            dist: vec![0; k],
-            sigma: vec![zero; k],
-            psi: vec![zero; k],
+            src: vec![
+                SourceState {
+                    dist: 0,
+                    pred_start: 0,
+                    pred_len: 0,
+                    sigma: zero,
+                    psi: zero,
+                };
+                k
+            ],
             rho: if opts.compute_stress {
                 vec![zero; k]
             } else {
                 Vec::new()
             },
             psi_in: if refined { vec![zero; k] } else { Vec::new() },
-            pred_start: vec![0; k],
-            pred_len: vec![0; k],
             pred_arena: Vec::new(),
             src_index,
             opts,
@@ -336,7 +350,7 @@ impl DistBcNode {
     /// disconnected graphs, unreachable ones).
     pub fn distances(&self) -> Vec<Option<u32>> {
         (0..self.n as u32)
-            .map(|s| self.seen_index(s).map(|i| self.dist[i as usize]))
+            .map(|s| self.seen_index(s).map(|i| self.src[i as usize].dist))
             .collect()
     }
 
@@ -347,7 +361,7 @@ impl DistBcNode {
         let mut ecc = 0u32;
         for i in 0..self.src_index.len() as u32 {
             if self.seen(i) {
-                let d = self.dist[i as usize];
+                let d = self.src[i as usize].dist;
                 total += d as u64;
                 ecc = ecc.max(d);
             }
@@ -370,13 +384,9 @@ impl DistBcNode {
         size_of::<Self>() as u64
             + heap(&self.seen)
             + heap(&self.ts)
-            + heap(&self.dist)
-            + heap(&self.sigma)
-            + heap(&self.psi)
+            + heap(&self.src)
             + heap(&self.rho)
             + heap(&self.psi_in)
-            + heap(&self.pred_start)
-            + heap(&self.pred_len)
             + heap(&self.pred_arena)
             + heap(&self.agg_schedule)
             + heap(&self.children_ports)
@@ -385,7 +395,7 @@ impl DistBcNode {
 
     /// `σ̂_{s,self}` as learned during counting.
     pub fn sigma_to(&self, s: u32) -> Option<CeilFloat> {
-        self.seen_index(s).map(|i| self.sigma[i as usize])
+        self.seen_index(s).map(|i| self.src[i as usize].sigma)
     }
 
     /// Absolute wave start round `T_s` observed for source `s`.
@@ -425,18 +435,32 @@ impl DistBcNode {
         ctx.send(port, self.codec.encode(msg));
     }
 
+    /// Sends `msg` to every tree child, encoded once.
+    fn send_to_children(&self, ctx: &mut RoundCtx<'_>, msg: &ProtocolMsg) {
+        let msg = self.codec.encode(msg);
+        for &port in &self.children_ports {
+            ctx.send(port, msg.clone());
+        }
+    }
+
     /// Phase A: adopt a tree depth and announce it (flagging the parent).
     fn announce_tree(&mut self, ctx: &mut RoundCtx<'_>, r: u64, dist: u32) {
         ctx.trace(ProtocolDetail::PhaseEnter { phase: 'A' });
         self.tree_dist = Some(dist);
         self.announce_round = Some(r);
         self.subtree_max_depth = dist;
+        let announce = |chooses_you| {
+            self.codec
+                .encode(&ProtocolMsg::TreeAnnounce { dist, chooses_you })
+        };
+        let plain = announce(false);
         for port in 0..ctx.degree() {
-            let msg = ProtocolMsg::TreeAnnounce {
-                dist,
-                chooses_you: Some(port) == self.parent_port,
+            let msg = if Some(port) == self.parent_port {
+                announce(true)
+            } else {
+                plain.clone()
             };
-            self.send_pm(ctx, port, &msg);
+            ctx.send(port, msg);
         }
     }
 
@@ -489,7 +513,7 @@ impl DistBcNode {
             if self.seen(i) {
                 self.acc_min_ts = self.acc_min_ts.min(self.ts[i as usize]);
                 self.acc_max_ts = self.acc_max_ts.max(self.ts[i as usize]);
-                self.acc_max_d = self.acc_max_d.max(self.dist[i as usize]);
+                self.acc_max_d = self.acc_max_d.max(self.src[i as usize].dist);
             }
         }
     }
@@ -504,14 +528,13 @@ impl DistBcNode {
             .index_of(ctx.id())
             .expect("own wave from a non-source") as usize;
         self.ts[i] = r;
-        self.dist[i] = 0;
-        self.sigma[i] = one;
-        self.pred_start[i] = self.pred_arena.len() as u32;
-        self.pred_len[i] = 0;
+        let rec = &mut self.src[i];
+        rec.dist = 0;
+        rec.pred_start = self.pred_arena.len() as u32;
+        rec.pred_len = 0;
+        rec.sigma = one;
         self.mark_seen(i as u32);
-        for port in 0..ctx.degree() {
-            self.out_waves.push((port, ctx.id(), 0, one));
-        }
+        self.out_waves.push((ctx.id(), 0, one));
     }
 
     /// Phase B: move the DFS token onward — next unvisited child, else back
@@ -531,8 +554,9 @@ impl DistBcNode {
         }
     }
 
-    /// Ships this round's staged counting-phase messages, merging the token
-    /// into a same-edge wave (`WaveWithToken`) when possible.
+    /// Ships this round's staged counting-phase messages: each wave
+    /// encoded once and sent on every port, the token merged into a wave
+    /// on its edge (`WaveWithToken`) when possible.
     fn flush_counting_sends(&mut self, ctx: &mut RoundCtx<'_>) {
         let token_port = self.out_token.take();
         if let Some(port) = token_port {
@@ -540,63 +564,98 @@ impl DistBcNode {
             ctx.trace(ProtocolDetail::TokenSend { to });
         }
         let mut token_merged = false;
-        for (port, source, sender_dist, sigma) in std::mem::take(&mut self.out_waves) {
-            let msg = if token_port == Some(port) {
-                token_merged = true;
-                ProtocolMsg::WaveWithToken {
-                    source,
-                    sender_dist,
-                    sigma,
-                }
-            } else {
-                ProtocolMsg::Wave {
-                    source,
-                    sender_dist,
-                    sigma,
-                }
-            };
-            self.send_pm(ctx, port, &msg);
+        for &(source, sender_dist, sigma) in &self.out_waves {
+            let wave = self.codec.encode(&ProtocolMsg::Wave {
+                source,
+                sender_dist,
+                sigma,
+            });
+            for port in 0..ctx.degree() {
+                let msg = if token_port == Some(port) {
+                    token_merged = true;
+                    self.codec.encode(&ProtocolMsg::WaveWithToken {
+                        source,
+                        sender_dist,
+                        sigma,
+                    })
+                } else {
+                    wave.clone()
+                };
+                ctx.send(port, msg);
+            }
         }
+        self.out_waves.clear();
         if let (Some(port), false) = (token_port, token_merged) {
             self.send_pm(ctx, port, &ProtocolMsg::Token);
         }
     }
 
-    /// Phase B: a batch of first-contact wave messages for source `s`
-    /// (all from predecessors, all in the same round — Lemma 4's timing).
-    fn absorb_wave(
+    /// Phase B, while decoding the inbox: a wave for dense source `i`,
+    /// not seen before this round, from the predecessor on `port`. The
+    /// record accumulates σ̂ in inbox order (ceiling rounding is not
+    /// associative, so the order is part of the result) and counts the
+    /// predecessor. The first such source of the round (`fresh`) appends
+    /// its ports to the arena directly; Lemma 4 admits no second one, so
+    /// further sources — only on a collided schedule — park their ports in
+    /// `more` until [`DistBcNode::absorb_fresh`] lays them out.
+    fn first_contact(
         &mut self,
-        ctx: &mut RoundCtx<'_>,
-        r: u64,
-        source: u32,
-        batch: &[(usize, u32, CeilFloat)],
+        i: u32,
+        port: usize,
+        sender_dist: u32,
+        sigma: CeilFloat,
+        fresh: &mut Option<u32>,
+        more: &mut Vec<(u32, u32)>,
     ) {
-        debug_assert!(!batch.is_empty());
-        let dist = batch[0].1 + 1;
-        debug_assert!(
-            batch.iter().all(|&(_, d, _)| d + 1 == dist),
-            "mixed-distance wave batch"
-        );
-        let mut sigma = CeilFloat::zero(self.codec.fp);
-        let i = self
-            .src_index
-            .index_of(source)
-            .expect("dispatch checked membership") as usize;
-        // Bump-append the predecessor ports: this is the only round this
-        // source's list is written, so the CSR slice stays contiguous.
-        self.pred_start[i] = self.pred_arena.len() as u32;
-        self.pred_len[i] = batch.len() as u32;
-        for &(port, _, s) in batch {
-            sigma += s;
+        let (direct, new) = match *fresh {
+            None => {
+                *fresh = Some(i);
+                (true, true)
+            }
+            Some(f) => (f == i, f != i && more.iter().all(|&(j, _)| j != i)),
+        };
+        let rec = &mut self.src[i as usize];
+        if new {
+            rec.dist = sender_dist + 1;
+            // Final for the direct source; `absorb_fresh` moves the others.
+            rec.pred_start = self.pred_arena.len() as u32;
+            rec.pred_len = 0;
+            rec.sigma = CeilFloat::zero(self.codec.fp);
+        }
+        debug_assert_eq!(rec.dist, sender_dist + 1, "mixed-distance wave batch");
+        rec.sigma += sigma;
+        rec.pred_len += 1;
+        if direct {
             self.pred_arena.push(port as u32);
+        } else {
+            more.push((i, port as u32));
         }
-        self.ts[i] = r - dist as u64;
-        self.dist[i] = dist;
-        self.sigma[i] = sigma;
-        self.mark_seen(i as u32);
-        for port in 0..ctx.degree() {
-            self.out_waves.push((port, source, dist, sigma));
+    }
+
+    /// Phase B, after decoding: registers this round's first-contact
+    /// sources (see [`DistBcNode::first_contact`]) in order of first
+    /// appearance and stages their rebroadcasts.
+    fn absorb_fresh(&mut self, r: u64, fresh: Option<u32>, more: &[(u32, u32)]) {
+        let Some(first) = fresh else { return };
+        self.absorb_wave(r, first);
+        for (k, &(i, _)) in more.iter().enumerate() {
+            if more[..k].iter().all(|&(j, _)| j != i) {
+                self.src[i as usize].pred_start = self.pred_arena.len() as u32;
+                let ports = more[k..].iter().filter(|&&(j, _)| j == i);
+                self.pred_arena.extend(ports.map(|&(_, port)| port));
+                self.absorb_wave(r, i);
+            }
         }
+    }
+
+    /// Phase B: source `i`'s wave has reached this node (Algorithm 2
+    /// lines 8–12); record `T_s` and stage the rebroadcast.
+    fn absorb_wave(&mut self, r: u64, i: u32) {
+        let rec = self.src[i as usize];
+        self.ts[i as usize] = r - rec.dist as u64;
+        self.mark_seen(i);
+        self.out_waves
+            .push((self.src_index.id_of(i), rec.dist, rec.sigma));
     }
 
     /// Phase C1: send the subtree extrema to the parent once armed and all
@@ -644,7 +703,7 @@ impl DistBcNode {
             if s == my_id || !self.seen(i) {
                 continue;
             }
-            let round = info.send_round(self.ts[i as usize], self.dist[i as usize]);
+            let round = info.send_round(self.ts[i as usize], self.src[i as usize].dist);
             self.agg_schedule.push((round, s));
         }
         // Keys are unique (one entry per source), so this yields exactly
@@ -662,7 +721,13 @@ impl DistBcNode {
         let is_target = self.is_target(ctx.id());
         let i = self.src_index.index_of(s).expect("scheduled source exists") as usize;
         debug_assert!(self.seen(i as u32), "scheduled source was seen");
-        let (sigma, psi) = (self.sigma[i], self.psi[i]);
+        let SourceState {
+            sigma,
+            psi,
+            pred_start,
+            pred_len,
+            ..
+        } = self.src[i];
         // δ̂_s·(u) = ψ̂_s(u)·σ̂_su — ψ is complete at this round (all
         // descendants sent one round earlier).
         self.delta_sum += (psi * sigma).to_f64();
@@ -701,10 +766,9 @@ impl DistBcNode {
                 value: psi_msg,
             }
         };
-        let start = self.pred_start[i] as usize;
-        let len = self.pred_len[i] as usize;
-        for k in start..start + len {
-            self.send_pm(ctx, self.pred_arena[k] as usize, &msg);
+        let msg = self.codec.encode(&msg);
+        for &port in &self.pred_arena[pred_start as usize..][..pred_len as usize] {
+            ctx.send(port as usize, msg.clone());
         }
     }
 
@@ -726,11 +790,14 @@ impl Protocol for DistBcNode {
         let my_id = ctx.id();
 
         // ---- 1. Decode and dispatch the inbox. -------------------------
-        let mut new_waves: Vec<(u32, WaveBatch)> = Vec::new();
+        // First-contact sources of this round (see `first_contact`); `more`
+        // stays empty, and allocates nothing, on a collision-free schedule.
+        let mut fresh: Option<u32> = None;
+        let mut more: Vec<(u32, u32)> = Vec::new();
         let mut token_arrived = false;
         let mut got_agg_start: Option<AggInfo> = None;
         let mut got_start_reduce = false;
-        let mut first_announce_batch: Vec<usize> = Vec::new();
+        let mut first_announce: Option<usize> = None;
         for (port, raw) in inbox {
             // A corrupt payload becomes a CongestError::NodePanic naming
             // this node and round, not a process abort.
@@ -746,8 +813,8 @@ impl Protocol for DistBcNode {
                     if chooses_you {
                         self.children_ports.push(*port);
                     }
-                    if self.tree_dist.is_none() {
-                        first_announce_batch.push(*port);
+                    if self.tree_dist.is_none() && first_announce.is_none() {
+                        first_announce = Some(*port);
                     }
                 }
                 ProtocolMsg::Token => token_arrived = true,
@@ -767,15 +834,8 @@ impl Protocol for DistBcNode {
                     // Waves for unindexed ids (possible only via best-effort
                     // corruption) are dropped: there is no slot to store
                     // them, and they can't be legitimate first contacts.
-                    if self
-                        .src_index
-                        .index_of(source)
-                        .is_some_and(|i| !self.seen(i))
-                    {
-                        match new_waves.iter_mut().find(|(s, _)| *s == source) {
-                            Some((_, batch)) => batch.push((*port, sender_dist, sigma)),
-                            None => new_waves.push((source, vec![(*port, sender_dist, sigma)])),
-                        }
+                    if let Some(i) = self.src_index.index_of(source).filter(|&i| !self.seen(i)) {
+                        self.first_contact(i, *port, sender_dist, sigma, &mut fresh, &mut more);
                     }
                 }
                 ProtocolMsg::Reduce {
@@ -808,12 +868,12 @@ impl Protocol for DistBcNode {
                 }
                 ProtocolMsg::Agg { source, value } => {
                     if let Some(i) = self.seen_index(source) {
-                        self.psi[i as usize] += value;
+                        self.src[i as usize].psi += value;
                     }
                 }
                 ProtocolMsg::AggWithStress { source, psi, rho } => {
                     if let Some(i) = self.seen_index(source) {
-                        self.psi[i as usize] += psi;
+                        self.src[i as usize].psi += psi;
                         if self.opts.compute_stress {
                             self.rho[i as usize] += rho;
                         }
@@ -825,7 +885,7 @@ impl Protocol for DistBcNode {
                     psi_in,
                 } => {
                     if let Some(i) = self.seen_index(source) {
-                        self.psi[i as usize] += psi;
+                        self.src[i as usize].psi += psi;
                         if self.refined {
                             self.psi_in[i as usize] += psi_in;
                         }
@@ -837,10 +897,10 @@ impl Protocol for DistBcNode {
         // ---- 2. Phase A: tree build. ------------------------------------
         if r == 0 && my_id == 0 {
             self.announce_tree(ctx, r, 0);
-        } else if self.tree_dist.is_none() && !first_announce_batch.is_empty() {
+        } else if let (None, Some(port)) = (self.tree_dist, first_announce) {
             // All announces in one round carry the same depth (synchronous
             // BFS); adopt the lowest-port sender as parent.
-            self.parent_port = Some(first_announce_batch[0]);
+            self.parent_port = Some(port);
             let dist = self.tree_dist_from_inbox(inbox);
             self.announce_tree(ctx, r, dist);
         }
@@ -890,9 +950,7 @@ impl Protocol for DistBcNode {
                 }
             }
         }
-        for (source, batch) in std::mem::take(&mut new_waves) {
-            self.absorb_wave(ctx, r, source, &batch);
-        }
+        self.absorb_fresh(r, fresh, &more);
         if self.wave_round == Some(r) {
             self.start_own_wave(ctx, r);
         }
@@ -914,15 +972,11 @@ impl Protocol for DistBcNode {
                     }
                 }
                 if self.start_reduce_round == Some(r) {
-                    for &port in &self.children_ports.clone() {
-                        self.send_pm(ctx, port, &ProtocolMsg::StartReduce);
-                    }
+                    self.send_to_children(ctx, &ProtocolMsg::StartReduce);
                     self.arm_reduce(ctx);
                 }
                 if got_start_reduce {
-                    for &port in &self.children_ports.clone() {
-                        self.send_pm(ctx, port, &ProtocolMsg::StartReduce);
-                    }
+                    self.send_to_children(ctx, &ProtocolMsg::StartReduce);
                     self.arm_reduce(ctx);
                 }
             }
@@ -963,9 +1017,7 @@ impl Protocol for DistBcNode {
                     max_ts: info.max_ts,
                     d: info.d,
                 };
-                for &port in &self.children_ports.clone() {
-                    self.send_pm(ctx, port, &msg);
-                }
+                self.send_to_children(ctx, &msg);
                 ctx.trace(ProtocolDetail::PhaseEnter { phase: 'D' });
                 self.build_agg_schedule(my_id);
             }

@@ -294,6 +294,43 @@ impl Graph {
     }
 }
 
+/// The reverse-port table of a [`Graph`], aligned with its CSR: for the
+/// edge at `neighbors(v)[p]`, the port through which that neighbour
+/// reaches `v` back, so `neighbors(neighbors(v)[p])[of(g, v)[p]] == v`.
+///
+/// A message engine needs this port for every message it routes. The
+/// table answers in `O(1)` where a binary search of the target's list
+/// costs `O(log deg)`. It is built on demand, once per engine, rather
+/// than with the graph, so graph construction and the serving layer's
+/// edge splices do not pay for it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReversePorts(Vec<u32>);
+
+impl ReversePorts {
+    /// Builds the table in one `O(N + M)` pass: visiting sources in
+    /// ascending order meets each node's neighbours in ascending order,
+    /// which is their order in its sorted adjacency list, so a per-node
+    /// cursor yields each reverse port in turn.
+    pub fn new(g: &Graph) -> Self {
+        let mut cursor = vec![0u32; g.n()];
+        let mut rev = vec![0u32; g.neighbors.len()];
+        for v in g.nodes() {
+            for (slot, &w) in rev[g.offsets[v as usize]..].iter_mut().zip(g.neighbors(v)) {
+                *slot = cursor[w as usize];
+                cursor[w as usize] += 1;
+            }
+        }
+        ReversePorts(rev)
+    }
+
+    /// The reverse ports of `v`'s edges, aligned with `g.neighbors(v)`;
+    /// `g` must be the graph the table was built from.
+    pub fn of<'a>(&'a self, g: &Graph, v: NodeId) -> &'a [u32] {
+        let v = v as usize;
+        &self.0[g.offsets[v]..g.offsets[v + 1]]
+    }
+}
+
 impl fmt::Debug for Graph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Graph(n={}, m={})", self.n(), self.m())

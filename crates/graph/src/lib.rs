@@ -28,4 +28,4 @@ pub mod generators;
 pub mod io;
 pub mod weighted;
 
-pub use csr::{Graph, GraphBuilder, GraphError, NodeId};
+pub use csr::{Graph, GraphBuilder, GraphError, NodeId, ReversePorts};

@@ -3,7 +3,7 @@
 //! generator guarantees, and I/O round-trips.
 
 use bc_graph::algo::{self, UNREACHABLE};
-use bc_graph::{generators, io, Graph, NodeId};
+use bc_graph::{generators, io, Graph, NodeId, ReversePorts};
 use proptest::prelude::*;
 
 /// Strategy: a random edge set over `n` nodes.
@@ -60,6 +60,33 @@ proptest! {
         prop_assert_eq!(g.edges().count(), g.m());
         let degree_sum: usize = g.nodes().map(|v| g.degree(v)).sum();
         prop_assert_eq!(degree_sum, 2 * g.m());
+    }
+
+    #[test]
+    fn reverse_ports_lead_back_through_edge_splices(
+        g in arb_graph(40),
+        toggles in prop::collection::vec((0u32..40, 0u32..40), 0..12),
+    ) {
+        // Each toggle removes the edge if present, else adds it, so the
+        // table is checked on the generated graph and after every splice.
+        let mut g = g;
+        let n = g.n() as NodeId;
+        for step in 0..=toggles.len() {
+            let rev = ReversePorts::new(&g);
+            for v in g.nodes() {
+                let ports = rev.of(&g, v);
+                prop_assert_eq!(ports.len(), g.degree(v));
+                for (p, &w) in g.neighbors(v).iter().enumerate() {
+                    prop_assert_eq!(g.neighbors(w)[ports[p] as usize], v, "edge {}-{} at step {}", v, w, step);
+                }
+            }
+            let Some(&(u, v)) = toggles.get(step) else { break };
+            let (u, v) = (u % n, v % n);
+            if u != v {
+                g = if g.has_edge(u, v) { g.remove_edge(u, v) } else { g.add_edge(u, v) }
+                    .expect("toggle of a valid pair");
+            }
+        }
     }
 
     #[test]

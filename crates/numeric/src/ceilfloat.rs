@@ -231,6 +231,13 @@ impl CeilFloat {
             (rhs, self)
         };
         let diff = (hi.exp - lo.exp) as u32;
+        if diff <= 32 {
+            // Both mantissas are below 2^31, so the aligned sum is below
+            // 2^63 + 2^31 and fits a `u64`: the common case of σ and ψ
+            // sums, normalized without 128-bit arithmetic.
+            let sum = ((hi.mant as u64) << diff) + lo.mant as u64;
+            return normalize_u64(sum, lo.exp, self.params);
+        }
         if diff > 90 {
             // lo is far below one ulp of hi: representable sum equals hi,
             // but ceiling rounding must still round up.
@@ -383,6 +390,42 @@ fn normalize(mut m: u128, mut exp: i32, mut sticky: bool, params: FpParams) -> C
     }
 }
 
+/// [`normalize`] for a nonzero `u64` mantissa with no sticky residue —
+/// the shape of every sum [`CeilFloat`] addition forms when the exponents
+/// are at most 32 apart. Bit-identical to `normalize(m as u128, exp,
+/// false, params)`.
+fn normalize_u64(mut m: u64, mut exp: i32, params: FpParams) -> CeilFloat {
+    debug_assert!(m != 0);
+    let l = params.l as u32;
+    let bits = 64 - m.leading_zeros();
+    if bits > l {
+        let shift = bits - l;
+        let dropped = m & ((1u64 << shift) - 1);
+        m >>= shift;
+        exp += shift as i32;
+        let round_up = match params.rounding {
+            Rounding::Ceil => dropped != 0,
+            Rounding::Nearest => (dropped >> (shift - 1)) & 1 == 1,
+        };
+        if round_up {
+            m += 1;
+            if m == 1u64 << l {
+                m >>= 1;
+                exp += 1;
+            }
+        }
+    } else if bits < l {
+        let shift = l - bits;
+        m <<= shift;
+        exp -= shift as i32;
+    }
+    CeilFloat {
+        mant: m as u32,
+        exp: exp.clamp(-EXP_LIMIT, EXP_LIMIT),
+        params,
+    }
+}
+
 impl fmt::Debug for CeilFloat {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -453,6 +496,62 @@ impl Div for CeilFloat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The addition as it was before the `u64` fast path: every exponent
+    /// gap up to 90 aligned in `u128`. The oracle for `add_impl`.
+    fn add_reference(a: &CeilFloat, b: &CeilFloat) -> CeilFloat {
+        if a.mant == 0 {
+            return *b;
+        }
+        if b.mant == 0 {
+            return *a;
+        }
+        let (hi, lo) = if a.exp >= b.exp { (a, b) } else { (b, a) };
+        let diff = (hi.exp - lo.exp) as u32;
+        if diff > 90 {
+            return match a.params.rounding {
+                Rounding::Ceil => normalize(hi.mant as u128 + 1, hi.exp, false, a.params),
+                Rounding::Nearest => *hi,
+            };
+        }
+        let sum = ((hi.mant as u128) << diff) + lo.mant as u128;
+        normalize(sum, lo.exp, false, a.params)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn add_matches_the_u128_reference(
+            l in 1u32..32,
+            nearest in any::<bool>(),
+            (ma, mb) in (any::<u32>(), any::<u32>()),
+            base in -1000i32..1000,
+            gap in 0i32..41,
+            far in any::<bool>(),
+            far_gap in 91i32..200,
+            (zero_a, zero_b) in (0u8..16, 0u8..16),
+            swap in any::<bool>(),
+        ) {
+            let params = FpParams::new(l, if nearest { Rounding::Nearest } else { Rounding::Ceil });
+            // A normalized L-bit mantissa, or zero one time in sixteen.
+            let mant = |m: u32, zero: u8| {
+                if zero == 0 { 0 } else { (1 << (l - 1)) | (m & ((1u32 << (l - 1)) - 1)) }
+            };
+            let gap = if far { far_gap } else { gap };
+            let a = CeilFloat { mant: mant(ma, zero_a), exp: base + gap, params };
+            let b = CeilFloat { mant: mant(mb, zero_b), exp: base, params };
+            let (a, b) = if swap { (b, a) } else { (a, b) };
+            let (a, b) = (
+                if a.mant == 0 { CeilFloat::zero(params) } else { a },
+                if b.mant == 0 { CeilFloat::zero(params) } else { b },
+            );
+            let want = add_reference(&a, &b);
+            let got = a + b;
+            prop_assert_eq!((got.mant, got.exp), (want.mant, want.exp), "{:?} + {:?}", a, b);
+        }
+    }
 
     fn p(l: u32) -> FpParams {
         FpParams::new(l, Rounding::Ceil)
