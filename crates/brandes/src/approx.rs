@@ -6,7 +6,8 @@
 //! exact distributed algorithm; they appear in the comparison experiment
 //! E9 and as reference points in the examples.
 
-use crate::betweenness::dependencies_from;
+use crate::betweenness::accumulate;
+use crate::BrandesKernel;
 use bc_graph::{Graph, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -25,15 +26,8 @@ pub fn brandes_pich(g: &Graph, samples: usize, seed: u64) -> Vec<f64> {
     assert!(g.n() > 0, "empty graph");
     let mut rng = SmallRng::seed_from_u64(seed);
     let n = g.n();
-    let mut acc = vec![0.0f64; n];
-    for _ in 0..samples {
-        let s = rng.gen_range(0..n) as NodeId;
-        for (v, d) in dependencies_from(g, s).into_iter().enumerate() {
-            if v != s as usize {
-                acc[v] += d;
-            }
-        }
-    }
+    let sources = (0..samples).map(|_| rng.gen_range(0..n) as NodeId);
+    let mut acc = accumulate(g, sources, None);
     let scale = n as f64 / samples as f64 / 2.0;
     acc.iter_mut().for_each(|v| *v *= scale);
     acc
@@ -61,6 +55,7 @@ pub fn bader_adaptive(g: &Graph, v: NodeId, c: f64, seed: u64) -> AdaptiveEstima
     assert!(n > 0, "empty graph");
     assert!((v as usize) < n, "target node out of range");
     let mut rng = SmallRng::seed_from_u64(seed);
+    let mut kernel = BrandesKernel::default();
     let mut total = 0.0f64;
     let mut k = 0usize;
     let max_samples = n.max(1);
@@ -68,7 +63,7 @@ pub fn bader_adaptive(g: &Graph, v: NodeId, c: f64, seed: u64) -> AdaptiveEstima
         let s = rng.gen_range(0..n) as NodeId;
         k += 1;
         if s != v {
-            total += dependencies_from(g, s)[v as usize];
+            total += kernel.dependencies(g, s, None)[v as usize];
         }
         if total >= c * n as f64 {
             break;

@@ -6,7 +6,7 @@
 //! halved (the paper's Figure 1 computes `C_B(v2) = (Σ_s δ_s·(v2)) / 2 =
 //! 7/2`).
 
-use bc_graph::algo::{bfs, sigma_big, sigma_f64};
+use bc_graph::algo::{bfs, sigma_big, sigma_f64, UNREACHABLE};
 use bc_graph::{Graph, NodeId};
 use bc_numeric::{BigRational, BigUint, CeilFloat, FpParams};
 
@@ -29,26 +29,113 @@ use bc_numeric::{BigRational, BigUint, CeilFloat, FpParams};
 /// assert_eq!(cb[1], 3.5);
 /// ```
 pub fn betweenness_f64(g: &Graph) -> Vec<f64> {
-    let n = g.n();
-    let mut cb = vec![0.0f64; n];
-    for s in g.nodes() {
-        let dag = bfs(g, s);
-        let sigma = sigma_f64(&dag);
-        let mut delta = vec![0.0f64; n];
-        for &w in dag.order.iter().rev() {
-            let coeff = (1.0 + delta[w as usize]) / sigma[w as usize];
-            for &v in &dag.preds[w as usize] {
-                delta[v as usize] += sigma[v as usize] * coeff;
-            }
-            if w != s {
-                cb[w as usize] += delta[w as usize];
-            }
-        }
-    }
+    let mut cb = accumulate(g, g.nodes(), None);
     for v in &mut cb {
         *v /= 2.0;
     }
     cb
+}
+
+/// `Σ_s δ_s·(w)` over `sources` in their order, skipping `w = s`: the
+/// float schedule a caller replaying cached per-source vectors (the query
+/// server) must reproduce.
+pub(crate) fn accumulate(
+    g: &Graph,
+    sources: impl IntoIterator<Item = NodeId>,
+    targets: Option<&[bool]>,
+) -> Vec<f64> {
+    let mut cb = vec![0.0f64; g.n()];
+    let mut kernel = BrandesKernel::default();
+    for s in sources {
+        let delta = kernel.dependencies(g, s, targets);
+        for (w, (c, d)) in cb.iter_mut().zip(delta).enumerate() {
+            if w != s as usize {
+                *c += d;
+            }
+        }
+    }
+    cb
+}
+
+/// Brandes' per-source pass in `f64`, keeping its buffers between
+/// sources: once they have grown to the graph's size, a pass allocates
+/// nothing.
+///
+/// No predecessor lists are built. The forward pass pushes σ along each
+/// DAG edge as its tail is dequeued; the backward pass finds the
+/// predecessors of `w` among its neighbours one level closer to the
+/// source. On a simple graph each σ and δ therefore receives the same
+/// additions in the same order as over the `preds` of
+/// [`bc_graph::algo::bfs`], and the results are bit-identical.
+#[derive(Debug, Default)]
+pub struct BrandesKernel {
+    dist: Vec<u32>,
+    sigma: Vec<f64>,
+    /// Reached nodes in BFS order, which is also the queue.
+    order: Vec<NodeId>,
+    delta: Vec<f64>,
+}
+
+impl BrandesKernel {
+    /// BFS from `s`, counting shortest paths (Eq. 6). Returns `d(s, ·)`,
+    /// [`UNREACHABLE`] for nodes outside the source's component.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s >= g.n()`.
+    pub fn forward(&mut self, g: &Graph, s: NodeId) -> &[u32] {
+        let n = g.n();
+        assert!((s as usize) < n, "BFS source out of range");
+        self.dist.clear();
+        self.dist.resize(n, UNREACHABLE);
+        self.sigma.clear();
+        self.sigma.resize(n, 0.0);
+        self.delta.clear();
+        self.delta.resize(n, 0.0);
+        self.order.clear();
+        self.order.reserve(n);
+        self.dist[s as usize] = 0;
+        self.sigma[s as usize] = 1.0;
+        self.order.push(s);
+        let mut head = 0;
+        while let Some(&v) = self.order.get(head) {
+            head += 1;
+            let (dv, sv) = (self.dist[v as usize], self.sigma[v as usize]);
+            for &w in g.neighbors(v) {
+                let dw = &mut self.dist[w as usize];
+                if *dw == UNREACHABLE {
+                    *dw = dv + 1;
+                    self.order.push(w);
+                }
+                if *dw == dv + 1 {
+                    self.sigma[w as usize] += sv;
+                }
+            }
+        }
+        &self.dist
+    }
+
+    /// Dependency vector `δ_s·(·)` (Eq. 9), zero outside the source's
+    /// component. With `targets`, only nodes marked `true` count as path
+    /// ends: the `1` of Eq. (9) becomes an indicator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s >= g.n()`, or if `targets` is shorter than `g.n()`.
+    pub fn dependencies(&mut self, g: &Graph, s: NodeId, targets: Option<&[bool]>) -> &[f64] {
+        self.forward(g, s);
+        for &w in self.order[1..].iter().rev() {
+            let own = targets.map_or(1.0, |t| if t[w as usize] { 1.0 } else { 0.0 });
+            let coeff = (own + self.delta[w as usize]) / self.sigma[w as usize];
+            let up = self.dist[w as usize] - 1;
+            for &v in g.neighbors(w) {
+                if self.dist[v as usize] == up {
+                    self.delta[v as usize] += self.sigma[v as usize] * coeff;
+                }
+            }
+        }
+        &self.delta
+    }
 }
 
 /// Brandes' algorithm in exact rational arithmetic: ground truth for the
@@ -194,17 +281,7 @@ pub fn betweenness_naive(g: &Graph) -> Vec<f64> {
 /// assert_eq!(dep[1], 3.0);
 /// ```
 pub fn dependencies_from(g: &Graph, s: NodeId) -> Vec<f64> {
-    let dag = bfs(g, s);
-    let sigma = sigma_f64(&dag);
-    let n = g.n();
-    let mut delta = vec![0.0f64; n];
-    for &w in dag.order.iter().rev() {
-        let coeff = (1.0 + delta[w as usize]) / sigma[w as usize];
-        for &v in &dag.preds[w as usize] {
-            delta[v as usize] += sigma[v as usize] * coeff;
-        }
-    }
-    delta
+    BrandesKernel::default().dependencies(g, s, None).to_vec()
 }
 
 #[cfg(test)]

@@ -2,6 +2,7 @@
 //! closeness (Eq. 1), graph centrality (Eq. 2), and stress centrality
 //! (Eq. 3).
 
+use crate::BrandesKernel;
 use bc_graph::algo::{bfs, sigma_f64, UNREACHABLE};
 use bc_graph::Graph;
 
@@ -18,37 +19,28 @@ use bc_graph::Graph;
 /// assert_eq!(cc[0], 1.0 / 4.0); // hub: distance 1 to each leaf
 /// ```
 pub fn closeness_centrality(g: &Graph) -> Vec<f64> {
-    g.nodes()
-        .map(|v| {
-            let dag = bfs(g, v);
-            let total: u64 = dag
-                .dist
-                .iter()
-                .filter(|&&d| d != UNREACHABLE)
-                .map(|&d| d as u64)
-                .sum();
-            if total == 0 {
-                0.0
-            } else {
-                1.0 / total as f64
-            }
-        })
-        .collect()
+    inverse_per_node(g, |dist| reachable(dist).map(u64::from).sum())
 }
 
 /// Graph centrality `C_G(v) = 1 / max_t d(v, t)` (Eq. 2), over reachable
 /// `t`; isolated nodes get `0`.
 pub fn graph_centrality(g: &Graph) -> Vec<f64> {
+    inverse_per_node(g, |dist| reachable(dist).max().map_or(0, u64::from))
+}
+
+/// `1 / f(d(v, ·))` for every node `v`, or `0` where `f` is `0`.
+fn inverse_per_node(g: &Graph, f: impl Fn(&[u32]) -> u64) -> Vec<f64> {
+    let mut kernel = BrandesKernel::default();
     g.nodes()
-        .map(|v| {
-            let ecc = bfs(g, v).eccentricity();
-            if ecc == 0 {
-                0.0
-            } else {
-                1.0 / ecc as f64
-            }
+        .map(|v| match f(kernel.forward(g, v)) {
+            0 => 0.0,
+            x => 1.0 / x as f64,
         })
         .collect()
+}
+
+fn reachable(dist: &[u32]) -> impl Iterator<Item = u32> + '_ {
+    dist.iter().copied().filter(|&d| d != UNREACHABLE)
 }
 
 /// Stress centrality `C_S(v) = Σ_{s≠t≠v} σ_st(v)` (Eq. 3), counting each

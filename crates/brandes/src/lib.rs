@@ -8,6 +8,8 @@
 //! centralities of Eqs. (1)–(3) ([`closeness_centrality`],
 //! [`graph_centrality`], [`stress_centrality`]), and the sampling
 //! approximations the related-work section discusses ([`approx`]).
+//! Every `f64` pass runs on one allocation-free per-source kernel,
+//! [`BrandesKernel`].
 //!
 //! # Example
 //!
@@ -30,6 +32,7 @@ pub mod ranking;
 pub mod weighted;
 
 pub use betweenness::{
-    betweenness_ceilfloat, betweenness_exact, betweenness_f64, betweenness_naive, dependencies_from,
+    betweenness_ceilfloat, betweenness_exact, betweenness_f64, betweenness_naive,
+    dependencies_from, BrandesKernel,
 };
 pub use centrality::{closeness_centrality, graph_centrality, stress_centrality};

@@ -66,26 +66,8 @@ pub fn betweenness_weighted_f64(wg: &WeightedGraph) -> Vec<f64> {
 /// `SourceSelection::Explicit` + a target mask.
 pub fn betweenness_weighted_via_subdivision(wg: &WeightedGraph) -> Vec<f64> {
     let sub = wg.subdivide();
-    let g = &sub.graph;
-    let n = g.n();
-    let mut cb = vec![0.0f64; n];
-    for s in 0..sub.original_n as NodeId {
-        let dag = bc_graph::algo::bfs(g, s);
-        let sigma = bc_graph::algo::sigma_f64(&dag);
-        let mut delta = vec![0.0f64; n];
-        for &w in dag.order.iter().rev() {
-            // Only real nodes count as targets: the `1` of Eq. (9) becomes
-            // an indicator.
-            let own = if sub.real[w as usize] { 1.0 } else { 0.0 };
-            let coeff = (own + delta[w as usize]) / sigma[w as usize];
-            for &v in &dag.preds[w as usize] {
-                delta[v as usize] += sigma[v as usize] * coeff;
-            }
-            if w != s {
-                cb[w as usize] += delta[w as usize];
-            }
-        }
-    }
+    let sources = 0..sub.original_n as NodeId;
+    let mut cb = crate::betweenness::accumulate(&sub.graph, sources, Some(&sub.real));
     cb.truncate(sub.original_n);
     for v in &mut cb {
         *v /= 2.0;

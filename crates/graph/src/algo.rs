@@ -40,6 +40,13 @@ impl ShortestPathDag {
 
 /// Runs BFS from `source`, producing the shortest-path DAG.
 ///
+/// The DAG is materialized, one predecessor list per reached node, for
+/// the oracles that walk it: the exact-rational and `CeilFloat` Brandes
+/// passes, naive and stress centrality, and the experiments. The hot
+/// `f64` paths (`betweenness_f64`, per-source dependencies, distance-only
+/// centralities, the query server's recompute) run the allocation-free
+/// `bc_brandes::BrandesKernel` instead.
+///
 /// # Panics
 ///
 /// Panics if `source >= g.n()`.

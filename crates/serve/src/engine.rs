@@ -13,7 +13,10 @@
 //!   source's vector from an LRU cache, and folds all `n` vectors in
 //!   ascending order — bit-identical to a from-scratch run by
 //!   construction, because the fold performs the same float additions
-//!   in the same order on the same values.
+//!   in the same order on the same values. Every BFS and per-source
+//!   pass runs on a [`BrandesKernel`], the one `betweenness_f64` uses;
+//!   the engine keeps one across sources, so a recomputed source
+//!   allocates only the vector it stores in the cache.
 //! * [`FullRecompute`] wraps any closure producing scores from a graph
 //!   (the distributed driver, in-process or over a `--connect` shard
 //!   mesh, or sampling). Those protocols accumulate across sources in
@@ -40,8 +43,7 @@
 //! `d(s,u) = d(u,s)` by symmetry), not one per source.
 
 use crate::cache::SourceCache;
-use bc_brandes::dependencies_from;
-use bc_graph::algo::bfs;
+use bc_brandes::BrandesKernel;
 use bc_graph::{Graph, GraphError, NodeId};
 use std::fmt;
 use std::sync::Arc;
@@ -117,8 +119,9 @@ pub fn component_count(g: &Graph) -> usize {
 /// two-BFS conditions).
 pub fn affected_sources(old: &Graph, m: Mutation) -> Vec<u32> {
     let (u, v) = m.endpoints();
-    let du = bfs(old, u).dist;
-    let dv = bfs(old, v).dist;
+    let mut kernel = BrandesKernel::default();
+    let du = kernel.forward(old, u).to_vec();
+    let dv = kernel.forward(old, v);
     let insert = matches!(m, Mutation::AddEdge(..));
     (0..old.n() as u32)
         .filter(|&s| {
@@ -140,6 +143,7 @@ pub fn affected_sources(old: &Graph, m: Mutation) -> Vec<u32> {
 pub struct IncrementalEngine {
     graph: Graph,
     cache: SourceCache,
+    kernel: BrandesKernel,
     /// Sources recomputed by the last `recompute` call (telemetry).
     last_recomputed: usize,
 }
@@ -152,6 +156,7 @@ impl IncrementalEngine {
         IncrementalEngine {
             graph,
             cache: SourceCache::new(cache_capacity),
+            kernel: BrandesKernel::default(),
             last_recomputed: 0,
         }
     }
@@ -195,7 +200,7 @@ impl IncrementalEngine {
                 Some(dep) => dep,
                 None => {
                     recomputed += 1;
-                    let dep = Arc::new(dependencies_from(&self.graph, s));
+                    let dep = Arc::new(self.kernel.dependencies(&self.graph, s, None).to_vec());
                     self.cache.put(s, Arc::clone(&dep));
                     dep
                 }
@@ -335,7 +340,7 @@ impl RecomputeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bc_brandes::betweenness_f64;
+    use bc_brandes::{betweenness_f64, dependencies_from};
     use bc_graph::generators;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
