@@ -54,7 +54,7 @@ pub fn run(quick: bool) -> ExperimentReport {
     }
     rep.note(
         "closeness/eccentricity/diameter — the centralities the paper's introduction \
-         calls easy — cost ≈ N + D rounds with no DFS token; betweenness pays ≈ 10 N \
+         calls easy — cost ≈ N + D rounds with no DFS token; betweenness pays ≈ 6 N \
          because the counting phase must deliver each source's σ contributions \
          simultaneously and the aggregation phase must replay the schedule in reverse"
             .to_string(),

@@ -4,7 +4,7 @@
 pub mod e10_ablation;
 pub mod e11_sampling;
 pub mod e12_weighted;
-pub mod e13_adaptive;
+pub mod e13_windows;
 pub mod e14_apsp_pipeline;
 pub mod e15_profile;
 pub mod e16_engine;

@@ -64,7 +64,7 @@ pub fn run_experiment(id: &str, quick: bool) -> Result<Vec<ExperimentReport>, Un
         ],
         "e11" => vec![experiments::e11_sampling::run(quick)],
         "e12" => vec![experiments::e12_weighted::run(quick)],
-        "e13" => vec![experiments::e13_adaptive::run(quick)],
+        "e13" => vec![experiments::e13_windows::run(quick)],
         "e14" => vec![experiments::e14_apsp_pipeline::run(quick)],
         "e15" => vec![experiments::e15_profile::run(quick)],
         "e16" => vec![experiments::e16_engine::run(quick)],

@@ -226,7 +226,7 @@ impl Profiler {
     /// Builds the final report. `engine` labels the run (`"serial"`,
     /// `"parallel(4)"`, `"alpha-sync"`); `phases` are the driver's
     /// `(name, start, end)` round windows (empty when boundaries are
-    /// unknown, e.g. adaptive scheduling).
+    /// unknown).
     pub fn report(
         &self,
         engine: impl Into<String>,

@@ -232,8 +232,8 @@ pub struct Telemetry {
     shards: Vec<Shard>,
     /// Highest round committed so far plus one (a live progress gauge).
     round_gauge: AtomicU64,
-    /// Provisioned phase starts `[counting, reduce, broadcast, agg]`;
-    /// `u64::MAX` while unset (adaptive runs never set them).
+    /// The run's phase starts `[counting, reduce, broadcast, agg]`;
+    /// `u64::MAX` while unset.
     schedule: [AtomicU64; 4],
     recorder: Mutex<Recorder>,
 }
@@ -301,8 +301,8 @@ impl Telemetry {
         self.round_gauge.load(Ordering::Relaxed)
     }
 
-    /// Publishes the provisioned phase schedule so live consumers can
-    /// label the current phase.
+    /// Publishes the run's phase windows so live consumers can label the
+    /// current phase.
     pub fn set_schedule(
         &self,
         counting_start: u64,
@@ -320,7 +320,7 @@ impl Telemetry {
     }
 
     /// The phase label for `round` under the published schedule, or `"-"`
-    /// when no schedule was published (adaptive runs).
+    /// when none was published.
     pub fn phase_label(&self, round: u64) -> &'static str {
         let bounds: Vec<u64> = self
             .schedule

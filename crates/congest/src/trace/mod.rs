@@ -74,8 +74,9 @@ pub enum TraceEvent {
         /// Undirected edge list.
         edges: Vec<(NodeId, NodeId)>,
     },
-    /// The provisioned phase schedule (absolute round boundaries), emitted
-    /// by drivers that precompute one. Absent for adaptive executions.
+    /// The run's phase windows (absolute round boundaries), emitted by
+    /// drivers that know them. Absent for reliable executions, whose
+    /// physical rounds drift past the windows.
     Schedule {
         /// First round of the counting phase (B).
         counting_start: u64,

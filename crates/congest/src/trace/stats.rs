@@ -575,36 +575,6 @@ pub fn analyze(events: &[TraceEvent], top_k: usize) -> TraceStats {
     }
 }
 
-/// Recovers adaptive-mode phase boundaries from recorded phase-entry
-/// events: the first round in which any node entered phases `'B'`, `'C'`,
-/// and `'D'` respectively. Returns `(counting_start, reduce_start,
-/// agg_start)` when all three transitions were observed — exactly the
-/// boundaries a provisioned [`TraceEvent::Schedule`] would carry, but
-/// measured instead of precomputed.
-pub fn adaptive_phase_bounds(events: &[TraceEvent]) -> Option<(u64, u64, u64)> {
-    let mut firsts: [Option<u64>; 3] = [None, None, None];
-    for event in events {
-        if let TraceEvent::Protocol {
-            round,
-            detail: ProtocolDetail::PhaseEnter { phase },
-            ..
-        } = event
-        {
-            let idx = match phase {
-                'B' => 0,
-                'C' => 1,
-                'D' => 2,
-                _ => continue,
-            };
-            firsts[idx] = Some(firsts[idx].map_or(*round, |r: u64| r.min(*round)));
-        }
-    }
-    match firsts {
-        [Some(b), Some(c), Some(d)] => Some((b, c, d)),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -736,25 +706,6 @@ mod tests {
         let json = stats.to_json();
         assert!(json.contains("\"total_slack\":0"), "{json}");
         assert!(json.contains("\"sources\":[{\"source\":0"), "{json}");
-    }
-
-    #[test]
-    fn adaptive_bounds_from_phase_entries() {
-        let enter = |round, node, phase| TraceEvent::Protocol {
-            round,
-            node,
-            detail: ProtocolDetail::PhaseEnter { phase },
-        };
-        let events = vec![
-            enter(0, 0, 'A'),
-            enter(7, 1, 'B'),
-            enter(8, 0, 'B'),
-            enter(20, 0, 'C'),
-            enter(31, 2, 'D'),
-        ];
-        assert_eq!(adaptive_phase_bounds(&events), Some((7, 20, 31)));
-        assert_eq!(adaptive_phase_bounds(&events[..3]), None);
-        assert_eq!(adaptive_phase_bounds(&[]), None);
     }
 
     #[test]

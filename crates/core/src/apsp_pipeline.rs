@@ -237,7 +237,7 @@ mod tests {
     fn faster_than_the_full_protocol_for_distances() {
         // Distance-only questions don't need the DFS token or the
         // aggregation phase: the pipeline answers them in ≈ N + D rounds
-        // vs ≈ 10 N for the full betweenness run.
+        // vs ≈ 6 N for the full betweenness run.
         let g = generators::erdos_renyi_connected(64, 0.07, 3);
         let apsp = run_apsp_pipeline(&g).unwrap();
         let full = crate::run_distributed_bc(&g, crate::DistBcConfig::default()).unwrap();

@@ -105,8 +105,9 @@ impl Codec {
                 w.push(psi.encode(), self.fp.encoded_bits());
                 w.push(rho.encode(), self.fp.encoded_bits());
             }
-            ProtocolMsg::StartReduce => {
+            ProtocolMsg::TreeDepth { depth } => {
                 w.push(7, TAG_BITS);
+                w.push(depth as u64, self.dist_w);
             }
             ProtocolMsg::SubtreeDone { max_depth } => {
                 w.push(8, TAG_BITS);
@@ -141,13 +142,13 @@ impl Codec {
     fn body_bits(&self, tag: u64) -> Option<u32> {
         Some(match tag {
             0 => self.dist_w + 1,
-            1 | 7 => 0,
+            1 => 0,
             2 | 9 => self.id_w + self.dist_w + self.fp.encoded_bits(),
             3 => 2 * self.ts_w + self.dist_w,
             4 => 3 * self.ts_w + self.dist_w,
             5 => self.id_w + self.fp.encoded_bits(),
             6 | 10 => self.id_w + 2 * self.fp.encoded_bits(),
-            8 => self.dist_w,
+            7 | 8 => self.dist_w,
             _ => return None,
         })
     }
@@ -219,7 +220,9 @@ impl Codec {
                 psi: self.take_float(&mut r)?,
                 rho: self.take_float(&mut r)?,
             },
-            7 => ProtocolMsg::StartReduce,
+            7 => ProtocolMsg::TreeDepth {
+                depth: r.read(self.dist_w) as u32,
+            },
             8 => ProtocolMsg::SubtreeDone {
                 max_depth: r.read(self.dist_w) as u32,
             },
@@ -343,13 +346,16 @@ pub enum ProtocolMsg {
         /// `1/σ̂_su + ψ̂_s(u)` in the paper's floating point.
         value: CeilFloat,
     },
-    /// Adaptive scheduling: root's signal that counting has ended and the
-    /// reduce convergecast may begin (flooded down the tree).
-    StartReduce,
-    /// Adaptive scheduling: phase-A termination detection — a node reports
+    /// Phase A: the root's flood of the BFS-tree depth `h`, from which
+    /// every node derives the depth-aware phase windows
+    /// ([`crate::PhaseSchedule::for_depth`]).
+    TreeDepth {
+        /// The tree depth `h` (so `D ≤ 2h`).
+        depth: u32,
+    },
+    /// Phase A: the convergecast closing the tree build — a node reports
     /// to its parent that its whole subtree has joined the tree, carrying
-    /// the subtree's maximum depth (the root derives the bound
-    /// `D ≤ 2·depth` from these).
+    /// the subtree's maximum depth.
     SubtreeDone {
         /// Maximum tree depth within the reporting subtree.
         max_depth: u32,
@@ -436,7 +442,7 @@ mod tests {
                 d: 31,
             },
             ProtocolMsg::Agg { source: 3, value },
-            ProtocolMsg::StartReduce,
+            ProtocolMsg::TreeDepth { depth: 5 },
             ProtocolMsg::SubtreeDone { max_depth: 77 },
             ProtocolMsg::WaveWithToken {
                 source: 12,

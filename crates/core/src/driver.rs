@@ -4,7 +4,7 @@
 //! serving lives in [`crate::snapshot`].
 
 use crate::node::{AlgoOptions, DistBcNode};
-use crate::result::{assemble_result, profile_phases, summarize_node, summarize_root, NodeSummary};
+use crate::result::{assemble_result, phase_windows, summarize_node, summarize_root, NodeSummary};
 use crate::sampling::{source_mask, Estimator, SourceIndex, SourceSelection};
 use crate::schedule::{PhaseSchedule, Scheduling};
 use crate::transport::{Reliable, ReliableConfig, TransportStats, HEADER_BITS};
@@ -348,9 +348,8 @@ pub fn run_distributed_bc(g: &Graph, config: DistBcConfig) -> Result<DistBcResul
 /// Runs [`run_distributed_bc`] with the wall-clock profiler attached to
 /// the engine: per-round spans split into node compute vs engine overhead,
 /// inbox depths, and (for `threads > 1`) per-worker busy times. The
-/// returned [`ProfileReport`] slices the spans at the provisioned phase
-/// boundaries ([`Scheduling::Adaptive`] has none, so its report carries no
-/// phase rows). Profiling never alters the execution: the `DistBcResult`
+/// returned [`ProfileReport`] slices the spans at the run's phase
+/// windows. Profiling never alters the execution: the `DistBcResult`
 /// is bit-identical to an unprofiled run (asserted by the test suite).
 ///
 /// # Errors
@@ -389,10 +388,8 @@ pub fn run_distributed_bc_traced_profiled(
 ///
 /// Before the first round the driver records the context an offline
 /// analyzer needs: a [`TraceEvent::Topology`] with the full edge list and,
-/// for the provisioned scheduling modes, a [`TraceEvent::Schedule`] with
-/// the phase boundaries ([`Scheduling::Adaptive`] discovers its boundaries
-/// at run time, so no schedule is recorded and
-/// [`bc_congest::trace::check`] skips the window checks). The sink is
+/// unless the run is reliable, a [`TraceEvent::Schedule`] with the run's
+/// phase windows. The sink is
 /// returned for flushing or draining; the recorded stream satisfies the
 /// invariants validated by [`bc_congest::trace::check::check`].
 ///
@@ -445,9 +442,10 @@ fn run_impl(
         }
     }
     let fp = config.fp.unwrap_or_else(|| FpParams::for_graph_size(n));
-    let sched = PhaseSchedule::new(n, config.scheduling);
     // Built once and shared: every node keys its O(|S|) state off this map.
     let source_index = std::sync::Arc::new(SourceIndex::build(&config.sources, n));
+    // The windows the nodes will settle on, for every view of the run.
+    let sched = PhaseSchedule::for_graph(g, config.scheduling, source_index.len());
     let opts = AlgoOptions {
         fp,
         scheduling: config.scheduling,
@@ -483,7 +481,7 @@ fn run_impl(
         // A reliable run's trace records physical transport frames whose
         // rounds drift past the virtual schedule under faults, so no
         // schedule is declared and the checker skips its window checks.
-        if config.scheduling != Scheduling::Adaptive && !config.reliable {
+        if !config.reliable {
             s.event(&TraceEvent::Schedule {
                 counting_start: sched.counting_start,
                 reduce_start: sched.reduce_start,
@@ -494,14 +492,7 @@ fn run_impl(
     }
     let telemetry = config.telemetry.clone();
     if let Some(t) = &telemetry {
-        if config.scheduling != Scheduling::Adaptive {
-            t.set_schedule(
-                sched.counting_start,
-                sched.reduce_start,
-                sched.broadcast_start,
-                sched.agg_start,
-            );
-        }
+        sched.publish(t);
     }
     let max_rounds = if config.reliable {
         // Fault-free reliable runs pipeline one virtual round per physical
@@ -583,6 +574,11 @@ fn run_impl(
     metrics.messages_retransmitted = transport.retransmits;
     metrics.messages_deduped = transport.deduped;
 
+    debug_assert_eq!(
+        nodes[0].schedule(),
+        &sched,
+        "root and driver windows differ"
+    );
     let summaries: Vec<NodeSummary> = nodes.iter().map(summarize_node).collect();
     let root = summarize_root(&nodes[0]);
     let state_bytes_total: u64 = summaries.iter().map(|s| s.state_bytes).sum();
@@ -603,7 +599,7 @@ fn run_impl(
         if config.reliable {
             engine.push_str("+reliable");
         }
-        let phases = profile_phases(config.scheduling, &sched, report.rounds);
+        let phases = phase_windows(&sched, report.rounds);
         let mut rep = p.report(&engine, &phases);
         rep.messages_retransmitted = transport.retransmits;
         rep.messages_deduped = transport.deduped;
@@ -620,7 +616,6 @@ fn run_impl(
         &config.sources,
         config.estimator,
         config.compute_stress,
-        config.scheduling,
         sched,
         fp,
         report.rounds,

@@ -4,7 +4,10 @@
 //! of [`crate::schedule::PhaseSchedule`]:
 //!
 //! * **Tree build** — synchronous BFS flooding from node 0; each node
-//!   learns its parent, children, and depth.
+//!   learns its parent, children, and depth. A subtree-done convergecast
+//!   tells the root the tree depth `h`; if `h` is small enough the root
+//!   floods it back down and every node switches to the depth-aware
+//!   windows of [`crate::schedule`].
 //! * **Counting (Algorithm 2)** — a DFS token walks the tree. A node first
 //!   visited at round `r` waits one slot and broadcasts its BFS wave at
 //!   `T_s = r + 1`; waves from different sources are pipelined and, by the
@@ -151,14 +154,11 @@ pub struct DistBcNode {
     parent_port: Option<usize>,
     children_ports: Vec<usize>,
     announce_round: Option<u64>,
-    // Adaptive phase-A termination detection.
+    // Phase-A convergecast: children that reported, whether this node is
+    // done with it, and the deepest tree depth in its subtree.
     children_done: usize,
-    subtree_done_sent: bool,
+    subtree_done: bool,
     subtree_max_depth: u32,
-    /// Root only: global tree depth, once all subtrees reported.
-    tree_depth: Option<u32>,
-    /// Root only: the round to flood `StartReduce` (counting + drain over).
-    start_reduce_round: Option<u64>,
     // Phase B: per-source state keyed by the dense source index (`L_v` of
     // Algorithm 2, memory-dieted to O(|S|)): one hot record per source,
     // plus the arrays no per-message path reads.
@@ -192,7 +192,6 @@ pub struct DistBcNode {
     acc_max_ts: u64,
     acc_max_d: u32,
     agg_info: Option<AggInfo>,
-    agg_announced: bool,
     /// Flat `(send round, global source id)` schedule, sorted ascending and
     /// consumed front-to-back by `agg_cursor` — deterministic iteration
     /// order by construction, no hashing in the round hot path.
@@ -260,10 +259,8 @@ impl DistBcNode {
             children_ports: Vec::new(),
             announce_round: None,
             children_done: 0,
-            subtree_done_sent: false,
+            subtree_done: false,
             subtree_max_depth: 0,
-            tree_depth: None,
-            start_reduce_round: None,
             visited: false,
             wave_round: None,
             token_forward_round: None,
@@ -276,7 +273,6 @@ impl DistBcNode {
             acc_max_ts: 0,
             acc_max_d: 0,
             agg_info: None,
-            agg_announced: false,
             agg_schedule: Vec::new(),
             agg_cursor: 0,
             out_waves: Vec::new(),
@@ -419,6 +415,12 @@ impl DistBcNode {
         self.parent_port
     }
 
+    /// The windows this node runs under: the depth-aware ones once it has
+    /// heard the tree depth, the N-only ones otherwise.
+    pub fn schedule(&self) -> &PhaseSchedule {
+        &self.sched
+    }
+
     /// Number of BFS sources in this run.
     pub fn source_count(&self) -> usize {
         self.src_index.len()
@@ -464,41 +466,44 @@ impl DistBcNode {
         }
     }
 
-    /// Adaptive phase-A termination: once this node's children are known
-    /// (exactly two rounds after its announce) and all have reported their
-    /// subtrees complete, report upward — or, at the root, record the tree
-    /// depth and launch the DFS immediately.
+    /// Phase-A convergecast: once this node's children are known (exactly
+    /// two rounds after its announce) and all have reported, report the
+    /// subtree's depth upward — or, at the root, adopt the depth-aware
+    /// windows. A subtree deeper than [`PhaseSchedule::depth_limit`]
+    /// already forces the N-only windows, so it reports nothing; every
+    /// report is then sent before the N-only counting start, where no
+    /// wave or token can share its edge.
     fn maybe_finish_tree(&mut self, ctx: &mut RoundCtx<'_>, r: u64) {
-        if self.opts.scheduling != Scheduling::Adaptive || self.subtree_done_sent {
-            return;
-        }
         let Some(announced) = self.announce_round else {
             return;
         };
-        if r < announced + 2 || self.children_done < self.children_ports.len() {
+        if self.subtree_done || r < announced + 2 || self.children_done < self.children_ports.len()
+        {
             return;
         }
-        self.subtree_done_sent = true;
-        if let Some(p) = self.parent_port {
-            let msg = ProtocolMsg::SubtreeDone {
-                max_depth: self.subtree_max_depth,
-            };
-            self.send_pm(ctx, p, &msg);
-        } else {
-            // Root: phase A is globally complete; start counting now. A
-            // sampled root waves next round with the token riding its wave;
-            // a sampled-out root relays the token at once, like any other
-            // non-source on first visit.
-            self.tree_depth = Some(self.subtree_max_depth);
-            self.visited = true;
-            ctx.trace(ProtocolDetail::PhaseEnter { phase: 'B' });
-            if self.is_source_self {
-                self.wave_round = Some(r + 1);
-                self.token_forward_round = Some(r + 1);
-            } else {
-                self.forward_token(r);
-            }
+        self.subtree_done = true;
+        if PhaseSchedule::depth_limit(self.n, self.opts.scheduling)
+            .is_none_or(|limit| self.subtree_max_depth > limit)
+        {
+            return;
         }
+        match self.parent_port {
+            Some(p) => {
+                let msg = ProtocolMsg::SubtreeDone {
+                    max_depth: self.subtree_max_depth,
+                };
+                self.send_pm(ctx, p, &msg);
+            }
+            None => self.adopt_depth(ctx, self.subtree_max_depth),
+        }
+    }
+
+    /// Switches to the depth-aware windows for tree depth `h` and floods
+    /// `h` on down the tree.
+    fn adopt_depth(&mut self, ctx: &mut RoundCtx<'_>, h: u32) {
+        self.sched =
+            PhaseSchedule::for_depth(self.n, self.opts.scheduling, self.src_index.len(), h);
+        self.send_to_children(ctx, &ProtocolMsg::TreeDepth { depth: h });
     }
 
     /// Arms the reduce convergecast: local (min, max) of wave start times
@@ -660,7 +665,7 @@ impl DistBcNode {
 
     /// Phase C1: send the subtree extrema to the parent once armed and all
     /// children reported; the root finalizes the global `AggInfo` instead.
-    fn maybe_finish_reduce(&mut self, ctx: &mut RoundCtx<'_>, r: u64) {
+    fn maybe_finish_reduce(&mut self, ctx: &mut RoundCtx<'_>) {
         if self.reduce_sent
             || !self.reduce_armed
             || self.reduce_received < self.children_ports.len()
@@ -676,16 +681,9 @@ impl DistBcNode {
             };
             self.send_pm(ctx, p, &msg);
         } else {
-            // Root: the reduced triple is global. The aggregation base is
-            // the deterministic window in provisioned modes; in adaptive
-            // mode, far enough ahead for the AggStart flood (depth + slack)
-            // to reach everyone first.
-            let base = match self.opts.scheduling {
-                Scheduling::Adaptive => r + self.tree_depth.unwrap_or(self.n as u32) as u64 + 2,
-                _ => self.sched.agg_start,
-            };
+            // Root: the reduced triple is global.
             self.agg_info = Some(AggInfo {
-                base,
+                base: self.sched.agg_start,
                 min_ts: self.acc_min_ts,
                 max_ts: self.acc_max_ts,
                 d: self.acc_max_d,
@@ -796,7 +794,7 @@ impl Protocol for DistBcNode {
         let mut more: Vec<(u32, u32)> = Vec::new();
         let mut token_arrived = false;
         let mut got_agg_start: Option<AggInfo> = None;
-        let mut got_start_reduce = false;
+        let mut got_depth: Option<u32> = None;
         let mut first_announce: Option<usize> = None;
         for (port, raw) in inbox {
             // A corrupt payload becomes a CongestError::NodePanic naming
@@ -861,7 +859,7 @@ impl Protocol for DistBcNode {
                         d,
                     });
                 }
-                ProtocolMsg::StartReduce => got_start_reduce = true,
+                ProtocolMsg::TreeDepth { depth } => got_depth = Some(depth),
                 ProtocolMsg::SubtreeDone { max_depth } => {
                     self.children_done += 1;
                     self.subtree_max_depth = self.subtree_max_depth.max(max_depth);
@@ -905,20 +903,18 @@ impl Protocol for DistBcNode {
             self.announce_tree(ctx, r, dist);
         }
         self.maybe_finish_tree(ctx, r);
+        if let Some(h) = got_depth {
+            self.adopt_depth(ctx, h);
+        }
 
         // ---- 3. Phase B: counting. --------------------------------------
         if token_arrived {
             ctx.trace(ProtocolDetail::TokenReceive);
         }
         match self.opts.scheduling {
-            // Adaptive mode reuses the DFS pipeline; the root's virtual
-            // token arrival is produced by maybe_finish_tree instead of the
-            // provisioned window.
-            Scheduling::DfsPipelined | Scheduling::Adaptive => {
-                let virtual_root_arrival = self.opts.scheduling == Scheduling::DfsPipelined
-                    && r == self.sched.counting_start
-                    && my_id == 0
-                    && !self.visited;
+            Scheduling::DfsPipelined => {
+                let virtual_root_arrival =
+                    r == self.sched.counting_start && my_id == 0 && !self.visited;
                 if token_arrived || virtual_root_arrival {
                     if self.visited {
                         // Returning token: forward immediately (staged; it
@@ -961,56 +957,24 @@ impl Protocol for DistBcNode {
         self.flush_counting_sends(ctx);
 
         // ---- 4. Phase C: reduce and broadcast. --------------------------
-        match self.opts.scheduling {
-            Scheduling::Adaptive => {
-                // Root: after the DFS token returned, wait out the wave
-                // drain bound (≤ D + 1 ≤ 2·depth + 1) then flood
-                // StartReduce.
-                if my_id == 0 && self.start_reduce_round.is_none() {
-                    if let (Some(done), Some(depth)) = (self.dfs_done_round, self.tree_depth) {
-                        self.start_reduce_round = Some(done + 2 * depth as u64 + 2);
-                    }
-                }
-                if self.start_reduce_round == Some(r) {
-                    self.send_to_children(ctx, &ProtocolMsg::StartReduce);
-                    self.arm_reduce(ctx);
-                }
-                if got_start_reduce {
-                    self.send_to_children(ctx, &ProtocolMsg::StartReduce);
-                    self.arm_reduce(ctx);
-                }
-            }
-            _ => {
-                if r == self.sched.reduce_start {
-                    self.arm_reduce(ctx);
-                }
-            }
+        if r == self.sched.reduce_start {
+            self.arm_reduce(ctx);
         }
         if self.agg_info.is_none() {
-            self.maybe_finish_reduce(ctx, r);
+            self.maybe_finish_reduce(ctx);
         }
-        let mut announce_agg = false;
-        match self.opts.scheduling {
-            Scheduling::Adaptive => {
-                // Root broadcasts as soon as its reduce completes.
-                if my_id == 0 && self.agg_info.is_some() && !self.agg_announced {
-                    announce_agg = true;
-                }
-            }
-            _ => {
-                if my_id == 0 && r == self.sched.broadcast_start {
-                    debug_assert!(self.agg_info.is_some(), "root reduce incomplete");
-                    announce_agg = true;
-                }
-            }
+        // The root broadcasts in its window; everyone else relays on
+        // receipt.
+        let root_broadcast = my_id == 0 && r == self.sched.broadcast_start;
+        debug_assert!(
+            !root_broadcast || self.agg_info.is_some(),
+            "root reduce incomplete"
+        );
+        if got_agg_start.is_some() {
+            self.agg_info = got_agg_start;
         }
-        if let Some(info) = got_agg_start {
-            self.agg_info = Some(info);
-            announce_agg = true;
-        }
-        if announce_agg {
+        if root_broadcast || got_agg_start.is_some() {
             if let Some(info) = self.agg_info {
-                self.agg_announced = true;
                 let msg = ProtocolMsg::AggStart {
                     base: info.base,
                     min_ts: info.min_ts,
@@ -1056,19 +1020,15 @@ impl Protocol for DistBcNode {
         const NONE: u64 = u64::MAX;
         let at = |x: u64| if x >= r { x } else { NONE };
         let root = self.me == 0;
-        let adaptive = self.opts.scheduling == Scheduling::Adaptive;
         let mut wake = NONE;
-        // Phase A: the root kicks off the tree at round 0; adaptive nodes
-        // report SubtreeDone two rounds after their own announce, once
-        // every child has.
+        // Phase A: the root kicks off the tree at round 0; the convergecast
+        // reports two rounds after a node's own announce, once every child
+        // has.
         if root {
             wake = wake.min(at(0));
         }
         if let Some(a) = self.announce_round {
-            if adaptive
-                && !self.subtree_done_sent
-                && self.children_done >= self.children_ports.len()
-            {
+            if !self.subtree_done && self.children_done >= self.children_ports.len() {
                 wake = wake.min((a + 2).max(r));
             }
         }
@@ -1089,18 +1049,9 @@ impl Protocol for DistBcNode {
             wake = wake.min(at(x));
         }
         // Phase C: reduce arming and the root's broadcast trigger.
-        if adaptive {
-            if let Some(x) = self.start_reduce_round {
-                wake = wake.min(at(x));
-            }
-            if root && self.agg_info.is_some() && !self.agg_announced {
-                wake = wake.min(r);
-            }
-        } else {
-            wake = wake.min(at(self.sched.reduce_start));
-            if root {
-                wake = wake.min(at(self.sched.broadcast_start));
-            }
+        wake = wake.min(at(self.sched.reduce_start));
+        if root {
+            wake = wake.min(at(self.sched.broadcast_start));
         }
         if self.agg_info.is_none()
             && self.reduce_armed

@@ -13,7 +13,7 @@
 
 use crate::node::{AggInfo, DistBcNode};
 use crate::sampling::{Estimator, SourceSelection};
-use crate::schedule::{PhaseSchedule, Scheduling};
+use crate::schedule::PhaseSchedule;
 use bc_congest::{NetMetrics, PhaseStat};
 use bc_numeric::FpParams;
 
@@ -33,7 +33,8 @@ pub struct DistBcResult {
     /// Total rounds until every node halted — the paper's complexity
     /// measure (Theorem 3: `O(N)`).
     pub rounds: u64,
-    /// The deterministic phase boundaries used.
+    /// The run's phase windows: depth-aware, or N-only where the tree is
+    /// too deep ([`PhaseSchedule::for_graph`]).
     pub schedule: PhaseSchedule,
     /// Engine metrics: messages, bits, max message size, collisions (must
     /// be 0), cut flow.
@@ -53,9 +54,7 @@ pub struct DistBcResult {
     pub fp: FpParams,
     /// Per-phase traffic breakdown (A tree build, B counting, C
     /// reduce/broadcast, D aggregation), sliced from the engine's
-    /// per-round timelines at the provisioned phase boundaries. Empty for
-    /// [`Scheduling::Adaptive`], whose boundaries are data-dependent and
-    /// not provisioned up front.
+    /// per-round timelines at the run's phase windows.
     pub phase_stats: Vec<PhaseStat>,
     /// Total protocol-state bytes across all nodes at the end of the run
     /// (per-source arrays only grow, so this is also the peak).
@@ -128,31 +127,17 @@ pub(crate) fn summarize_root(nd: &DistBcNode) -> RootSummary {
     }
 }
 
-/// The provisioned phase windows for a profile report (empty for
-/// [`Scheduling::Adaptive`], whose boundaries are data-dependent).
-pub(crate) fn profile_phases(
-    scheduling: Scheduling,
-    sched: &PhaseSchedule,
-    rounds: u64,
-) -> Vec<(String, u64, u64)> {
-    if scheduling == Scheduling::Adaptive {
-        Vec::new()
-    } else {
-        vec![
-            ("A:tree".to_string(), 0, sched.counting_start),
-            (
-                "B:counting".to_string(),
-                sched.counting_start,
-                sched.reduce_start,
-            ),
-            (
-                "C:reduce+bcast".to_string(),
-                sched.reduce_start,
-                sched.agg_start,
-            ),
-            ("D:aggregation".to_string(), sched.agg_start, rounds),
-        ]
-    }
+/// The run's four phase windows, `(name, start, end)`, as every view
+/// (phase stats, profile rows) slices them.
+pub(crate) fn phase_windows(sched: &PhaseSchedule, rounds: u64) -> Vec<(String, u64, u64)> {
+    [
+        ("A:tree", 0, sched.counting_start),
+        ("B:counting", sched.counting_start, sched.reduce_start),
+        ("C:reduce+bcast", sched.reduce_start, sched.agg_start),
+        ("D:aggregation", sched.agg_start, rounds),
+    ]
+    .map(|(name, start, end)| (name.to_string(), start, end))
+    .into()
 }
 
 /// Derives the [`DistBcResult`] from per-node summaries — the single
@@ -164,7 +149,6 @@ pub(crate) fn assemble_result(
     sources: &SourceSelection,
     estimator: Estimator,
     compute_stress: bool,
-    scheduling: Scheduling,
     sched: PhaseSchedule,
     fp: FpParams,
     rounds: u64,
@@ -214,16 +198,10 @@ pub(crate) fn assemble_result(
         .dfs_done_round
         .map(|r| r.saturating_sub(sched.counting_start))
         .unwrap_or(sched.reduce_start - sched.counting_start);
-    let phase_stats = if scheduling == Scheduling::Adaptive {
-        Vec::new()
-    } else {
-        vec![
-            metrics.phase_window("A:tree", 0, sched.counting_start),
-            metrics.phase_window("B:counting", sched.counting_start, sched.reduce_start),
-            metrics.phase_window("C:reduce+bcast", sched.reduce_start, sched.agg_start),
-            metrics.phase_window("D:aggregation", sched.agg_start, rounds),
-        ]
-    };
+    let phase_stats = phase_windows(&sched, rounds)
+        .into_iter()
+        .map(|(name, start, end)| metrics.phase_window(name, start, end))
+        .collect();
     let state_bytes_total = summaries.iter().map(|s| s.state_bytes).sum();
     let state_bytes_peak = summaries.iter().map(|s| s.state_bytes).max().unwrap_or(0);
     DistBcResult {

@@ -1,14 +1,10 @@
 //! Global round schedule of the distributed algorithm.
 //!
-//! Every node knows `N` (the paper's model gives nodes `O(log N)`-bit ids
-//! and the algorithms use `N`-dependent schedules), so all phase boundaries
-//! below are pure functions of `N` that every node computes locally — no
-//! extra synchronization messages are needed to switch phases.
-//!
 //! Phases:
 //!
 //! * **A — tree build** `[0, counting_start)`: BFS tree rooted at node 0
-//!   (the paper roots it at an arbitrary vertex).
+//!   (the paper roots it at an arbitrary vertex), closed by a subtree-done
+//!   convergecast that tells the root the tree depth `h`.
 //! * **B — counting** (Algorithm 2) `[counting_start, reduce_start)`: a DFS
 //!   token walks the tree; each first visit launches one pipelined BFS
 //!   wave that computes `T_s`, `d(s,v)`, `σ_sv`, `P_s(v)` everywhere.
@@ -22,34 +18,66 @@
 //!   preserves the collision-freeness argument of Lemma 4 (only
 //!   differences of send times appear in it).
 //!
+//! # Windows
+//!
+//! Every node knows `N` and the source count `k = |S|` (the sample is a
+//! pure function of its seed). The root learns `h` when the convergecast
+//! completes, in round `2h + 2`, and floods it down the tree once; from
+//! then on every boundary is a pure function of `(N, k, h)`
+//! ([`PhaseSchedule::for_depth`]), so no further synchronization
+//! messages are needed:
+//!
+//! * `counting_start = 2h + 3`: one round after the flood leaves the
+//!   root, so the flood stays a hop ahead of the DFS token and its waves
+//!   and never shares an edge with them;
+//! * `reduce_start = counting_start + 2(N − 1) + k + 2h`: the token's tour
+//!   takes exactly `2(N − 1) + k` rounds (one per tree edge each way, plus
+//!   one wait slot per source), and the last wave drains within
+//!   `ecc(s) ≤ 2h` more;
+//! * `broadcast_start = reduce_start + h` (convergecast up `h` levels);
+//! * `agg_start = broadcast_start + h` (flood down `h` levels).
+//!
+//! That is `2N + k + O(h)` rounds through the reduce and, with the
+//! aggregation's `T_s` spread of at most `2(N − 1) + k`, about
+//! `4N + 2k + O(h)` in total — `≈ 6N` with all sources.
+//!
+//! The flood must reach every node, by round `3h + 2`, before round
+//! `N + 2`. Where it cannot (`3h + 2 ≥ N + 2`, e.g. on a path), the root
+//! does not flood, and every node keeps the N-only windows of
+//! [`PhaseSchedule::new`], which size every phase for `D = N − 1`. A
+//! subtree deeper than [`PhaseSchedule::depth_limit`] already decides
+//! that, so it reports nothing and the convergecast falls silent before
+//! the N-only counting start. The depth-aware windows never exceed the
+//! N-only ones, so no graph takes more rounds than under N-only windows.
+//!
+//! Both choices shift every `T_s` by one constant. Lemma 4 and the
+//! aggregation order use only differences of send times, so the scores
+//! are bit-identical under either set of windows.
+//!
 //! Every bound is `O(N)` for [`Scheduling::DfsPipelined`], giving the
 //! paper's `O(N)` total; the [`Scheduling::Sequential`] baseline provisions
-//! `Θ(N²)` counting rounds (one BFS at a time), which is exactly the
-//! ablation E10a measures.
+//! `Θ(N²)` counting rounds (one BFS at a time) and always runs N-only
+//! windows, which is exactly the ablation E10a measures.
+
+use bc_congest::Telemetry;
+use bc_graph::{algo, Graph};
 
 /// Counting-phase scheduling discipline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduling {
     /// The paper's Algorithm 2: DFS-token-driven pipelined BFS waves;
-    /// counting completes in `O(N)` rounds. Phase transitions use
-    /// worst-case windows every node derives from `N` alone.
+    /// counting completes in `O(N)` rounds. Phase windows are sized from
+    /// the BFS-tree depth where it is small enough (see the module doc),
+    /// and from `N` alone otherwise.
     #[default]
     DfsPipelined,
     /// Strawman baseline: sources run their BFS one at a time in fixed
     /// `N + 2`-round slots; counting takes `Θ(N²)` rounds. Used by the
     /// E10a ablation to show what the pipelining buys.
     Sequential,
-    /// Event-driven extension: the same pipelined counting, but every
-    /// phase transition is detected (subtree-done convergecast ends the
-    /// tree build; the DFS token's return plus a `2·depth` drain bound
-    /// ends counting; explicit start-reduce / agg-start floods carry the
-    /// barrier rounds). Rounds become diameter-sensitive:
-    /// ≈ `4D + 3N + spread` instead of ≈ `12N`, a large constant win on
-    /// low-diameter graphs (experiment E13).
-    Adaptive,
 }
 
-/// The deterministic phase boundaries for an `n`-node run.
+/// The deterministic phase boundaries of a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseSchedule {
     /// Number of nodes.
@@ -68,7 +96,8 @@ pub struct PhaseSchedule {
 }
 
 impl PhaseSchedule {
-    /// Computes the schedule for `n` nodes.
+    /// The N-only windows for `n` nodes: every phase sized for a tree and
+    /// a diameter of depth `n − 1`.
     ///
     /// # Panics
     ///
@@ -86,7 +115,7 @@ impl PhaseSchedule {
         // ≤ n more rounds; +8 margin.
         // Sequential: n slots of (n + 2) rounds each, +8 margin.
         let counting_window = match mode {
-            Scheduling::DfsPipelined | Scheduling::Adaptive => 4 * n64 + 8,
+            Scheduling::DfsPipelined => 4 * n64 + 8,
             Scheduling::Sequential => n64 * (n64 + 2) + n64 + 8,
         };
         let reduce_start = counting_start + counting_window;
@@ -104,37 +133,77 @@ impl PhaseSchedule {
         }
     }
 
-    /// The wave start time of the *first* DFS visit (the root): it receives
-    /// the (virtual) token at `counting_start`, waits one slot, and
-    /// broadcasts at `counting_start + 1`. Also the minimum `T_s` in
-    /// sequential mode (source 0's slot).
-    pub fn min_ts(&self) -> u64 {
-        self.counting_start + 1
+    /// The largest BFS-tree depth that gets depth-aware windows: the
+    /// depth flood, launched in round `2h + 2`, reaches depth `h` in
+    /// round `3h + 2`, which must come before the N-only counting start
+    /// `n + 2`. `None` for [`Scheduling::Sequential`], which always runs
+    /// N-only windows.
+    pub fn depth_limit(n: usize, mode: Scheduling) -> Option<u32> {
+        match mode {
+            Scheduling::DfsPipelined => Some((n.saturating_sub(1) / 3) as u32),
+            Scheduling::Sequential => None,
+        }
     }
 
-    /// In sequential mode, the wave start round of source `s`.
+    /// The windows of a run on `n` nodes with `k` sources whose BFS tree
+    /// from node 0 has depth `h`: depth-aware if `h` is within
+    /// [`PhaseSchedule::depth_limit`], else [`PhaseSchedule::new`]'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    pub fn for_depth(n: usize, mode: Scheduling, k: usize, h: u32) -> Self {
+        let fallback = PhaseSchedule::new(n, mode);
+        if Self::depth_limit(n, mode).is_none_or(|limit| h > limit) {
+            return fallback;
+        }
+        let (n64, h) = (n as u64, h as u64);
+        let counting_start = 2 * h + 3;
+        let reduce_start = counting_start + 2 * (n64 - 1) + k as u64 + 2 * h;
+        let broadcast_start = reduce_start + h;
+        PhaseSchedule {
+            counting_start,
+            reduce_start,
+            broadcast_start,
+            agg_start: broadcast_start + h,
+            ..fallback
+        }
+    }
+
+    /// The windows a run on `g` with `k` sources takes: the same pure
+    /// function the nodes apply, fed the depth of the BFS tree from node 0.
+    /// Drivers use it to publish the run's windows to every view.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` has no nodes.
+    pub fn for_graph(g: &Graph, mode: Scheduling, k: usize) -> Self {
+        let h = algo::bfs(g, 0).eccentricity();
+        Self::for_depth(g.n(), mode, k, h)
+    }
+
+    /// In sequential mode, the wave start round of source `s`: the root
+    /// receives the (virtual) token at `counting_start` and waves one slot
+    /// later, and each further source gets an `n + 2`-round slot.
     pub fn sequential_ts(&self, s: u64) -> u64 {
-        self.min_ts() + s * (self.n + 2)
+        self.counting_start + 1 + s * (self.n + 2)
     }
 
-    /// Aggregation send round for a node at distance `d` from source `s`
-    /// whose wave started at absolute round `ts` (Algorithm 3 line 3,
-    /// shifted to start at [`PhaseSchedule::agg_start`]).
-    pub fn agg_send_round(&self, ts: u64, diameter: u32, d: u32) -> u64 {
-        self.agg_start + (ts - self.min_ts()) + diameter as u64 - d as u64
-    }
-
-    /// First round by which the whole aggregation (and thus the algorithm)
-    /// is complete, given the globally reduced `max T_s` and diameter.
-    pub fn agg_end(&self, max_ts: u64, diameter: u32) -> u64 {
-        // Last send ≤ agg_start + (max_ts − min_ts) + D; +1 delivery, +1
-        // processing.
-        self.agg_start + (max_ts - self.min_ts()) + diameter as u64 + 2
+    /// Publishes these windows to `telemetry`'s live phase labels.
+    pub fn publish(&self, telemetry: &Telemetry) {
+        telemetry.set_schedule(
+            self.counting_start,
+            self.reduce_start,
+            self.broadcast_start,
+            self.agg_start,
+        );
     }
 
     /// Engine round cap: a loose upper bound on any run under this
-    /// schedule (adaptive runs on high-diameter graphs can exceed the
-    /// provisioned windows by a constant factor).
+    /// schedule (a run ends by `agg_start + spread + D + 2`, with the
+    /// `T_s` spread inside the counting window and `D < n`). The N-only
+    /// cap also bounds every depth-aware run, whose windows are no
+    /// later.
     pub fn max_rounds(&self) -> u64 {
         4 * (self.agg_start + (self.reduce_start - self.counting_start) + self.n) + 64
     }
@@ -185,6 +254,67 @@ mod tests {
     }
 
     #[test]
+    fn depth_aware_windows_follow_the_formulas() {
+        // BA-like: n = 512, all sources, depth 5.
+        let s = PhaseSchedule::for_depth(512, Scheduling::DfsPipelined, 512, 5);
+        assert_eq!(s.counting_start, 2 * 5 + 3);
+        assert_eq!(s.reduce_start, 13 + 2 * 511 + 512 + 2 * 5);
+        assert_eq!(s.broadcast_start, s.reduce_start + 5);
+        assert_eq!(s.agg_start, s.broadcast_start + 5);
+        // Sampled: only the k wait slots shrink.
+        let k = PhaseSchedule::for_depth(512, Scheduling::DfsPipelined, 64, 5);
+        assert_eq!(s.reduce_start - k.reduce_start, 512 - 64);
+        // Sequential never leaves the N-only windows.
+        assert_eq!(
+            PhaseSchedule::for_depth(512, Scheduling::Sequential, 512, 5),
+            PhaseSchedule::new(512, Scheduling::Sequential)
+        );
+    }
+
+    #[test]
+    fn depth_aware_windows_fall_back_past_the_depth_limit() {
+        for n in [1usize, 2, 3, 4, 10, 64, 100, 1000] {
+            let limit = PhaseSchedule::depth_limit(n, Scheduling::DfsPipelined).unwrap();
+            // The flood reaches depth `limit` before the N-only counting
+            // start, and depth `limit + 1` would not.
+            assert!(3 * limit as u64 + 2 < n as u64 + 2, "n={n}");
+            assert!(3 * (limit as u64 + 1) + 2 >= n as u64 + 2, "n={n}");
+            let only_n = PhaseSchedule::new(n, Scheduling::DfsPipelined);
+            let at = PhaseSchedule::for_depth(n, Scheduling::DfsPipelined, n, limit);
+            assert_ne!(at, only_n, "n={n}");
+            let past = PhaseSchedule::for_depth(n, Scheduling::DfsPipelined, n, limit + 1);
+            assert_eq!(past, only_n, "n={n}");
+        }
+    }
+
+    #[test]
+    fn depth_aware_windows_never_exceed_the_n_only_windows() {
+        let starts = |s: PhaseSchedule| {
+            [
+                s.counting_start,
+                s.reduce_start,
+                s.broadcast_start,
+                s.agg_start,
+            ]
+        };
+        for n in 1usize..=130 {
+            let only_n = PhaseSchedule::new(n, Scheduling::DfsPipelined);
+            for h in 0..n as u32 {
+                for k in 0..=n {
+                    let s = PhaseSchedule::for_depth(n, Scheduling::DfsPipelined, k, h);
+                    let (got, cap) = (starts(s), starts(only_n));
+                    assert!(
+                        got.iter().zip(cap).all(|(&a, b)| a <= b),
+                        "n={n} h={h} k={k}"
+                    );
+                    assert!(got.is_sorted(), "n={n} h={h} k={k}");
+                    assert!(s.max_rounds() <= only_n.max_rounds());
+                }
+            }
+        }
+    }
+
+    #[test]
     fn sequential_is_quadratic() {
         let s = PhaseSchedule::new(100, Scheduling::Sequential);
         assert!(s.reduce_start > 100 * 100);
@@ -204,31 +334,6 @@ mod tests {
         }
         // Last wave drains before the reduce phase.
         assert!(s.sequential_ts(49) + s.n < s.reduce_start);
-    }
-
-    #[test]
-    fn agg_send_round_matches_paper_formula() {
-        // Figure 1: T_{v1}(v4) = T_{v1} + D − d(v1,v4) = 0 + 3 − 3 = 0
-        // relative to the aggregation base and the first wave.
-        let s = PhaseSchedule::new(5, Scheduling::DfsPipelined);
-        let tv1 = s.min_ts(); // v1 is the first DFS visit
-        assert_eq!(s.agg_send_round(tv1, 3, 3), s.agg_start);
-        assert_eq!(s.agg_send_round(tv1, 3, 1), s.agg_start + 2);
-        // A later source shifts by its T_s offset.
-        assert_eq!(s.agg_send_round(tv1 + 2, 3, 2), s.agg_start + 3);
-    }
-
-    #[test]
-    fn agg_end_after_all_sends() {
-        let s = PhaseSchedule::new(10, Scheduling::DfsPipelined);
-        let max_ts = s.min_ts() + 30;
-        let d = 4;
-        // Any send (distance ≥ 1) is strictly before agg_end − 1.
-        for ts in [s.min_ts(), max_ts] {
-            for dist in 1..=d {
-                assert!(s.agg_send_round(ts, d, dist) + 1 < s.agg_end(max_ts, d) + 1);
-            }
-        }
     }
 
     #[test]

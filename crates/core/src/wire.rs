@@ -20,7 +20,7 @@
 use crate::driver::{DistBcConfig, DistBcError, PartitionStrategy};
 use crate::node::{AggInfo, AlgoOptions, DistBcNode};
 use crate::result::{
-    assemble_result, profile_phases, summarize_node, summarize_root, DistBcResult, NodeSummary,
+    assemble_result, phase_windows, summarize_node, summarize_root, DistBcResult, NodeSummary,
     RootSummary,
 };
 use crate::sampling::{Estimator, SourceIndex, SourceSelection};
@@ -160,7 +160,6 @@ impl Setup {
             match self.scheduling {
                 Scheduling::DfsPipelined => 0,
                 Scheduling::Sequential => 1,
-                Scheduling::Adaptive => 2,
             },
         );
         put_u8(&mut buf, self.compute_stress as u8);
@@ -231,7 +230,6 @@ impl Setup {
         let scheduling = match r.u8()? {
             0 => Scheduling::DfsPipelined,
             1 => Scheduling::Sequential,
-            2 => Scheduling::Adaptive,
             t => return Err(WireError::Protocol(format!("unknown scheduling tag {t}"))),
         };
         let compute_stress = r.u8()? != 0;
@@ -686,31 +684,35 @@ pub fn serve_shard(listen: &str) -> Result<(), WireRunError> {
     if tag != TAG_SETUP {
         return Err(proto(format!("expected SETUP, got tag {tag}")));
     }
-    if fnv1a64(&payload) != hello.config_hash {
-        return Err(proto("SETUP payload does not match the HELLO config hash"));
-    }
-    let setup = Setup::decode(&payload)?;
-    if setup.addrs.len() != k || me >= k {
-        return Err(proto(format!(
-            "inconsistent topology: shard {me} of {k}, {} addresses",
-            setup.addrs.len()
-        )));
-    }
-    let graph = Graph::from_edges(setup.n, setup.edges.iter().copied())
-        .map_err(|e| proto(format!("bad graph in SETUP: {e}")))?;
-    if graph_hash(&graph) != hello.graph_hash {
-        return Err(proto("graph does not match the HELLO graph hash"));
-    }
-    let my_hello = Hello {
-        role: ROLE_SHARD,
-        shard_id: me as u32,
-        shards: k as u32,
-        graph_hash: hello.graph_hash,
-        config_hash: hello.config_hash,
-    };
-    leader.write_frame(TAG_HELLO, &my_hello.encode())?;
-
-    match shard_run(&graph, me, k, &setup, my_hello, &listener) {
+    // Every failure from here on, a SETUP this shard cannot accept
+    // included, is reported to the leader so it fails with the reason.
+    let run = (|| -> Result<Vec<u8>, WireRunError> {
+        if fnv1a64(&payload) != hello.config_hash {
+            return Err(proto("SETUP payload does not match the HELLO config hash"));
+        }
+        let setup = Setup::decode(&payload)?;
+        if setup.addrs.len() != k || me >= k {
+            return Err(proto(format!(
+                "inconsistent topology: shard {me} of {k}, {} addresses",
+                setup.addrs.len()
+            )));
+        }
+        let graph = Graph::from_edges(setup.n, setup.edges.iter().copied())
+            .map_err(|e| proto(format!("bad graph in SETUP: {e}")))?;
+        if graph_hash(&graph) != hello.graph_hash {
+            return Err(proto("graph does not match the HELLO graph hash"));
+        }
+        let my_hello = Hello {
+            role: ROLE_SHARD,
+            shard_id: me as u32,
+            shards: k as u32,
+            graph_hash: hello.graph_hash,
+            config_hash: hello.config_hash,
+        };
+        leader.write_frame(TAG_HELLO, &my_hello.encode())?;
+        shard_run(&graph, me, k, &setup, my_hello, &listener)
+    })();
+    match run {
         Ok(done) => {
             leader.write_frame(TAG_DONE, &done)?;
             Ok(())
@@ -1002,15 +1004,15 @@ pub fn run_leader(
             map.len()
         )));
     }
+    // The run's windows for the leader's views; the shards keep the
+    // N-only ones, which only size their round cap.
+    let run_sched = PhaseSchedule::for_graph(
+        g,
+        config.scheduling,
+        SourceIndex::build(&config.sources, n).len(),
+    );
     if let Some(t) = &config.telemetry {
-        if config.scheduling != Scheduling::Adaptive {
-            t.set_schedule(
-                sched.counting_start,
-                sched.reduce_start,
-                sched.broadcast_start,
-                sched.agg_start,
-            );
-        }
+        run_sched.publish(t);
     }
 
     let setup_bytes = setup.encode();
@@ -1231,7 +1233,7 @@ pub fn run_leader(
             engine.push_str(config.partition.label());
         }
         engine.push_str("+reliable");
-        let phases = profile_phases(config.scheduling, &sched, committed);
+        let phases = phase_windows(&run_sched, committed);
         let mut rep = profiler.report(&engine, &phases);
         rep.messages_retransmitted = transport.retransmits;
         rep.messages_deduped = transport.deduped;
@@ -1249,8 +1251,7 @@ pub fn run_leader(
         &config.sources,
         config.estimator,
         config.compute_stress,
-        config.scheduling,
-        sched,
+        run_sched,
         fp,
         committed,
         metrics,
@@ -1264,9 +1265,8 @@ pub fn run_leader(
 mod tests {
     use super::*;
 
-    #[test]
-    fn setup_codec_round_trips() {
-        let setup = Setup {
+    fn setup_fixture() -> Setup {
+        Setup {
             n: 9,
             edges: vec![(0, 1), (1, 2), (2, 3)],
             addrs: vec!["tcp:127.0.0.1:4100".into(), "unix:/tmp/s1.sock".into()],
@@ -1282,7 +1282,12 @@ mod tests {
             telemetry: true,
             profiling: true,
             estimator: Estimator::JiYan,
-        };
+        }
+    }
+
+    #[test]
+    fn setup_codec_round_trips() {
+        let setup = setup_fixture();
         let enc = setup.encode();
         assert_eq!(Setup::decode(&enc).unwrap(), setup);
 
@@ -1293,6 +1298,49 @@ mod tests {
             ..setup
         };
         assert_eq!(Setup::decode(&explicit.encode()).unwrap(), explicit);
+    }
+
+    #[test]
+    fn unknown_scheduling_byte_is_a_wire_error() {
+        let setup = setup_fixture();
+        let enc = setup.encode();
+        let pipelined = Setup {
+            scheduling: Scheduling::DfsPipelined,
+            ..setup
+        }
+        .encode();
+        // Byte 2 named the removed event-driven mode. A shard handed it
+        // answers the leader with an ERROR frame carrying the reason, and
+        // its own run fails without a panic.
+        let at = (0..enc.len()).find(|&i| enc[i] != pipelined[i]).unwrap();
+        let mut bad = enc;
+        bad[at] = 2;
+        let path = std::env::temp_dir().join(format!("bcw-setup-{}.sock", std::process::id()));
+        let addr = format!("unix:{}", path.display());
+        let shard = {
+            let addr = addr.clone();
+            std::thread::spawn(move || serve_shard(&addr))
+        };
+        let mut stream = (0..500)
+            .find_map(|_| {
+                std::thread::sleep(std::time::Duration::from_millis(10));
+                WireStream::connect(&addr).ok()
+            })
+            .expect("shard listens");
+        let hello = Hello {
+            role: ROLE_LEADER,
+            shard_id: 0,
+            shards: 1,
+            graph_hash: 0,
+            config_hash: fnv1a64(&bad),
+        };
+        stream.write_frame(TAG_HELLO, &hello.encode()).unwrap();
+        stream.write_frame(TAG_SETUP, &bad).unwrap();
+        let (tag, reason) = stream.read_frame().unwrap();
+        assert_eq!(tag, TAG_ERROR);
+        assert!(String::from_utf8_lossy(&reason).contains("unknown scheduling tag 2"));
+        assert!(shard.join().expect("shard does not panic").is_err());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

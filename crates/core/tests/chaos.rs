@@ -4,7 +4,7 @@
 
 use bc_congest::{Budget, Config, CongestError, Enforcement, Message, Network, Protocol, RoundCtx};
 use bc_core::{run_distributed_bc, AlgoOptions, DistBcConfig, DistBcError, DistBcNode};
-use bc_graph::generators;
+use bc_graph::{generators, Graph};
 use bc_numeric::bits::BitWriter;
 
 /// Wraps a [`DistBcNode`] and injects a fault at a chosen round.
@@ -62,8 +62,24 @@ impl Protocol for Saboteur {
     }
 }
 
+/// The network every sabotaged run uses.
+fn sabotage_graph() -> Graph {
+    generators::erdos_renyi_connected(24, 0.12, 8)
+}
+
+/// A round in the middle of the clean run's counting window and one in
+/// the middle of its aggregation phase, read off the run's own windows.
+fn mid_phase_rounds() -> (u64, u64) {
+    let clean = run_distributed_bc(&sabotage_graph(), DistBcConfig::default()).unwrap();
+    let s = clean.schedule;
+    (
+        (s.counting_start + s.reduce_start) / 2,
+        (s.agg_start + clean.rounds) / 2,
+    )
+}
+
 fn run_sabotaged(fault: Fault, at_round: u64) -> Result<(), CongestError> {
-    let g = generators::erdos_renyi_connected(24, 0.12, 8);
+    let g = sabotage_graph();
     let n = g.n();
     let opts = AlgoOptions::for_graph_size(n);
     let mut net = Network::new(&g, Config::default(), |v, _| Saboteur {
@@ -77,16 +93,13 @@ fn run_sabotaged(fault: Fault, at_round: u64) -> Result<(), CongestError> {
 
 #[test]
 fn double_send_is_caught_mid_protocol() {
-    // Inject during the counting phase (round 40 is mid-waves for n=24).
-    let err = run_sabotaged(Fault::DoubleSend, 40).unwrap_err();
+    // Inject mid-waves, in the middle of the counting window.
+    let (counting, _) = mid_phase_rounds();
+    let err = run_sabotaged(Fault::DoubleSend, counting).unwrap_err();
     assert!(
         matches!(
             err,
-            CongestError::Collision {
-                node: 3,
-                round: 40,
-                ..
-            }
+            CongestError::Collision { node: 3, round, .. } if round == counting
         ),
         "got {err:?}"
     );
@@ -94,14 +107,19 @@ fn double_send_is_caught_mid_protocol() {
 
 #[test]
 fn double_send_is_caught_during_aggregation() {
-    // Aggregation starts after the Θ(N) windows; round 220 is inside it.
-    let err = run_sabotaged(Fault::DoubleSend, 220).unwrap_err();
-    assert!(matches!(err, CongestError::Collision { node: 3, .. }));
+    // Inject in the middle of the aggregation phase.
+    let (_, agg) = mid_phase_rounds();
+    let err = run_sabotaged(Fault::DoubleSend, agg).unwrap_err();
+    assert!(
+        matches!(err, CongestError::Collision { node: 3, round, .. } if round == agg),
+        "got {err:?}"
+    );
 }
 
 #[test]
 fn oversized_message_is_caught() {
-    let err = run_sabotaged(Fault::Oversized, 40).unwrap_err();
+    let (counting, _) = mid_phase_rounds();
+    let err = run_sabotaged(Fault::Oversized, counting).unwrap_err();
     assert!(
         matches!(
             err,
@@ -178,9 +196,10 @@ fn record_mode_completes_but_reports_the_fault() {
     // fatal (useful for measuring how broken a broken schedule is). The
     // injected Token perturbs the DFS, so results are garbage — but the
     // metrics must say so.
-    let g = generators::erdos_renyi_connected(24, 0.12, 8);
+    let g = sabotage_graph();
     let n = g.n();
     let opts = AlgoOptions::for_graph_size(n);
+    let (counting, _) = mid_phase_rounds();
     let cfg = Config {
         enforcement: Enforcement::Record,
         ..Config::default()
@@ -188,7 +207,7 @@ fn record_mode_completes_but_reports_the_fault() {
     let mut net = Network::new(&g, cfg, |v, _| Saboteur {
         inner: DistBcNode::new(n, v, opts.clone()),
         victim: v == 3,
-        at_round: 40,
+        at_round: counting,
         fault: Fault::DoubleSend,
     });
     // The run may or may not converge to quiescence — either way, the

@@ -7,9 +7,7 @@
 
 use bc_congest::trace::{RingSink, TraceEvent, TraceSink};
 use bc_congest::FaultPlan;
-use bc_core::{
-    run_distributed_bc, run_distributed_bc_traced, DistBcConfig, PartitionStrategy, Scheduling,
-};
+use bc_core::{run_distributed_bc, run_distributed_bc_traced, DistBcConfig, PartitionStrategy};
 use bc_graph::{Graph, GraphBuilder, NodeId};
 use proptest::prelude::*;
 
@@ -54,20 +52,13 @@ proptest! {
     /// Clean network: every strategy × thread count reproduces the serial
     /// betweenness/closeness/diameter and the serial trace, bit for bit.
     #[test]
-    fn partitioning_is_observationally_free(
-        g in arb_connected_graph(22),
-        adaptive in any::<bool>(),
-    ) {
-        let scheduling = if adaptive { Scheduling::Adaptive } else { Scheduling::DfsPipelined };
-        let (serial, serial_events) = run_traced(
-            &g,
-            DistBcConfig { scheduling, ..DistBcConfig::default() },
-        );
+    fn partitioning_is_observationally_free(g in arb_connected_graph(22)) {
+        let (serial, serial_events) = run_traced(&g, DistBcConfig::default());
         for partition in STRATEGIES {
             for threads in THREADS {
                 let (par, par_events) = run_traced(
                     &g,
-                    DistBcConfig { threads, partition, scheduling, ..DistBcConfig::default() },
+                    DistBcConfig { threads, partition, ..DistBcConfig::default() },
                 );
                 let tag = format!("{}/threads={threads}", partition.label());
                 prop_assert_eq!(&serial.betweenness, &par.betweenness, "{}", &tag);

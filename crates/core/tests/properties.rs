@@ -5,8 +5,8 @@
 
 use bc_brandes::{betweenness_f64, dependencies_from, stress_centrality};
 use bc_core::{
-    run_distributed_bc, source_mask, Codec, DistBcConfig, Estimator, ProtocolMsg, Scheduling,
-    SourceSelection,
+    run_distributed_bc, source_mask, Codec, DistBcConfig, Estimator, PhaseSchedule, ProtocolMsg,
+    Scheduling, SourceSelection,
 };
 use bc_graph::{Graph, GraphBuilder, NodeId};
 use bc_numeric::{CeilFloat, FpParams, Rounding};
@@ -55,17 +55,11 @@ proptest! {
     fn parallel_engine_is_deterministic(
         g in arb_connected_graph(30),
         threads in 2usize..6,
-        adaptive in any::<bool>(),
     ) {
-        let scheduling = if adaptive { Scheduling::Adaptive } else { Scheduling::DfsPipelined };
-        let serial = run_distributed_bc(
-            &g,
-            DistBcConfig { scheduling, ..DistBcConfig::default() },
-        )
-        .expect("runs");
+        let serial = run_distributed_bc(&g, DistBcConfig::default()).expect("runs");
         let par = run_distributed_bc(
             &g,
-            DistBcConfig { threads, scheduling, ..DistBcConfig::default() },
+            DistBcConfig { threads, ..DistBcConfig::default() },
         )
         .expect("runs");
         prop_assert_eq!(&serial.betweenness, &par.betweenness);
@@ -73,12 +67,17 @@ proptest! {
     }
 
     #[test]
-    fn adaptive_matches_brandes(g in arb_connected_graph(30)) {
-        let out = run_distributed_bc(
-            &g,
-            DistBcConfig { scheduling: Scheduling::Adaptive, ..DistBcConfig::default() },
-        )
-        .expect("runs");
+    fn runs_end_inside_their_windows(g in arb_connected_graph(30)) {
+        // Random graphs land on both sides of the depth limit: the run's
+        // windows are the central function of the tree depth, never later
+        // than the N-only ones, and the run ends inside the N-only cap.
+        let out = run_distributed_bc(&g, DistBcConfig::default()).expect("runs");
+        let n = g.n();
+        let only_n = PhaseSchedule::new(n, Scheduling::DfsPipelined);
+        prop_assert_eq!(out.schedule, PhaseSchedule::for_graph(&g, Scheduling::DfsPipelined, n));
+        prop_assert!(out.schedule.agg_start <= only_n.agg_start);
+        prop_assert!(out.rounds > out.schedule.agg_start);
+        prop_assert!(out.rounds <= only_n.max_rounds());
         prop_assert!(out.metrics.congest_compliant());
         let exact = betweenness_f64(&g);
         for (v, (a, e)) in out.betweenness.iter().zip(&exact).enumerate() {
@@ -258,7 +257,7 @@ proptest! {
             ProtocolMsg::Wave { source, sender_dist: dist, sigma },
             ProtocolMsg::Reduce { min_ts: ts / 2, max_ts: ts, max_d: dist },
             ProtocolMsg::AggStart { base: ts, min_ts: ts / 2, max_ts: ts, d: dist },
-            ProtocolMsg::StartReduce,
+            ProtocolMsg::TreeDepth { depth: dist },
             ProtocolMsg::SubtreeDone { max_depth: dist },
             ProtocolMsg::Agg { source, value: sigma.recip() },
             ProtocolMsg::AggWithStress { source, psi: sigma.recip(), rho: sigma },
@@ -275,21 +274,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn all_engines_are_bit_identical(g in arb_connected_graph(22), adaptive in any::<bool>()) {
+    fn all_engines_are_bit_identical(g in arb_connected_graph(22)) {
         // Serial, pooled-parallel at several widths, and the α-synchronizer
         // must agree bit-for-bit — the pool and the idle-skipping active
         // set are required to be observationally free.
         use bc_congest::asynchronous::{run_synchronized, AsyncConfig};
-        let scheduling = if adaptive { Scheduling::Adaptive } else { Scheduling::DfsPipelined };
-        let serial = run_distributed_bc(
-            &g,
-            DistBcConfig { scheduling, ..DistBcConfig::default() },
-        )
-        .expect("serial runs");
+        let serial = run_distributed_bc(&g, DistBcConfig::default()).expect("serial runs");
         for threads in [1usize, 2, 7] {
             let par = run_distributed_bc(
                 &g,
-                DistBcConfig { threads, scheduling, ..DistBcConfig::default() },
+                DistBcConfig { threads, ..DistBcConfig::default() },
             )
             .expect("parallel runs");
             prop_assert_eq!(&serial.betweenness, &par.betweenness, "threads={}", threads);
@@ -298,7 +292,7 @@ proptest! {
             prop_assert_eq!(serial.rounds, par.rounds, "threads={}", threads);
         }
         let n = g.n();
-        let opts = bc_core::AlgoOptions { scheduling, ..bc_core::AlgoOptions::for_graph_size(n) };
+        let opts = bc_core::AlgoOptions::for_graph_size(n);
         let (nodes, _) = run_synchronized(
             &g,
             AsyncConfig::default(),
@@ -354,14 +348,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn adaptive_sample_without_the_root_matches_centralized_fold(
+    fn sample_without_the_root_matches_centralized_fold(
         g in arb_connected_graph(26),
         k in 1usize..8,
         seed in any::<u64>(),
     ) {
-        // Adaptive runs start the DFS at node 0. When the sample leaves it
-        // out, the root relays the token without a wave of its own; the
-        // estimate is still the Brandes–Pich fold over the drawn set.
+        // The DFS starts at node 0. When the sample leaves it out, the root
+        // relays the token in the round it starts, one round behind its
+        // depth flood; the estimate is still the Brandes–Pich fold over
+        // the drawn set.
         let k = k.min(g.n() - 1);
         let Some(seed) = (seed..seed.saturating_add(64))
             .find(|&s| !source_mask(&SourceSelection::Sample { k, seed: s }, g.n())[0])
@@ -372,7 +367,7 @@ proptest! {
         let mask = source_mask(&sources, g.n());
         let out = run_distributed_bc(
             &g,
-            DistBcConfig { sources, scheduling: Scheduling::Adaptive, ..DistBcConfig::default() },
+            DistBcConfig { sources, ..DistBcConfig::default() },
         )
         .expect("runs");
         prop_assert!(out.metrics.congest_compliant());

@@ -141,7 +141,7 @@ proptest! {
             (sample, Estimator::JiYan, false),
             (SourceSelection::All, Estimator::Scaled, true),
         ];
-        let modes = [Scheduling::DfsPipelined, Scheduling::Sequential, Scheduling::Adaptive];
+        let modes = [Scheduling::DfsPipelined, Scheduling::Sequential];
         for (sources, estimator, compute_stress) in variants {
             for scheduling in modes {
                 let sched = PhaseSchedule::new(n, scheduling);

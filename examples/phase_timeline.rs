@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example phase_timeline`
 
-use distbc::core::{run_distributed_bc, DistBcConfig, Scheduling};
+use distbc::core::{run_distributed_bc, DistBcConfig};
 use distbc::graph::generators;
 use std::error::Error;
 
@@ -32,41 +32,36 @@ fn main() -> Result<(), Box<dyn Error>> {
     let g = generators::erdos_renyi_connected(96, 0.06, 11);
     println!("network: {} nodes, {} edges\n", g.n(), g.m());
 
-    for (label, scheduling) in [
-        ("provisioned", Scheduling::DfsPipelined),
-        ("adaptive   ", Scheduling::Adaptive),
-    ] {
-        let out = run_distributed_bc(
-            &g,
-            DistBcConfig {
-                scheduling,
-                ..DistBcConfig::default()
-            },
-        )?;
-        let series = &out.metrics.per_round_messages;
-        println!(
-            "{label} ({} rounds, {} messages):",
-            out.rounds, out.metrics.total_messages
-        );
-        println!("  |{}|", sparkline(series, 72));
-        // Locate the phases from the data: the longest quiet stretch
-        // separates counting from aggregation.
-        let peak = *series.iter().max().unwrap_or(&0);
-        let busy: Vec<usize> = series
-            .iter()
-            .enumerate()
-            .filter(|(_, &m)| m > peak / 20)
-            .map(|(i, _)| i)
-            .collect();
-        if let (Some(&first), Some(&last)) = (busy.first(), busy.last()) {
-            println!("  active rounds {first}..{last}; peak {peak} messages/round\n");
-        }
-        assert!(out.metrics.congest_compliant());
+    let out = run_distributed_bc(&g, DistBcConfig::default())?;
+    let series = &out.metrics.per_round_messages;
+    let s = out.schedule;
+    println!(
+        "{} rounds, {} messages; windows: counting {}, reduce {}, broadcast {}, aggregation {}",
+        out.rounds,
+        out.metrics.total_messages,
+        s.counting_start,
+        s.reduce_start,
+        s.broadcast_start,
+        s.agg_start
+    );
+    println!("  |{}|", sparkline(series, 72));
+    // Locate the phases from the data: the longest quiet stretch
+    // separates counting from aggregation.
+    let peak = *series.iter().max().unwrap_or(&0);
+    let busy: Vec<usize> = series
+        .iter()
+        .enumerate()
+        .filter(|(_, &m)| m > peak / 20)
+        .map(|(i, _)| i)
+        .collect();
+    if let (Some(&first), Some(&last)) = (busy.first(), busy.last()) {
+        println!("  active rounds {first}..{last}; peak {peak} messages/round\n");
     }
+    assert!(out.metrics.congest_compliant());
     println!(
         "the two bursts are the pipelined BFS waves (Algorithm 2) and the reverse\n\
-         aggregation schedule (Algorithm 3); the adaptive run removes the idle\n\
-         provisioned windows between and after them."
+         aggregation schedule (Algorithm 3); the windows are sized from the BFS-tree\n\
+         depth, so only O(depth) idle rounds separate them."
     );
     Ok(())
 }

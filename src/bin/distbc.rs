@@ -4,7 +4,7 @@
 //! ```text
 //! distbc info       --input graph.txt
 //! distbc centrality --input graph.txt [--algorithm distributed|brandes|exact|naive|sampled:K]
-//!                   [--stress] [--top K] [--csv] [--mantissa-bits L] [--sequential | --adaptive]
+//!                   [--stress] [--top K] [--csv] [--mantissa-bits L] [--sequential]
 //! distbc centrality --generate er:100:0.05:7
 //! distbc gadget     --kind diameter|bc --n 6 [--x 10] [--planted]
 //! ```
@@ -15,9 +15,9 @@
 //! `ba:200:3:1` (n:m:seed), `grid:6:8`, `karate`, `florentine`.
 
 use distbc::brandes;
-use distbc::congest::trace::{self, check, stats, JsonlSink, RingSink, TraceSink};
+use distbc::congest::trace::{self, check, stats, JsonlSink, TraceSink};
 use distbc::congest::wire::fnv1a64;
-use distbc::congest::{Counter, Enforcement, FaultPlan, PhaseStat, ProfileReport, Telemetry};
+use distbc::congest::{Counter, Enforcement, FaultPlan, ProfileReport, Telemetry};
 use distbc::core::{
     auto_threads, run_distributed_bc, run_distributed_bc_profiled, run_distributed_bc_traced,
     run_distributed_bc_traced_profiled, run_leader, serve_shard, DistBcConfig, DistBcResult,
@@ -144,7 +144,7 @@ const USAGE: &str = "usage:
                      [--algorithm distributed|brandes|exact|naive|sampled:K]
                      [--sample-seed N] [--estimator scaled|jiyan]
                      [--stress] [--top K] [--csv] [--mantissa-bits L]
-                     [--sequential | --adaptive] [--threads N|auto]
+                     [--sequential] [--threads N|auto]
                      [--partition contiguous|degree|schedule] [--no-idle-skip]
                      [--trace FILE] [--metrics] [--profile [--json]]
                      [--faults PLAN [--fault-seed N]] [--reliable] [--best-effort]
@@ -265,7 +265,13 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
             "--profile" => profile = true,
             "--json" => json = true,
             "--sequential" => scheduling = Scheduling::Sequential,
-            "--adaptive" => scheduling = Scheduling::Adaptive,
+            "--adaptive" => {
+                return Err(
+                    "--adaptive was removed: every run now sizes its phase windows \
+                            from the BFS-tree depth"
+                        .into(),
+                )
+            }
             "--threads" => {
                 let v = value("--threads")?;
                 threads = if v == "auto" {
@@ -507,11 +513,6 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                                     replayed on the leader after the run)"
                             .into());
                     }
-                    if metrics && scheduling == Scheduling::Adaptive {
-                        return Err("--metrics with --adaptive needs a trace, which --connect \
-                                    does not support"
-                            .into());
-                    }
                 }
             }
             Ok(Command::Centrality {
@@ -739,14 +740,10 @@ fn cmd_info(source: &GraphSource) -> Result<(), Box<dyn Error>> {
 }
 
 /// Prints the per-phase traffic breakdown of a distributed run
-/// (`--metrics`), in the human table or `--csv` form. `phases` is either
-/// the provisioned [`DistBcResult::phase_stats`] or, in adaptive mode, the
-/// windows recovered from recorded phase-entry events.
-fn print_phase_metrics(out: &DistBcResult, phases: &[PhaseStat], csv: bool) {
-    if phases.is_empty() {
-        eprintln!("# --metrics: no phase boundaries available");
-        return;
-    }
+/// (`--metrics`), in the human table or `--csv` form, sliced at the run's
+/// phase windows.
+fn print_phase_metrics(out: &DistBcResult, csv: bool) {
+    let phases = &out.phase_stats;
     if csv {
         println!("phase,start,end,rounds,messages,bits,max_message_bits");
         for p in phases {
@@ -784,26 +781,6 @@ fn print_phase_metrics(out: &DistBcResult, phases: &[PhaseStat], csv: bool) {
             out.metrics.total_bits,
             out.metrics.max_message_bits
         );
-    }
-}
-
-/// Recovers adaptive-mode phase windows from recorded phase-entry events
-/// and slices the run's per-round timelines at those measured boundaries.
-fn adaptive_phase_stats(out: &DistBcResult, events: &[trace::TraceEvent]) -> Vec<PhaseStat> {
-    match stats::adaptive_phase_bounds(events) {
-        Some((counting_start, reduce_start, agg_start)) => vec![
-            out.metrics.phase_window("A:tree", 0, counting_start),
-            out.metrics
-                .phase_window("B:counting", counting_start, reduce_start),
-            out.metrics
-                .phase_window("C:reduce+bcast", reduce_start, agg_start),
-            out.metrics
-                .phase_window("D:aggregation", agg_start, out.rounds),
-        ],
-        None => {
-            eprintln!("# --metrics: trace has no complete phase-entry record");
-            Vec::new()
-        }
     }
 }
 
@@ -997,14 +974,9 @@ fn cmd_centrality(
                 telemetry: telemetry.clone(),
                 ..DistBcConfig::default()
             };
-            // Adaptive --metrics has no provisioned boundaries; record the
-            // phase-entry events (to the requested trace file, or to an
-            // in-memory ring when no --trace was given) and measure them.
-            let adaptive_metrics = metrics && scheduling == Scheduling::Adaptive;
-            let sink: Option<Box<dyn TraceSink>> = match (trace_path, adaptive_metrics) {
-                (Some(path), _) => Some(Box::new(JsonlSink::create(path)?)),
-                (None, true) => Some(Box::new(RingSink::new(1 << 22))),
-                (None, false) => None,
+            let sink: Option<Box<dyn TraceSink>> = match trace_path {
+                Some(path) => Some(Box::new(JsonlSink::create(path)?)),
+                None => None,
             };
             let mut profile_report: Option<ProfileReport> = None;
             let mut returned_sink: Option<Box<dyn TraceSink>> = None;
@@ -1102,22 +1074,7 @@ fn cmd_centrality(
             if metrics {
                 // --metrics replaces the per-node listing with the
                 // per-phase traffic table (also the --csv payload).
-                let adaptive_windows = if out.phase_stats.is_empty() {
-                    let events = match (trace_path, returned_sink.as_mut()) {
-                        (Some(path), _) => trace::read_jsonl(path)?,
-                        (None, Some(sink)) => sink.drain_events(),
-                        (None, None) => Vec::new(),
-                    };
-                    adaptive_phase_stats(&out, &events)
-                } else {
-                    Vec::new()
-                };
-                let phases = if out.phase_stats.is_empty() {
-                    &adaptive_windows
-                } else {
-                    &out.phase_stats
-                };
-                print_phase_metrics(&out, phases, csv);
+                print_phase_metrics(&out, csv);
                 return Ok(());
             }
             if profile && json {
@@ -1639,7 +1596,7 @@ mod tests {
             "--csv",
             "--mantissa-bits",
             "20",
-            "--adaptive",
+            "--sequential",
             "--threads",
             "4",
             "--no-idle-skip",
@@ -1656,7 +1613,7 @@ mod tests {
                 top: Some(5),
                 csv: true,
                 mantissa_bits: Some(20),
-                scheduling: Scheduling::Adaptive,
+                scheduling: Scheduling::Sequential,
                 trace: None,
                 metrics: false,
                 profile: false,
@@ -1884,7 +1841,6 @@ mod tests {
         assert!(with(&["--faults", "drop=0.1", "--reliable"]).is_err());
         assert!(with(&["--trace", "t.jsonl"]).is_err());
         assert!(with(&["--watch"]).is_err());
-        assert!(with(&["--adaptive", "--metrics"]).is_err());
         // Wire runs are implicitly reliable; saying so is harmless.
         assert!(with(&["--reliable"]).is_ok());
         // The leader still takes result/telemetry formatting flags.
@@ -2344,6 +2300,10 @@ mod tests {
         assert!(p(&["centrality", "--generate", "x", "--algorithm", "magic"]).is_err());
         assert!(p(&["info", "--input"]).is_err());
         assert!(p(&["gadget", "--kind", "bc"]).is_err());
+        // The removed event-driven mode is a usage error, not an unknown
+        // flag that silently changed meaning.
+        let err = p(&["centrality", "--generate", "path:8", "--adaptive"]).unwrap_err();
+        assert!(err.contains("--adaptive was removed"), "{err}");
     }
 
     #[test]

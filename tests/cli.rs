@@ -608,32 +608,47 @@ fn serve_sigterm_drains_and_exits_zero() {
     std::fs::remove_file(&sock).ok();
 }
 
-/// `--metrics` under `--adaptive` derives phase windows from the trace
-/// (satellite: the old stderr apology is gone).
+/// `--metrics` prints the phase table at the run's windows: depth-aware
+/// ones on a shallow ER graph, whose counting starts long before the
+/// N-only start `N + 2`, and the N-only ones on a path rooted at an end.
 #[test]
-fn adaptive_metrics_reports_phase_table() {
-    let run = distbc(&[
-        "centrality",
-        "--generate",
-        "er:30:0.15:3",
-        "--algorithm",
-        "distributed",
-        "--adaptive",
-        "--metrics",
-    ]);
-    assert!(run.status.success(), "{run:?}");
-    let text = stdout(&run);
-    assert!(text.contains("B:counting"), "{text}");
-    let err = String::from_utf8_lossy(&run.stderr).into_owned();
-    assert!(!err.contains("not yet derived"), "{err}");
-    assert!(!err.contains("no phase boundaries"), "{err}");
+fn metrics_reports_the_run_windows() {
+    for (spec, n, depth_aware) in [("er:30:0.15:3", 30u64, true), ("path:40", 40, false)] {
+        let run = distbc(&["centrality", "--generate", spec, "--metrics", "--csv"]);
+        assert!(run.status.success(), "{spec}: {run:?}");
+        let text = stdout(&run);
+        let counting: Vec<&str> = text
+            .lines()
+            .find(|l| l.starts_with("B:counting,"))
+            .unwrap_or_else(|| panic!("{spec}: no counting row in {text}"))
+            .split(',')
+            .collect();
+        let start: u64 = counting[1].parse().unwrap();
+        assert_eq!(
+            start < n + 2,
+            depth_aware,
+            "{spec}: counting starts at {start}"
+        );
+    }
 }
 
-/// Adaptive sampled runs whose sample leaves out node 0, the root of the
-/// DFS, used to panic ("own wave from a non-source"); the root now relays
-/// the token without a wave, as every sampled-out node does.
+/// The removed `--adaptive` flag is a usage error (exit 2) naming the
+/// change, not an unknown flag or a silent no-op.
 #[test]
-fn adaptive_sampled_run_without_the_root() {
+fn removed_adaptive_flag_is_a_usage_error() {
+    let run = distbc(&["centrality", "--generate", "path:8", "--adaptive"]);
+    assert_eq!(run.status.code(), Some(2), "{run:?}");
+    let err = String::from_utf8_lossy(&run.stderr).into_owned();
+    assert!(err.contains("--adaptive was removed"), "{err}");
+}
+
+/// Sampled runs whose sample leaves out node 0, the root of the DFS, used
+/// to panic ("own wave from a non-source"); the root now relays the token
+/// without a wave, as every sampled-out node does — on both sides of the
+/// depth limit (the path keeps the N-only windows, BA gets depth-aware
+/// ones).
+#[test]
+fn sampled_run_without_the_root() {
     for (spec, n) in [("path:40", 40), ("ba:300:2:5", 300)] {
         let run = distbc(&[
             "centrality",
@@ -641,7 +656,6 @@ fn adaptive_sampled_run_without_the_root() {
             spec,
             "--algorithm",
             "sampled:17",
-            "--adaptive",
             "--csv",
         ]);
         assert!(run.status.success(), "{spec}: {run:?}");

@@ -1,14 +1,14 @@
 //! The profiler must be observationally free: turning it on changes *no*
 //! protocol-visible output — betweenness values, round counts, message
 //! metrics, and phase stats are bit-identical with and without it, on
-//! every engine (serial, parallel, α-synchronizer) and both schedulers
-//! (provisioned and adaptive).
+//! every engine (serial, parallel, α-synchronizer) and both kinds of phase
+//! windows (depth-aware and N-only).
 
 use distbc::congest::asynchronous::{run_synchronized, run_synchronized_profiled, AsyncConfig};
 use distbc::congest::Profiler;
 use distbc::core::{
     run_distributed_bc, run_distributed_bc_profiled, AlgoOptions, DistBcConfig, DistBcNode,
-    Scheduling,
+    PhaseSchedule, Scheduling,
 };
 use distbc::graph::generators;
 
@@ -60,24 +60,27 @@ fn profiling_is_free_on_parallel_engine() {
 }
 
 #[test]
-fn profiling_is_free_on_adaptive_scheduler() {
-    assert_profiling_free(DistBcConfig {
-        scheduling: Scheduling::Adaptive,
-        ..DistBcConfig::default()
-    });
-    // Adaptive runs have no provisioned windows — the profile has no
-    // phase spans, but the totals still hold.
-    let g = generators::erdos_renyi_connected(36, 0.12, 17);
-    let (out, report) = run_distributed_bc_profiled(
-        &g,
-        DistBcConfig {
-            scheduling: Scheduling::Adaptive,
-            ..DistBcConfig::default()
-        },
-    )
-    .unwrap();
-    assert!(report.phases.is_empty());
-    assert_eq!(report.rounds, out.rounds);
+fn profiling_is_free_on_both_window_kinds() {
+    // ER(36) gets depth-aware windows, a path rooted at an end the N-only
+    // ones; either way the profile slices the run at its own windows.
+    for (g, depth_aware) in [
+        (generators::erdos_renyi_connected(36, 0.12, 17), true),
+        (generators::path(30), false),
+    ] {
+        let plain = run_distributed_bc(&g, DistBcConfig::default()).unwrap();
+        let (out, report) = run_distributed_bc_profiled(&g, DistBcConfig::default()).unwrap();
+        assert_eq!(plain.rounds, out.rounds);
+        assert_eq!(plain.metrics, out.metrics);
+        assert_eq!(plain.betweenness, out.betweenness);
+        let s = out.schedule;
+        assert_eq!(
+            s != PhaseSchedule::new(g.n(), Scheduling::DfsPipelined),
+            depth_aware
+        );
+        let starts: Vec<u64> = report.phases.iter().map(|p| p.start).collect();
+        assert_eq!(starts, [0, s.counting_start, s.reduce_start, s.agg_start]);
+        assert_eq!(report.rounds, out.rounds);
+    }
 }
 
 #[test]

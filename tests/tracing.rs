@@ -3,11 +3,14 @@
 //! analyzer, and confirm it re-derives the paper's schedule facts.
 
 use distbc::congest::asynchronous::{run_synchronized_traced, AsyncConfig};
-use distbc::congest::trace::{check, read_jsonl, JsonlSink, RingSink, TraceEvent};
+use distbc::congest::trace::{check, read_jsonl, JsonlSink, ProtocolDetail, RingSink, TraceEvent};
+use distbc::congest::Telemetry;
 use distbc::core::{
-    run_distributed_bc, run_distributed_bc_traced, AlgoOptions, DistBcConfig, DistBcNode,
+    run_distributed_bc, run_distributed_bc_traced, run_distributed_bc_traced_profiled, AlgoOptions,
+    DistBcConfig, DistBcNode, PhaseSchedule, Scheduling,
 };
 use distbc::graph::generators;
+use std::sync::Arc;
 
 /// The paper's Figure 1 example. The DFS visits the sources in preorder
 /// (v1..v5 = nodes 0..4), and the tightest Lemma-4-admissible schedule
@@ -27,6 +30,102 @@ fn assert_figure1_trace(events: &[TraceEvent]) {
         Some(vec![0, 2, 4, 6, 8]),
         "paper's minimal schedule for Figure 1"
     );
+}
+
+/// Every view shows the run's windows from one source: the trace's
+/// `Schedule` event, the telemetry phase labels and the profile's phase
+/// spans all equal `PhaseSchedule::for_graph`, and every node enters each
+/// phase inside its window. Path(64) is too deep for the depth flood and
+/// keeps the N-only windows; BA(200) gets the depth-aware ones.
+#[test]
+fn phase_entries_fall_inside_the_published_windows() {
+    for (name, g, depth_aware) in [
+        ("path:64", generators::path(64), false),
+        ("ba:200:2:5", generators::barabasi_albert(200, 2, 5), true),
+    ] {
+        let n = g.n();
+        let telemetry = Arc::new(Telemetry::new(1, 16));
+        let cfg = DistBcConfig {
+            telemetry: Some(telemetry.clone()),
+            ..DistBcConfig::default()
+        };
+        let (out, mut sink, profile) =
+            run_distributed_bc_traced_profiled(&g, cfg, Box::new(RingSink::new(1 << 22))).unwrap();
+        let s = out.schedule;
+        assert_eq!(
+            s,
+            PhaseSchedule::for_graph(&g, Scheduling::DfsPipelined, n),
+            "{name}"
+        );
+        assert_eq!(
+            s != PhaseSchedule::new(n, Scheduling::DfsPipelined),
+            depth_aware,
+            "{name}"
+        );
+        let events = sink.drain_events();
+        let report = check::check(&events);
+        assert!(report.ok(), "{name}: {report}");
+        assert!(report.window_findings.is_empty(), "{name}");
+        let declared = events.iter().find_map(|e| match e {
+            TraceEvent::Schedule {
+                counting_start,
+                reduce_start,
+                broadcast_start,
+                agg_start,
+            } => Some([*counting_start, *reduce_start, *broadcast_start, *agg_start]),
+            _ => None,
+        });
+        let windows = [
+            s.counting_start,
+            s.reduce_start,
+            s.broadcast_start,
+            s.agg_start,
+        ];
+        assert_eq!(declared, Some(windows), "{name}");
+        assert_eq!(telemetry.phase_label(s.counting_start - 1), "A:tree");
+        assert_eq!(telemetry.phase_label(s.counting_start), "B:counting");
+        assert_eq!(telemetry.phase_label(s.reduce_start), "C1:reduce");
+        assert_eq!(telemetry.phase_label(s.broadcast_start), "C2:bcast");
+        assert_eq!(telemetry.phase_label(s.agg_start), "D:aggregation");
+        let spans: Vec<(u64, u64)> = profile.phases.iter().map(|p| (p.start, p.end)).collect();
+        assert_eq!(
+            spans,
+            [
+                (0, s.counting_start),
+                (s.counting_start, s.reduce_start),
+                (s.reduce_start, s.agg_start),
+                (s.agg_start, out.rounds)
+            ],
+            "{name}"
+        );
+        // A node enters D when the root's broadcast reaches it, at the
+        // latest in the aggregation base round.
+        let mut entered = [0usize; 4];
+        for e in &events {
+            if let TraceEvent::Protocol {
+                round,
+                node,
+                detail: ProtocolDetail::PhaseEnter { phase },
+            } = e
+            {
+                let (i, lo, hi) = match phase {
+                    'A' => (0, 0, s.counting_start),
+                    'B' => (1, s.counting_start, s.reduce_start),
+                    'C' => (2, s.reduce_start, s.broadcast_start.max(s.reduce_start + 1)),
+                    _ => (3, s.broadcast_start, s.agg_start + 1),
+                };
+                assert!(
+                    (lo..hi).contains(round),
+                    "{name}: node {node} entered {phase} in round {round}, outside [{lo}, {hi})"
+                );
+                entered[i] += 1;
+            }
+        }
+        assert_eq!(
+            entered, [n; 4],
+            "{name}: every node enters every phase once"
+        );
+    }
 }
 
 #[test]
