@@ -10,11 +10,21 @@
 //! full [`bc_congest::ProfileReport`] per (family, engine) pair.
 
 use crate::ExperimentReport;
-use bc_congest::asynchronous::{run_synchronized_profiled, AsyncConfig};
+use bc_congest::asynchronous::{run_synchronized_with, AsyncConfig, SyncOptions};
 use bc_congest::{ProfileReport, Profiler, SCHEMA_VERSION};
-use bc_core::{run_distributed_bc_profiled, AlgoOptions, DistBcConfig, DistBcNode};
+use bc_core::{AlgoOptions, DistBcConfig, DistBcNode, DistBcResult, Instruments};
 use bc_graph::{generators, Graph};
 use std::fmt::Write as _;
+
+/// One profiled in-process run of `cfg` on `g` (E15–E19).
+pub(crate) fn profiled(g: &Graph, cfg: DistBcConfig) -> (DistBcResult, ProfileReport) {
+    let instruments = Instruments {
+        profile: true,
+        ..Instruments::default()
+    };
+    let run = bc_core::run(g, cfg, instruments).expect("run succeeds");
+    (run.result, run.profile.expect("profile requested"))
+}
 
 /// The shared graph families profiled by E15 and E16 (path / sparse
 /// Erdős–Rényi / Barabási–Albert at size `n`).
@@ -79,8 +89,7 @@ pub fn run(quick: bool) -> ExperimentReport {
         let gn = g.n();
         // Serial engine (the reference recording, also the pulse budget
         // for the synchronizer below).
-        let (serial_out, serial_profile) =
-            run_distributed_bc_profiled(&g, DistBcConfig::default()).expect("serial runs");
+        let (serial_out, serial_profile) = profiled(&g, DistBcConfig::default());
         rep.push_perf(
             &family,
             serial_out.rounds,
@@ -94,14 +103,13 @@ pub fn run(quick: bool) -> ExperimentReport {
         ));
 
         // Parallel engine: same run, worker utilization/imbalance added.
-        let (_, parallel_profile) = run_distributed_bc_profiled(
+        let (_, parallel_profile) = profiled(
             &g,
             DistBcConfig {
                 threads,
                 ..DistBcConfig::default()
             },
-        )
-        .expect("parallel runs");
+        );
         push_profile_row(&mut rep, &family, &parallel_profile);
         json_entries.push(format!(
             "{{\"graph\":\"{family}\",\"profile\":{}}}",
@@ -110,14 +118,20 @@ pub fn run(quick: bool) -> ExperimentReport {
 
         // α-synchronizer: per-pulse compute plus skew/queue counters.
         let opts = AlgoOptions::for_graph_size(gn);
-        let (_, _, profiler) = run_synchronized_profiled(
+        let (_, _, options) = run_synchronized_with(
             &g,
             AsyncConfig::default(),
             serial_out.rounds + 1,
             |v, _| DistBcNode::new(gn, v, opts.clone()),
-            Profiler::new(),
+            SyncOptions {
+                profiler: Some(Profiler::new()),
+                ..SyncOptions::default()
+            },
         );
-        let sync_profile = profiler.report("alpha-sync", &[]);
+        let sync_profile = options
+            .profiler
+            .expect("profiler returned")
+            .report("alpha-sync", &[]);
         push_profile_row(&mut rep, &family, &sync_profile);
         json_entries.push(format!(
             "{{\"graph\":\"{family}\",\"profile\":{}}}",

@@ -11,11 +11,11 @@
 
 use crate::ExperimentReport;
 use bc_congest::{ProfileReport, Telemetry, SCHEMA_VERSION};
-use bc_core::{run_distributed_bc_profiled, DistBcConfig};
+use bc_core::DistBcConfig;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use super::e15_profile::families;
+use super::e15_profile::{families, profiled};
 
 fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
@@ -28,9 +28,9 @@ fn best_profile(
     cfg: &DistBcConfig,
     reps: usize,
 ) -> (bc_core::DistBcResult, ProfileReport) {
-    let (out, mut best) = run_distributed_bc_profiled(g, cfg.clone()).expect("run succeeds");
+    let (out, mut best) = profiled(g, cfg.clone());
     for _ in 1..reps {
-        let (_, p) = run_distributed_bc_profiled(g, cfg.clone()).expect("run succeeds");
+        let (_, p) = profiled(g, cfg.clone());
         if p.wall_ns < best.wall_ns {
             best = p;
         }

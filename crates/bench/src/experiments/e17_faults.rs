@@ -17,10 +17,10 @@
 
 use crate::ExperimentReport;
 use bc_congest::{FaultPlan, SCHEMA_VERSION};
-use bc_core::{run_distributed_bc, run_distributed_bc_profiled, DistBcConfig};
+use bc_core::{run_distributed_bc, DistBcConfig};
 use std::fmt::Write as _;
 
-use super::e15_profile::families;
+use super::e15_profile::{families, profiled};
 
 /// Drop rates of the sweep, in permille (0 = reliable mode on a clean
 /// network, measuring the pure pipeline/ack overhead).
@@ -66,7 +66,7 @@ pub fn run(quick: bool) -> ExperimentReport {
                 reliable: true,
                 ..DistBcConfig::default()
             };
-            let (out, profile) = run_distributed_bc_profiled(&g, cfg).expect("reliable run");
+            let (out, profile) = profiled(&g, cfg);
             assert_eq!(
                 out.betweenness, baseline.betweenness,
                 "{family} drop={drop_pm}‰: reliable run diverged from fault-free baseline"

@@ -21,9 +21,10 @@
 //! artifact: on a single-core host parity is the physical floor and the
 //! ratio measures pure data-plane overhead.
 
+use super::e15_profile::profiled;
 use crate::ExperimentReport;
 use bc_congest::SCHEMA_VERSION;
-use bc_core::{run_distributed_bc_profiled, DistBcConfig, PartitionStrategy};
+use bc_core::{DistBcConfig, PartitionStrategy};
 use bc_graph::{generators, Graph};
 use std::fmt::Write as _;
 
@@ -48,9 +49,9 @@ fn best_wall(
     cfg: &DistBcConfig,
     reps: usize,
 ) -> (bc_core::DistBcResult, bc_congest::ProfileReport) {
-    let (out, mut best) = run_distributed_bc_profiled(g, cfg.clone()).expect("run succeeds");
+    let (out, mut best) = profiled(g, cfg.clone());
     for _ in 1..reps {
-        let (_, p) = run_distributed_bc_profiled(g, cfg.clone()).expect("run succeeds");
+        let (_, p) = profiled(g, cfg.clone());
         if p.wall_ns < best.wall_ns {
             best = p;
         }

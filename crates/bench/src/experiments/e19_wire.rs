@@ -11,11 +11,12 @@
 //! CONGEST metrics) before it is emitted; the lossy row asserts result
 //! identity only, since retransmits legitimately inflate its metrics.
 
+use super::e15_profile::profiled;
 use crate::ExperimentReport;
 use bc_congest::wire::LossyProxy;
 use bc_congest::{FaultPlan, Partition, SCHEMA_VERSION};
 use bc_core::wire::run_leader;
-use bc_core::{run_distributed_bc_profiled, DistBcConfig, DistBcResult};
+use bc_core::{DistBcConfig, DistBcResult};
 use bc_graph::{generators, Graph};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -118,8 +119,7 @@ pub fn run(quick: bool) -> ExperimentReport {
             threads: 0,
             ..DistBcConfig::default()
         };
-        let (oracle, serial_profile) =
-            run_distributed_bc_profiled(&g, serial_cfg).expect("serial oracle");
+        let (oracle, serial_profile) = profiled(&g, serial_cfg);
         let serial_wall = serial_profile.wall_ns;
         let mut emit = |engine: &str,
                         rounds: u64,

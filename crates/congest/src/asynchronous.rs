@@ -21,6 +21,10 @@
 //! full betweenness protocol. The price is the classic α-synchronizer
 //! overhead: `O(M)` control messages per pulse and a constant-factor
 //! time dilation.
+//!
+//! Two entry points: [`run_synchronized`] for a bare run, and
+//! [`run_synchronized_with`], whose [`SyncOptions`] attach a fault plan,
+//! telemetry, a trace sink and a profiler in any combination.
 
 use crate::faults::{self, FaultPlan};
 use crate::message::Message;
@@ -374,6 +378,39 @@ impl<P: Protocol> Engine<'_, P> {
     }
 }
 
+/// Optional attachments of a synchronized run (see
+/// [`run_synchronized_with`]). None of them alters the execution: node
+/// states and the [`AsyncReport`] are bit-identical to a bare
+/// [`run_synchronized`] (fault plans aside, which change what is
+/// delivered).
+#[derive(Default)]
+pub struct SyncOptions {
+    /// Applied to every payload delivery: drops, duplicates, corruptions
+    /// and pulse-delays are decided by the same seeded hash as the
+    /// synchronous engines (keyed on the *sender's* pulse), and crashed
+    /// nodes skip their protocol code while the synchronizer keeps the
+    /// network live. Synchronizer control traffic (acks, safes) is never
+    /// faulted — the fault model targets application messages, mirroring
+    /// the synchronous engines which only carry application messages.
+    pub faults: Option<FaultPlan>,
+    /// Receives payload/control message counts, nodes stepped, and inbox
+    /// depths as pulses execute; a flight-recorder round is committed each
+    /// time the first node enters the next pulse.
+    pub telemetry: Option<Arc<Telemetry>>,
+    /// Receives one `RoundStart` when the first node enters each pulse,
+    /// and each node's protocol events and payload `MessageSent`s as its
+    /// pulse executes. Event order across nodes follows the asynchronous
+    /// schedule (not node-id order), but every event carries its pulse, so
+    /// [`crate::trace::check`] applies unchanged.
+    pub sink: Option<Box<dyn TraceSink>>,
+    /// Records per-pulse node-compute spans (pulses execute out of node
+    /// order, so only compute time is attributed — there is no meaningful
+    /// per-pulse engine span), plus synchronizer counters (payload
+    /// deliveries, pulse-skewed deliveries, maximum pulse skew, event-queue
+    /// high-water mark).
+    pub profiler: Option<Profiler>,
+}
+
 /// Runs `pulses` synchronous rounds of protocol `P` on an asynchronous
 /// network with randomized FIFO delays, using the α-synchronizer. Returns
 /// the node states (identical to `pulses` rounds of the synchronous
@@ -392,133 +429,25 @@ where
     P: Protocol,
     F: FnMut(NodeId, &Graph) -> P,
 {
-    let (nodes, report, _, _) = run_impl(graph, cfg, pulses, factory, None, None, None, None);
+    let (nodes, report, _) =
+        run_synchronized_with(graph, cfg, pulses, factory, SyncOptions::default());
     (nodes, report)
 }
 
-/// Like [`run_synchronized`], but records payload/control message counts,
-/// nodes stepped, and inbox depths into `telemetry` as pulses execute, and
-/// commits a flight-recorder round each time the first node enters the
-/// next pulse. Pass `plan` to combine with fault injection. Telemetry
-/// writes counters only — node states and the [`AsyncReport`] are
-/// bit-identical to an untelemetered run.
-pub fn run_synchronized_telemetry<P, F>(
-    graph: &Graph,
-    cfg: AsyncConfig,
-    pulses: u64,
-    plan: Option<FaultPlan>,
-    factory: F,
-    telemetry: Arc<Telemetry>,
-) -> (Vec<P>, AsyncReport)
-where
-    P: Protocol,
-    F: FnMut(NodeId, &Graph) -> P,
-{
-    let (nodes, report, _, _) = run_impl(
-        graph,
-        cfg,
-        pulses,
-        factory,
-        None,
-        None,
-        Some(telemetry),
-        plan,
-    );
-    (nodes, report)
-}
-
-/// Like [`run_synchronized`], but applies `plan` to every payload delivery:
-/// drops, duplicates, corruptions and pulse-delays are decided by the same
-/// seeded hash as the synchronous engines (keyed on the *sender's* pulse),
-/// and crashed nodes skip their protocol code while the synchronizer keeps
-/// the network live. Synchronizer control traffic (acks, safes) is never
-/// faulted — the fault model targets application messages, mirroring the
-/// synchronous engines which only carry application messages.
-pub fn run_synchronized_faulty<P, F>(
-    graph: &Graph,
-    cfg: AsyncConfig,
-    pulses: u64,
-    plan: FaultPlan,
-    factory: F,
-) -> (Vec<P>, AsyncReport)
-where
-    P: Protocol,
-    F: FnMut(NodeId, &Graph) -> P,
-{
-    let (nodes, report, _, _) = run_impl(graph, cfg, pulses, factory, None, None, None, Some(plan));
-    (nodes, report)
-}
-
-/// Like [`run_synchronized`], but records wall-clock profiling data into
-/// `profiler`: per-pulse node-compute spans (pulses execute out of node
-/// order, so only compute time is attributed — there is no meaningful
-/// per-pulse engine span), plus synchronizer counters (payload deliveries,
-/// pulse-skewed deliveries, maximum pulse skew, event-queue high-water
-/// mark). Profiling never alters the execution: node states and the
-/// [`AsyncReport`] are bit-identical to an unprofiled run.
-pub fn run_synchronized_profiled<P, F>(
-    graph: &Graph,
-    cfg: AsyncConfig,
-    pulses: u64,
-    factory: F,
-    profiler: Profiler,
-) -> (Vec<P>, AsyncReport, Profiler)
-where
-    P: Protocol,
-    F: FnMut(NodeId, &Graph) -> P,
-{
-    let (nodes, report, _, profiler) = run_impl(
-        graph,
-        cfg,
-        pulses,
-        factory,
-        None,
-        Some(profiler),
-        None,
-        None,
-    );
-    (nodes, report, profiler.expect("profiler returned"))
-}
-
-/// Like [`run_synchronized`], but emits [`TraceEvent`]s into `sink` as the
-/// synchronizer executes: one `RoundStart` when the first node enters each
-/// pulse, each node's protocol events and payload `MessageSent`s as its
-/// pulse executes. Event order across nodes follows the asynchronous
-/// schedule (not node-id order), but every event carries its pulse, so
-/// [`crate::trace::check`] applies unchanged. Returns the sink for
-/// flushing/draining.
-pub fn run_synchronized_traced<P, F>(
-    graph: &Graph,
-    cfg: AsyncConfig,
-    pulses: u64,
-    factory: F,
-    sink: Box<dyn TraceSink>,
-) -> (Vec<P>, AsyncReport, Box<dyn TraceSink>)
-where
-    P: Protocol,
-    F: FnMut(NodeId, &Graph) -> P,
-{
-    let (nodes, report, sink, _) =
-        run_impl(graph, cfg, pulses, factory, Some(sink), None, None, None);
-    (nodes, report, sink.expect("sink returned"))
-}
-
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
-fn run_impl<P, F>(
+/// [`run_synchronized`] with the attachments in `options`, which come
+/// back with the run: the sink for flushing or draining, the profiler
+/// holding the recording.
+///
+/// # Panics
+///
+/// Panics if the graph is empty.
+pub fn run_synchronized_with<P, F>(
     graph: &Graph,
     cfg: AsyncConfig,
     pulses: u64,
     mut factory: F,
-    sink: Option<Box<dyn TraceSink>>,
-    profiler: Option<Profiler>,
-    telemetry: Option<Arc<Telemetry>>,
-    faults: Option<FaultPlan>,
-) -> (
-    Vec<P>,
-    AsyncReport,
-    Option<Box<dyn TraceSink>>,
-    Option<Profiler>,
-)
+    options: SyncOptions,
+) -> (Vec<P>, AsyncReport, SyncOptions)
 where
     P: Protocol,
     F: FnMut(NodeId, &Graph) -> P,
@@ -548,10 +477,10 @@ where
         pulse_limit: pulses,
         payload_messages: 0,
         control_messages: 0,
-        sink,
-        profiler,
-        telemetry,
-        faults,
+        sink: options.sink,
+        profiler: options.profiler,
+        telemetry: options.telemetry,
+        faults: options.faults,
         rounds_announced: 0,
         stage_sends: Vec::new(),
         stage_events: Vec::new(),
@@ -582,13 +511,16 @@ where
         payload_messages: engine.payload_messages,
         control_messages: engine.control_messages,
     };
-    let sink = engine.sink.take();
-    let profiler = engine.profiler.take();
+    let options = SyncOptions {
+        faults: engine.faults.take(),
+        telemetry: engine.telemetry.take(),
+        sink: engine.sink.take(),
+        profiler: engine.profiler.take(),
+    };
     (
         engine.nodes.into_iter().map(|n| n.inner).collect(),
         report,
-        sink,
-        profiler,
+        options,
     )
 }
 

@@ -83,13 +83,16 @@ pub use faults::{CrashWindow, FaultDecision, FaultPlan};
 pub use message::Message;
 pub use metrics::{EdgeCut, NetMetrics, PhaseStat};
 pub use network::{
-    Budget, Config, CongestError, Enforcement, Network, Protocol, RoundCtx, RunReport,
+    canonical_abort, Budget, Config, CongestError, Enforcement, Network, Protocol, RoundCtx,
+    RunReport,
 };
 pub use partition::{Partition, ShardMap, ShardSkew};
 pub use profile::{
-    PhaseSpan, ProfileReport, Profiler, RoundSpan, Straggler, SyncStats, WorkerStats,
+    PhaseSpan, ProfRow, ProfileReport, Profiler, RoundSpan, Straggler, SyncStats, WorkerStats,
 };
-pub use telemetry::{Counter, Postmortem, Telemetry, TelemetryHandle, SCHEMA_VERSION};
+pub use telemetry::{
+    Counter, Postmortem, StragglerBaseline, Telemetry, TelemetryHandle, SCHEMA_VERSION,
+};
 
 #[cfg(test)]
 mod tests {
@@ -548,14 +551,17 @@ mod tests {
         sync.set_trace_sink(Box::new(trace::RingSink::new(1 << 20)));
         let rounds = sync.run(10_000).unwrap().rounds;
         let sync_events = sync.take_trace_sink().unwrap().drain_events();
-        let (_, _, mut sink) = asynchronous::run_synchronized_traced(
+        let (_, _, options) = asynchronous::run_synchronized_with(
             &g,
             asynchronous::AsyncConfig::default(),
             rounds,
             |_, _| Flood::new(),
-            Box::new(trace::RingSink::new(1 << 20)),
+            asynchronous::SyncOptions {
+                sink: Some(Box::new(trace::RingSink::new(1 << 20))),
+                ..Default::default()
+            },
         );
-        let async_events = sink.drain_events();
+        let async_events = options.sink.unwrap().drain_events();
         // The synchronizer emits events in asynchronous schedule order;
         // the multiset of message sends must match the synchronous run.
         let key = |es: &[TraceEvent]| -> BTreeSet<(u64, u32, u32, usize)> {

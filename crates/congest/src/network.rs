@@ -43,7 +43,7 @@ use crate::faults::{self, FaultPlan};
 use crate::message::Message;
 use crate::metrics::{EdgeCut, NetMetrics, SendTally};
 use crate::partition::{Partition, ShardMap};
-use crate::profile::{Profiler, RoundSpan};
+use crate::profile::{ProfRow, Profiler, RoundSpan};
 use crate::telemetry::{Telemetry, TelemetryHandle};
 use crate::trace::{ProtocolDetail, TraceEvent, TraceSink, ViolationKind};
 use crate::wake::WakeSet;
@@ -808,16 +808,8 @@ struct WorkerReply {
     panic: Option<(NodeId, String)>,
     /// Messages this worker delivered for the next round (intra + cross).
     routed: u64,
-    /// Of `routed`, messages that stayed within this worker's own shard.
-    intra: u64,
-    /// Of `routed`, messages routed to a different worker's shard.
-    cross: u64,
-    busy_ns: u64,
-    compute_ns: u64,
-    /// Time spent draining peer lanes and routing/validating sends.
-    route_ns: u64,
-    inbox_messages: u64,
-    nodes_stepped: u64,
+    /// The round's timings (zero unless profiling) and tallies.
+    prof: ProfRow,
     all_halted: bool,
 }
 
@@ -920,18 +912,6 @@ impl RoundSync {
     }
 }
 
-/// One worker's per-round profiling sample from a free-running run,
-/// assembled into [`RoundSpan`]s by the main thread after the join.
-struct ProfRow {
-    busy_ns: u64,
-    compute_ns: u64,
-    route_ns: u64,
-    inbox_messages: u64,
-    nodes_stepped: u64,
-    intra: u64,
-    cross: u64,
-}
-
 /// What a free-running worker reports at join time, replacing the
 /// per-round [`WorkerReply`] stream of the orchestrated path.
 struct FreeRunStats {
@@ -967,6 +947,44 @@ fn error_node(err: &CongestError) -> NodeId {
         | CongestError::Oversized { node, .. }
         | CongestError::NodePanic { node, .. } => *node,
         CongestError::RoundLimit { .. } => NodeId::MAX,
+    }
+}
+
+/// Canonical abort attribution across the shards of one round, the rule
+/// the pooled engine and the socket leader share: the lowest-id panicking
+/// node wins (the serial engine stops there and never observes anything
+/// later nodes did), stamped with `round`; otherwise the lowest-id
+/// violation. Each shard reports its own first panic and violation.
+///
+/// # Errors
+///
+/// The canonical [`CongestError`], if any shard reported one.
+pub fn canonical_abort<'a>(
+    reports: impl IntoIterator<Item = (&'a Option<(NodeId, String)>, Option<&'a CongestError>)>,
+    round: u64,
+) -> Result<(), CongestError> {
+    let mut panic: Option<&(NodeId, String)> = None;
+    let mut error: Option<&CongestError> = None;
+    for (p, e) in reports {
+        if let Some(p) = p {
+            if panic.is_none_or(|q| p.0 < q.0) {
+                panic = Some(p);
+            }
+        }
+        if let Some(e) = e {
+            if error.is_none_or(|f| error_node(e) < error_node(f)) {
+                error = Some(e);
+            }
+        }
+    }
+    match (panic, error) {
+        (Some((node, message)), _) => Err(CongestError::NodePanic {
+            node: *node,
+            round,
+            message: message.clone(),
+        }),
+        (None, Some(e)) => Err(e.clone()),
+        (None, None) => Ok(()),
     }
 }
 
@@ -1045,20 +1063,21 @@ impl<P: Protocol> ShardWorker<'_, P> {
                         break;
                     }
                 }
-                WorkerCmd::Finish { deliver } => {
-                    if deliver && self.lanes_live {
-                        // One batch per peer lane is still in flight from
-                        // the final stepped round; deliver it so the
-                        // returned inboxes match the serial engine's
-                        // post-swap state.
-                        self.drain_lanes();
-                        for &local in &self.touched {
-                            sort_inbox(&mut self.inboxes[local as usize]);
-                        }
-                        self.touched.clear();
-                    }
-                    break;
-                }
+                WorkerCmd::Finish { deliver } => return self.into_handoff(deliver),
+            }
+        }
+        self.into_handoff(false)
+    }
+
+    /// Ends the worker's run and hands its shard back. On a clean ending
+    /// (`deliver`) one batch per peer lane is still in flight from the
+    /// final stepped round; it is delivered so the returned inboxes match
+    /// the serial engine's post-swap state.
+    fn into_handoff(mut self, deliver: bool) -> ShardHandoff<P> {
+        if deliver && self.lanes_live {
+            self.drain_lanes();
+            for &local in &self.touched {
+                sort_inbox(&mut self.inboxes[local as usize]);
             }
         }
         (self.nodes, self.inboxes, self.metrics)
@@ -1148,15 +1167,7 @@ impl<P: Protocol> ShardWorker<'_, P> {
             }
             stats.rounds += 1;
             if profiling {
-                stats.prof.push(ProfRow {
-                    busy_ns: reply.busy_ns,
-                    compute_ns: reply.compute_ns,
-                    route_ns: reply.route_ns,
-                    inbox_messages: reply.inbox_messages,
-                    nodes_stepped: reply.nodes_stepped,
-                    intra: reply.intra,
-                    cross: reply.cross,
-                });
+                stats.prof.push(reply.prof);
                 if let Some(t0) = round_start {
                     stats.round_wall_ns.push(t0.elapsed().as_nanos() as u64);
                 }
@@ -1166,16 +1177,7 @@ impl<P: Protocol> ShardWorker<'_, P> {
                 _ => break true, // quiescent or round limit: clean ending
             }
         };
-        if deliver && self.lanes_live {
-            // Same final drain as `WorkerCmd::Finish { deliver: true }`:
-            // the last stepped round's batches are still in flight.
-            self.drain_lanes();
-            for &local in &self.touched {
-                sort_inbox(&mut self.inboxes[local as usize]);
-            }
-            self.touched.clear();
-        }
-        ((self.nodes, self.inboxes, self.metrics), stats)
+        (self.into_handoff(deliver), stats)
     }
 
     /// Moves every peer's in-flight batch (and the worker's own intra-shard
@@ -1422,15 +1424,15 @@ impl<P: Protocol> ShardWorker<'_, P> {
             first_error,
             panic,
             routed,
-            intra,
-            cross,
-            busy_ns: busy_start
-                .map(|t| t.elapsed().as_nanos() as u64)
-                .unwrap_or(0),
-            compute_ns,
-            route_ns,
-            inbox_messages,
-            nodes_stepped,
+            prof: ProfRow {
+                busy_ns: busy_start.map_or(0, |t| t.elapsed().as_nanos() as u64),
+                compute_ns,
+                route_ns,
+                inbox_messages,
+                nodes_stepped,
+                intra,
+                cross,
+            },
             all_halted,
         }
     }
@@ -1619,62 +1621,25 @@ impl<P: Protocol + Send> Network<P> {
                 }
                 if let Some(p) = profiler.as_mut() {
                     for r in 0..committed as usize {
-                        let mut worker_busy_ns = Vec::with_capacity(workers);
-                        let mut worker_route_ns = Vec::with_capacity(workers);
-                        let mut compute_ns = 0u64;
-                        let mut inbox_messages = 0u64;
-                        let mut nodes_stepped = 0u64;
-                        let (mut cross, mut intra) = (0u64, 0u64);
-                        for s in &stats {
-                            let row = &s.prof[r];
-                            worker_busy_ns.push(row.busy_ns);
-                            worker_route_ns.push(row.route_ns);
-                            compute_ns += row.compute_ns;
-                            inbox_messages += row.inbox_messages;
-                            nodes_stepped += row.nodes_stepped;
-                            cross += row.cross;
-                            intra += row.intra;
-                        }
-                        p.record_round(RoundSpan {
-                            round: start_round + r as u64,
-                            total_ns: stats[0].round_wall_ns[r],
-                            compute_ns,
-                            inbox_messages,
-                            nodes_stepped,
-                            worker_busy_ns,
-                            worker_route_ns,
-                            cross_shard_messages: cross,
-                            intra_shard_messages: intra,
-                        });
+                        p.record_round(RoundSpan::fold(
+                            start_round + r as u64,
+                            stats[0].round_wall_ns[r],
+                            stats.iter().map(|s| s.prof[r]),
+                        ));
                     }
                 }
-                // Canonical abort attribution, same as the orchestrated
-                // path: lowest-id panicking node wins; under strict
-                // enforcement the lowest-id violation below it is next.
-                let first_panic: Option<(NodeId, String)> = stats
-                    .iter()
-                    .filter_map(|s| s.panic.clone())
-                    .min_by_key(|&(v, _)| v);
-                let clip = first_panic.as_ref().map_or(NodeId::MAX, |&(v, _)| v);
-                let first_error: Option<CongestError> = stats
-                    .iter()
-                    .filter_map(|s| s.first_error.as_ref())
-                    .filter(|e| error_node(e) < clip)
-                    .min_by_key(|e| error_node(e))
-                    .cloned();
-                let run_result = if let Some((node, message)) = first_panic {
-                    Err(CongestError::NodePanic {
-                        node,
-                        round: *round_ref,
-                        message,
-                    })
-                } else if let Some(err) = first_error {
-                    Err(err)
-                } else if sync_ref.verdict.load(Ordering::Acquire) == VERDICT_ROUND_LIMIT {
-                    Err(CongestError::RoundLimit { max_rounds })
-                } else {
-                    Ok(RunReport { rounds: *round_ref })
-                };
+                // Strict-mode violations only reach the stats when strict.
+                let run_result = canonical_abort(
+                    stats.iter().map(|s| (&s.panic, s.first_error.as_ref())),
+                    *round_ref,
+                )
+                .and_then(|()| {
+                    if sync_ref.verdict.load(Ordering::Acquire) == VERDICT_ROUND_LIMIT {
+                        Err(CongestError::RoundLimit { max_rounds })
+                    } else {
+                        Ok(RunReport { rounds: *round_ref })
+                    }
+                });
                 return (run_result, handoff);
             }
 
@@ -1694,6 +1659,7 @@ impl<P: Protocol + Send> Network<P> {
             let mut inject_bufs: Vec<Vec<(u32, usize, Message)>> =
                 (0..workers).map(|_| Vec::new()).collect();
 
+            let strict = matches!(enforcement, Enforcement::Strict);
             let run_result = loop {
                 let round = *round_ref;
                 // Group due fault-delayed messages per destination shard,
@@ -1728,21 +1694,19 @@ impl<P: Protocol + Send> Network<P> {
                     .map(|rx| rx.recv().expect("pool worker alive"))
                     .collect();
 
-                // Canonical abort attribution: the serial engine stops at
-                // the lowest-id panicking node and never observes anything
-                // later nodes did, so merges below are clipped to ids
-                // strictly under it.
-                let first_panic: Option<(NodeId, String)> = replies
-                    .iter()
-                    .filter_map(|r| r.panic.clone())
-                    .min_by_key(|&(v, _)| v);
-                let clip = first_panic.as_ref().map_or(NodeId::MAX, |&(v, _)| v);
-                let first_error: Option<CongestError> = replies
-                    .iter()
-                    .filter_map(|r| r.first_error.as_ref())
-                    .filter(|e| error_node(e) < clip)
-                    .min_by_key(|e| error_node(e))
-                    .cloned();
+                // Canonical abort attribution; the serial engine never
+                // observes anything nodes after a panicking one did, so
+                // the merges below are clipped to ids strictly under it.
+                let abort = canonical_abort(
+                    replies
+                        .iter()
+                        .map(|r| (&r.panic, r.first_error.as_ref().filter(|_| strict))),
+                    round,
+                );
+                let clip = match &abort {
+                    Err(CongestError::NodePanic { node, .. }) => *node,
+                    _ => NodeId::MAX,
+                };
 
                 // K-way merge of the workers' trace buffers in ascending
                 // node-id order (each worker's index is already ascending)
@@ -1788,27 +1752,8 @@ impl<P: Protocol + Send> Network<P> {
                     }
                 }
 
-                let mut worker_busy_ns = Vec::new();
-                let mut worker_route_ns = Vec::new();
-                let mut compute_ns = 0u64;
-                let mut inbox_messages = 0u64;
-                let mut nodes_stepped = 0u64;
-                let (mut cross, mut intra) = (0u64, 0u64);
-                let mut pending = 0u64;
-                let mut all_halted = true;
-                for rep in &replies {
-                    nodes_stepped += rep.nodes_stepped;
-                    all_halted &= rep.all_halted;
-                    pending += rep.routed;
-                    if profiling {
-                        worker_busy_ns.push(rep.busy_ns);
-                        worker_route_ns.push(rep.route_ns);
-                        compute_ns += rep.compute_ns;
-                        inbox_messages += rep.inbox_messages;
-                        cross += rep.cross;
-                        intra += rep.intra;
-                    }
-                }
+                let pending: u64 = replies.iter().map(|r| r.routed).sum();
+                let all_halted = replies.iter().all(|r| r.all_halted);
                 for (w, rep) in replies.iter_mut().enumerate() {
                     let mut bufs = std::mem::take(&mut rep.bufs);
                     bufs.index.clear();
@@ -1816,15 +1761,8 @@ impl<P: Protocol + Send> Network<P> {
                     bufs.delayed.clear();
                     step_bufs[w] = Some(bufs);
                 }
-                if let Some((node, message)) = first_panic {
-                    break Err(CongestError::NodePanic {
-                        node,
-                        round,
-                        message,
-                    });
-                }
-                if let (Some(err), Enforcement::Strict) = (&first_error, enforcement) {
-                    break Err(err.clone());
+                if let Err(e) = abort {
+                    break Err(e);
                 }
                 *round_ref += 1;
                 metrics.rounds = *round_ref;
@@ -1832,17 +1770,11 @@ impl<P: Protocol + Send> Network<P> {
                     t.finish_round(round);
                 }
                 if let (Some(t0), Some(p)) = (round_start, profiler.as_mut()) {
-                    p.record_round(RoundSpan {
+                    p.record_round(RoundSpan::fold(
                         round,
-                        total_ns: t0.elapsed().as_nanos() as u64,
-                        compute_ns,
-                        inbox_messages,
-                        nodes_stepped,
-                        worker_busy_ns,
-                        worker_route_ns,
-                        cross_shard_messages: cross,
-                        intra_shard_messages: intra,
-                    });
+                        t0.elapsed().as_nanos() as u64,
+                        replies.iter().map(|r| r.prof),
+                    ));
                 }
                 if pending == 0 && all_halted && delayed.is_empty() {
                     break Ok(RunReport { rounds: *round_ref });

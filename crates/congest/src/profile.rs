@@ -26,7 +26,7 @@
 //! host, not the algorithm — which is why they live here and never in
 //! [`crate::NetMetrics`].
 
-use crate::telemetry::{SCHEMA_VERSION, STRAGGLER_FACTOR};
+use crate::telemetry::{StragglerBaseline, SCHEMA_VERSION};
 use std::fmt;
 use std::time::Instant;
 
@@ -64,6 +64,49 @@ pub struct RoundSpan {
     pub intra_shard_messages: u64,
 }
 
+impl RoundSpan {
+    /// Joins one [`ProfRow`] per shard, in shard order, into the span of
+    /// `round`, which took `total_ns` of wall time — the one fold the
+    /// in-process pool and the socket leader both apply.
+    pub fn fold(round: u64, total_ns: u64, rows: impl IntoIterator<Item = ProfRow>) -> RoundSpan {
+        let mut span = RoundSpan {
+            round,
+            total_ns,
+            ..RoundSpan::default()
+        };
+        for row in rows {
+            span.worker_busy_ns.push(row.busy_ns);
+            span.worker_route_ns.push(row.route_ns);
+            span.compute_ns += row.compute_ns;
+            span.inbox_messages += row.inbox_messages;
+            span.nodes_stepped += row.nodes_stepped;
+            span.cross_shard_messages += row.cross;
+            span.intra_shard_messages += row.intra;
+        }
+        span
+    }
+}
+
+/// One committed round's timings and tallies from one shard: a worker of
+/// the in-process pool or a socket shard process.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ProfRow {
+    /// Wall time this shard spent inside the round (ns).
+    pub busy_ns: u64,
+    /// Time inside `Protocol::round` calls (ns).
+    pub compute_ns: u64,
+    /// Time delivering, routing, and publishing messages (ns).
+    pub route_ns: u64,
+    /// Messages delivered to this shard's nodes this round.
+    pub inbox_messages: u64,
+    /// Nodes actually stepped (idle-skipped nodes excluded).
+    pub nodes_stepped: u64,
+    /// Messages routed shard-locally.
+    pub intra: u64,
+    /// Messages routed to peer shards.
+    pub cross: u64,
+}
+
 /// Pulse-skew and queue counters specific to the α-synchronizer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SyncCounters {
@@ -82,7 +125,7 @@ pub struct SyncCounters {
 /// A wall-clock profiler one engine run writes into.
 ///
 /// Install with `Network::set_profiler` (round engines) or
-/// `asynchronous::run_synchronized_profiled`, then turn the recording into
+/// `asynchronous::SyncOptions::profiler`, then turn the recording into
 /// a [`ProfileReport`] with [`Profiler::report`].
 #[derive(Debug, Default)]
 pub struct Profiler {
@@ -267,53 +310,45 @@ impl Profiler {
 }
 
 /// Flags rounds whose worker busy time or inbox depth exceeds a robust
-/// baseline (median × [`STRAGGLER_FACTOR`]), worst offenders first.
+/// baseline ([`StragglerBaseline`]), worst offenders first.
 ///
 /// Two baselines are used: within each round, a worker is a straggler
 /// when its busy time exceeds the round's median worker busy time × k
 /// (load imbalance); across rounds, a round is an inbox-depth anomaly
-/// when its delivered-message count exceeds the run's median × k.
-/// Absolute floors (200 µs busy, 32 messages) keep noise on tiny rounds
-/// from being flagged.
+/// when its delivered-message count exceeds the run's median × k (over at
+/// least 8 rounds). Absolute floors (200 µs busy, 32 messages) keep noise
+/// on tiny rounds from being flagged.
 fn detect_stragglers(spans: &[RoundSpan]) -> Vec<Straggler> {
     const BUSY_FLOOR_NS: u64 = 200_000;
     const INBOX_FLOOR: u64 = 32;
     let mut out = Vec::new();
     for span in spans {
-        if span.worker_busy_ns.len() > 1 {
-            let mut sorted = span.worker_busy_ns.clone();
-            sorted.sort_unstable();
-            let median = sorted[sorted.len() / 2];
-            for (w, &busy) in span.worker_busy_ns.iter().enumerate() {
-                if median > 0
-                    && busy > BUSY_FLOOR_NS
-                    && busy > median.saturating_mul(STRAGGLER_FACTOR)
-                {
-                    out.push(Straggler {
-                        kind: "worker_busy",
-                        round: span.round,
-                        worker: Some(w),
-                        value: busy,
-                        baseline: median,
-                    });
-                }
+        let Some(b) = StragglerBaseline::of(&mut span.worker_busy_ns.clone(), 2, BUSY_FLOOR_NS)
+        else {
+            continue;
+        };
+        for (w, &busy) in span.worker_busy_ns.iter().enumerate() {
+            if b.flags(busy) {
+                out.push(Straggler {
+                    kind: "worker_busy",
+                    round: span.round,
+                    worker: Some(w),
+                    value: busy,
+                    baseline: b.median,
+                });
             }
         }
     }
     let mut inboxes: Vec<u64> = spans.iter().map(|s| s.inbox_messages).collect();
-    inboxes.sort_unstable();
-    let median = inboxes.get(inboxes.len() / 2).copied().unwrap_or(0);
-    if median > 0 && spans.len() >= 8 {
+    if let Some(b) = StragglerBaseline::of(&mut inboxes, 8, INBOX_FLOOR) {
         for span in spans {
-            if span.inbox_messages >= INBOX_FLOOR
-                && span.inbox_messages > median.saturating_mul(STRAGGLER_FACTOR)
-            {
+            if b.flags(span.inbox_messages) {
                 out.push(Straggler {
                     kind: "inbox_depth",
                     round: span.round,
                     worker: None,
                     value: span.inbox_messages,
-                    baseline: median,
+                    baseline: b.median,
                 });
             }
         }

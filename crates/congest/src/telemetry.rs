@@ -43,6 +43,38 @@ pub const SCHEMA_VERSION: u32 = 1;
 /// exceeds `STRAGGLER_FACTOR ×` its robust baseline (the median).
 pub const STRAGGLER_FACTOR: u64 = 4;
 
+/// The one straggler detector: the robust baseline (median) of a sample
+/// of per-round or per-worker quantities, against which a value is
+/// flagged when it exceeds median × [`STRAGGLER_FACTOR`] and reaches an
+/// absolute floor (so noise on tiny rounds is never flagged). The live
+/// flight-recorder check, the profiler's worker-busy and inbox-depth
+/// checks and the trace statistics all judge through it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StragglerBaseline {
+    /// The sample's median.
+    pub median: u64,
+    floor: u64,
+}
+
+impl StragglerBaseline {
+    /// The baseline of `sample` (sorted in place), or `None` when the
+    /// sample holds fewer than `min_len` values or its median is zero —
+    /// too little data, or nothing to compare against.
+    pub fn of(sample: &mut [u64], min_len: usize, floor: u64) -> Option<Self> {
+        if sample.is_empty() || sample.len() < min_len {
+            return None;
+        }
+        sample.sort_unstable();
+        let median = sample[sample.len() / 2];
+        (median > 0).then_some(StragglerBaseline { median, floor })
+    }
+
+    /// Whether `value` is a straggler against this baseline.
+    pub fn flags(&self, value: u64) -> bool {
+        value >= self.floor && value > self.median.saturating_mul(STRAGGLER_FACTOR)
+    }
+}
+
 /// Number of log₂ buckets per histogram (bucket `i` holds values whose
 /// bit length is `i`; bucket 0 holds the value 0).
 const HIST_BUCKETS: usize = 65;
@@ -381,13 +413,10 @@ impl Telemetry {
             + delta(Counter::FaultsCorrupted)
             + delta(Counter::FaultsDuplicated)
             + delta(Counter::FaultsDelayed);
-        // Robust baseline over the recorder window: median of the
-        // recent per-round message loads.
+        // Robust baseline over the recorder window: the recent per-round
+        // message loads.
         let mut loads: Vec<u64> = rec.records.iter().map(|r| r.messages).collect();
-        loads.sort_unstable();
-        let median = loads.get(loads.len() / 2).copied().unwrap_or(0);
-        let straggler =
-            loads.len() >= 8 && median > 0 && messages > median.saturating_mul(STRAGGLER_FACTOR);
+        let straggler = StragglerBaseline::of(&mut loads, 8, 0).is_some_and(|b| b.flags(messages));
         let record = RoundRecord {
             round,
             messages,

@@ -27,7 +27,7 @@
 use super::check;
 use super::{ProtocolDetail, TraceEvent};
 use crate::partition::Partition;
-use crate::telemetry::{SCHEMA_VERSION, STRAGGLER_FACTOR};
+use crate::telemetry::{StragglerBaseline, SCHEMA_VERSION, STRAGGLER_FACTOR};
 use bc_graph::{algo, Graph, NodeId};
 use std::collections::HashMap;
 use std::fmt;
@@ -513,18 +513,14 @@ pub fn analyze(events: &[TraceEvent], top_k: usize) -> TraceStats {
     // the *full* per-round distribution (before the top-K cut). A short
     // trace (< 8 rounds with traffic) has no meaningful baseline.
     let mut straggler_rounds = Vec::new();
-    if peak_rounds.len() >= 8 {
-        let mut loads: Vec<u64> = peak_rounds.iter().map(|r| r.messages).collect();
-        loads.sort_unstable();
-        let median = loads[loads.len() / 2];
-        if median > 0 {
-            straggler_rounds = peak_rounds
-                .iter()
-                .filter(|r| r.messages > median.saturating_mul(STRAGGLER_FACTOR))
-                .copied()
-                .collect();
-            straggler_rounds.sort_by_key(|r| r.round);
-        }
+    let mut loads: Vec<u64> = peak_rounds.iter().map(|r| r.messages).collect();
+    if let Some(b) = StragglerBaseline::of(&mut loads, 8, 0) {
+        straggler_rounds = peak_rounds
+            .iter()
+            .filter(|r| b.flags(r.messages))
+            .copied()
+            .collect();
+        straggler_rounds.sort_by_key(|r| r.round);
     }
     peak_rounds.truncate(top_k);
 

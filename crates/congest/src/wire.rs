@@ -55,6 +55,7 @@ use crate::network::{
     account_sends, panic_message, sort_inbox, CongestError, Protocol, RoundCtx, SendScratch,
 };
 use crate::partition::ShardMap;
+use crate::profile::ProfRow;
 use crate::telemetry::{Telemetry, TelemetryHandle, COUNTERS, SCHEMA_VERSION};
 use crate::trace::TraceSink;
 use crate::wake::WakeSet;
@@ -666,27 +667,6 @@ pub struct ShardEngineConfig {
     pub profiling: bool,
 }
 
-/// One committed round's timings and tallies from one shard — the wire
-/// analog of the in-process engine's per-worker profile row; the leader
-/// folds one [`crate::RoundSpan`] per round out of all shards' rows.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WireProfRow {
-    /// Wall time this shard spent inside the round (ns).
-    pub busy_ns: u64,
-    /// Time inside `Protocol::round` calls (ns).
-    pub compute_ns: u64,
-    /// Time delivering, routing, and publishing messages (ns).
-    pub route_ns: u64,
-    /// Messages delivered to this shard's nodes this round.
-    pub inbox_messages: u64,
-    /// Nodes actually stepped (idle-skipped nodes excluded).
-    pub nodes_stepped: u64,
-    /// Messages routed shard-locally.
-    pub intra: u64,
-    /// Messages routed to peer shards.
-    pub cross: u64,
-}
-
 /// Number of telemetry counters in a per-round delta row.
 pub const COUNTER_COUNT: usize = COUNTERS.len();
 
@@ -712,7 +692,7 @@ pub struct ShardRunOutcome<P> {
     /// telemetry is off.
     pub telemetry_deltas: Vec<[u64; COUNTER_COUNT]>,
     /// Per-committed-round profile rows (empty unless profiling).
-    pub prof: Vec<WireProfRow>,
+    pub prof: Vec<ProfRow>,
     /// Per-committed-round wall times; only shard 0 measures them, the
     /// same convention as the in-process free-running engine.
     pub round_wall_ns: Vec<u64>,
@@ -776,7 +756,7 @@ pub fn run_shard_engine<P: Protocol>(
     let mut handle = telemetry.map(|t| TelemetryHandle::new(t.clone(), 0));
     let mut last_snap = telemetry.map(|t| t.snapshot());
     let mut telemetry_deltas: Vec<[u64; COUNTER_COUNT]> = Vec::new();
-    let mut prof: Vec<WireProfRow> = Vec::new();
+    let mut prof: Vec<ProfRow> = Vec::new();
     let mut round_wall_ns: Vec<u64> = Vec::new();
 
     let mut round = 0u64;
@@ -989,10 +969,8 @@ pub fn run_shard_engine<P: Protocol>(
         }
         committed += 1;
         if cfg.profiling {
-            prof.push(WireProfRow {
-                busy_ns: busy_start
-                    .map(|t| t.elapsed().as_nanos() as u64)
-                    .unwrap_or(0),
+            prof.push(ProfRow {
+                busy_ns: busy_start.map_or(0, |t| t.elapsed().as_nanos() as u64),
                 compute_ns,
                 route_ns,
                 inbox_messages,

@@ -4,7 +4,7 @@
 //! serving lives in [`crate::snapshot`].
 
 use crate::node::{AlgoOptions, DistBcNode};
-use crate::result::{assemble_result, phase_windows, summarize_node, summarize_root, NodeSummary};
+use crate::result::{assemble_result, phase_windows, summarize_node, summarize_root, Harvest};
 use crate::sampling::{source_mask, Estimator, SourceIndex, SourceSelection};
 use crate::schedule::{PhaseSchedule, Scheduling};
 use crate::transport::{Reliable, ReliableConfig, TransportStats, HEADER_BITS};
@@ -12,11 +12,12 @@ use bc_congest::trace::{TraceEvent, TraceSink};
 use bc_congest::wire::{fnv1a64, put_str, put_u32, put_u64, put_u8};
 use bc_congest::{
     Budget, Config, CongestError, EdgeCut, Enforcement, FaultPlan, NetMetrics, Network, Partition,
-    ProfileReport, Profiler, Telemetry,
+    ProfileReport, Profiler, Protocol, Telemetry,
 };
 use bc_graph::{algo, Graph, NodeId};
 use bc_numeric::FpParams;
 use std::fmt;
+use std::sync::Arc;
 
 pub use crate::result::DistBcResult;
 
@@ -119,7 +120,7 @@ pub fn auto_threads(n: usize) -> usize {
     auto_threads_for(n, cores)
 }
 
-/// Configuration for [`run_distributed_bc`].
+/// Configuration for [`run`] and [`run_distributed_bc`].
 #[derive(Debug, Clone)]
 pub struct DistBcConfig {
     /// Floating-point parameters; `None` selects the paper's
@@ -219,6 +220,12 @@ impl DistBcConfig {
         }
         put_u8(&mut buf, self.scheduling as u8);
         put_u8(&mut buf, self.compute_stress as u8);
+        let put_mask = |buf: &mut Vec<u8>, tag: u8, mask: &[bool]| {
+            let packed: String = mask.iter().map(|&b| if b { '1' } else { '0' }).collect();
+            put_u8(buf, tag);
+            put_u64(buf, mask.len() as u64);
+            put_str(buf, &packed);
+        };
         match &self.sources {
             SourceSelection::All => put_u8(&mut buf, 0),
             SourceSelection::Sample { k, seed } => {
@@ -226,23 +233,11 @@ impl DistBcConfig {
                 put_u64(&mut buf, *k as u64);
                 put_u64(&mut buf, *seed);
             }
-            SourceSelection::Explicit(mask) => {
-                put_u8(&mut buf, 2);
-                put_u64(&mut buf, mask.len() as u64);
-                let mut packed = String::with_capacity(mask.len());
-                packed.extend(mask.iter().map(|&b| if b { '1' } else { '0' }));
-                put_str(&mut buf, &packed);
-            }
+            SourceSelection::Explicit(mask) => put_mask(&mut buf, 2, mask),
         }
         match &self.targets {
             None => put_u8(&mut buf, 0),
-            Some(mask) => {
-                put_u8(&mut buf, 1);
-                put_u64(&mut buf, mask.len() as u64);
-                let mut packed = String::with_capacity(mask.len());
-                packed.extend(mask.iter().map(|&b| if b { '1' } else { '0' }));
-                put_str(&mut buf, &packed);
-            }
+            Some(mask) => put_mask(&mut buf, 1, mask),
         }
         put_u8(&mut buf, self.estimator as u8);
         fnv1a64(&buf)
@@ -271,7 +266,7 @@ impl Default for DistBcConfig {
     }
 }
 
-/// Errors from [`run_distributed_bc`].
+/// Errors from [`run`] and [`run_distributed_bc`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DistBcError {
     /// The graph has no nodes.
@@ -313,7 +308,7 @@ impl From<CongestError> for DistBcError {
 }
 
 /// Runs the paper's distributed betweenness-centrality algorithm on `g`
-/// under the CONGEST simulator.
+/// under the CONGEST simulator: [`run`] with no instruments attached.
 ///
 /// With [`SourceSelection::Sample`], the returned betweenness/closeness
 /// values are `N/k`-extrapolated estimates and `diameter` is the sampled
@@ -342,146 +337,116 @@ impl From<CongestError> for DistBcError {
 /// # Ok::<(), bc_core::DistBcError>(())
 /// ```
 pub fn run_distributed_bc(g: &Graph, config: DistBcConfig) -> Result<DistBcResult, DistBcError> {
-    run_impl(g, config, None, false).map(|(result, _, _)| result)
+    run(g, config, Instruments::default()).map(|r| r.result)
 }
 
-/// Runs [`run_distributed_bc`] with the wall-clock profiler attached to
-/// the engine: per-round spans split into node compute vs engine overhead,
-/// inbox depths, and (for `threads > 1`) per-worker busy times. The
-/// returned [`ProfileReport`] slices the spans at the run's phase
-/// windows. Profiling never alters the execution: the `DistBcResult`
-/// is bit-identical to an unprofiled run (asserted by the test suite).
+/// Observability attachments for one [`run`]. Neither alters the
+/// execution: the result is bit-identical to an uninstrumented run
+/// (asserted by the test suite). Telemetry rides on
+/// [`DistBcConfig::telemetry`].
+#[derive(Default)]
+pub struct Instruments {
+    /// Receives the run's event stream. Before the first round the driver
+    /// records the context an offline analyzer needs: a
+    /// [`TraceEvent::Topology`] with the full edge list and, unless the
+    /// run is reliable, a [`TraceEvent::Schedule`] with the run's phase
+    /// windows. The recorded stream satisfies the invariants validated by
+    /// [`bc_congest::trace::check::check`].
+    pub trace: Option<Box<dyn TraceSink>>,
+    /// Attach the wall-clock profiler: per-round spans split into node
+    /// compute vs engine overhead, inbox depths, and (for `threads > 1`)
+    /// per-worker busy times, sliced at the run's phase windows.
+    pub profile: bool,
+}
+
+/// What an instrumented [`run`] returns.
+pub struct Run {
+    /// The run's result.
+    pub result: DistBcResult,
+    /// The trace sink handed in, for flushing or draining.
+    pub trace: Option<Box<dyn TraceSink>>,
+    /// The wall-clock profile, when [`Instruments::profile`] was set.
+    pub profile: Option<ProfileReport>,
+}
+
+/// Runs the paper's algorithm on `g` with `instruments` attached — the
+/// one way into an in-process run; [`run_distributed_bc`] is its
+/// uninstrumented shorthand.
 ///
 /// # Errors
 ///
-/// Same as [`run_distributed_bc`].
-pub fn run_distributed_bc_profiled(
-    g: &Graph,
-    config: DistBcConfig,
-) -> Result<(DistBcResult, ProfileReport), DistBcError> {
-    let (result, _, profile) = run_impl(g, config, None, true)?;
-    Ok((result, profile.expect("profile requested")))
-}
-
-/// Runs [`run_distributed_bc`] with both a trace sink and the profiler
-/// attached — one execution yields the event stream for offline analytics
-/// and the wall-clock profile.
-///
-/// # Errors
-///
-/// Same as [`run_distributed_bc`]. On error the sink is dropped (a file
-/// sink will have written the events up to the failure).
-pub fn run_distributed_bc_traced_profiled(
-    g: &Graph,
-    config: DistBcConfig,
-    sink: Box<dyn TraceSink>,
-) -> Result<(DistBcResult, Box<dyn TraceSink>, ProfileReport), DistBcError> {
-    let (result, sink, profile) = run_impl(g, config, Some(sink), true)?;
-    Ok((
-        result,
-        sink.expect("sink returned"),
-        profile.expect("profile requested"),
-    ))
-}
-
-/// Runs [`run_distributed_bc`] with a trace sink attached to the engine.
-///
-/// Before the first round the driver records the context an offline
-/// analyzer needs: a [`TraceEvent::Topology`] with the full edge list and,
-/// unless the run is reliable, a [`TraceEvent::Schedule`] with the run's
-/// phase windows. The sink is
-/// returned for flushing or draining; the recorded stream satisfies the
-/// invariants validated by [`bc_congest::trace::check::check`].
-///
-/// # Errors
-///
-/// Same as [`run_distributed_bc`]. On error the sink is dropped (a file
-/// sink will have written the events up to the failure).
-pub fn run_distributed_bc_traced(
-    g: &Graph,
-    config: DistBcConfig,
-    sink: Box<dyn TraceSink>,
-) -> Result<(DistBcResult, Box<dyn TraceSink>), DistBcError> {
-    let (result, sink, _) = run_impl(g, config, Some(sink), false)?;
-    Ok((result, sink.expect("sink returned")))
-}
-
-#[allow(clippy::type_complexity)]
-fn run_impl(
-    g: &Graph,
-    config: DistBcConfig,
-    mut sink: Option<Box<dyn TraceSink>>,
-    profile: bool,
-) -> Result<
-    (
-        DistBcResult,
-        Option<Box<dyn TraceSink>>,
-        Option<ProfileReport>,
-    ),
-    DistBcError,
-> {
-    let n = g.n();
-    if n == 0 {
-        return Err(DistBcError::EmptyGraph);
-    }
-    if !algo::is_connected(g) {
-        return Err(DistBcError::Disconnected);
-    }
-    if config.estimator == Estimator::JiYan {
-        if !matches!(config.sources, SourceSelection::Sample { .. }) {
-            return Err(DistBcError::BadConfig(
-                "the Ji–Yan estimator requires sampled sources".into(),
-            ));
-        }
-        if config.compute_stress {
-            return Err(DistBcError::BadConfig(
-                "the Ji–Yan estimator cannot be combined with stress centrality \
-                 (both extend the aggregation message)"
-                    .into(),
-            ));
-        }
-    }
-    let fp = config.fp.unwrap_or_else(|| FpParams::for_graph_size(n));
-    // Built once and shared: every node keys its O(|S|) state off this map.
-    let source_index = std::sync::Arc::new(SourceIndex::build(&config.sources, n));
-    // The windows the nodes will settle on, for every view of the run.
-    let sched = PhaseSchedule::for_graph(g, config.scheduling, source_index.len());
-    let opts = AlgoOptions {
-        fp,
-        scheduling: config.scheduling,
-        compute_stress: config.compute_stress,
-        sources: config.sources.clone(),
-        targets: config.targets.clone(),
-        estimator: config.estimator,
-        source_index: Some(source_index),
-    };
-    let engine_budget = if config.reliable {
-        // Frames wrap each protocol message in a HEADER_BITS-bit header;
-        // the inner protocol still respects the configured budget.
-        match config.budget.resolve(n) {
-            Some(b) => Budget::Bits(b + HEADER_BITS),
-            None => Budget::Unlimited,
-        }
+/// Same as [`run_distributed_bc`]. On error the trace sink is dropped (a
+/// file sink will have written the events up to the failure).
+pub fn run(g: &Graph, config: DistBcConfig, instruments: Instruments) -> Result<Run, DistBcError> {
+    let plan = Plan::new(g, &config)?;
+    let (n, opts) = (g.n(), &plan.opts);
+    if config.reliable {
+        let rcfg = ReliableConfig {
+            rto: config.faults.as_ref().map_or(3, |f| f.max_delay + 2),
+        };
+        let telemetry = &config.telemetry;
+        run_engine(g, &plan, &config, instruments, |v, gg| {
+            let mut node = Reliable::new(DistBcNode::new(n, v, opts.clone()), gg.degree(v), rcfg);
+            if let Some(t) = telemetry {
+                node.set_telemetry(t.clone(), v as usize % t.shards());
+            }
+            node
+        })
     } else {
-        config.budget
-    };
+        run_engine(g, &plan, &config, instruments, |v, _| {
+            DistBcNode::new(n, v, opts.clone())
+        })
+    }
+}
+
+/// A node the driver runs: the protocol itself, or the protocol behind
+/// the reliable transport, whose repair counts the harvest sums.
+pub(crate) trait RunNode: Protocol + Send {
+    /// The protocol state, adding any transport counts to `transport`.
+    fn harvest(self, transport: &mut TransportStats) -> DistBcNode;
+}
+
+impl RunNode for DistBcNode {
+    fn harvest(self, _: &mut TransportStats) -> DistBcNode {
+        self
+    }
+}
+
+impl RunNode for Reliable<DistBcNode> {
+    fn harvest(self, transport: &mut TransportStats) -> DistBcNode {
+        transport.merge(&self.stats());
+        self.into_inner()
+    }
+}
+
+/// Attaches the instruments to a network of `factory`'s nodes, runs it on
+/// the configured engine, and harvests it.
+fn run_engine<P: RunNode>(
+    g: &Graph,
+    plan: &Plan,
+    config: &DistBcConfig,
+    instruments: Instruments,
+    factory: impl FnMut(NodeId, &Graph) -> P,
+) -> Result<Run, DistBcError> {
     let engine_cfg = Config {
-        budget: engine_budget,
+        budget: plan.budget,
         enforcement: config.enforcement,
         cut: config.cut.clone(),
         skip_idle: config.skip_idle,
         faults: config.faults.clone(),
-        partition: config.partition.to_engine(g, &sched, &config.sources),
+        partition: config.partition.to_engine(g, &plan.sched, &config.sources),
     };
-    if let Some(s) = sink.as_deref_mut() {
+    let mut net = Network::new(g, engine_cfg, factory);
+    if let Some(mut s) = instruments.trace {
         s.event(&TraceEvent::Topology {
-            n,
+            n: g.n(),
             edges: g.edges().collect(),
         });
         // A reliable run's trace records physical transport frames whose
         // rounds drift past the virtual schedule under faults, so no
         // schedule is declared and the checker skips its window checks.
         if !config.reliable {
+            let sched = &plan.sched;
             s.event(&TraceEvent::Schedule {
                 counting_start: sched.counting_start,
                 reduce_start: sched.reduce_start,
@@ -489,161 +454,171 @@ fn run_impl(
                 agg_start: sched.agg_start,
             });
         }
+        net.set_trace_sink(s);
     }
-    let telemetry = config.telemetry.clone();
-    if let Some(t) = &telemetry {
-        sched.publish(t);
+    if instruments.profile {
+        net.set_profiler(Profiler::new());
     }
-    let max_rounds = if config.reliable {
-        // Fault-free reliable runs pipeline one virtual round per physical
-        // round; under faults every loss stalls its edge for up to an RTO.
-        // The limit only guards non-termination, so scale generously.
-        sched.max_rounds() * 8 + 64
+    if let Some(t) = &config.telemetry {
+        net.set_telemetry(t.clone());
+    }
+    let report = if config.threads > 1 {
+        net.run_parallel(plan.max_rounds, config.threads)?
     } else {
-        sched.max_rounds()
+        net.run(plan.max_rounds)?
     };
-    let (report, sink, profiler, metrics, nodes, transport) = if config.reliable {
-        let rcfg = ReliableConfig {
-            rto: config.faults.as_ref().map_or(3, |f| f.max_delay + 2),
-        };
-        let node_tel = telemetry.clone();
-        let mut net = Network::new(g, engine_cfg, |v, gg| {
-            let mut node = Reliable::new(DistBcNode::new(n, v, opts.clone()), gg.degree(v), rcfg);
-            if let Some(t) = &node_tel {
-                node.set_telemetry(t.clone(), v as usize % t.shards());
-            }
-            node
-        });
-        if let Some(s) = sink.take() {
-            net.set_trace_sink(s);
-        }
-        if profile {
-            net.set_profiler(Profiler::new());
-        }
-        if let Some(t) = &telemetry {
-            net.set_telemetry(t.clone());
-        }
-        let report = if config.threads > 1 {
-            net.run_parallel(max_rounds, config.threads)?
-        } else {
-            net.run(max_rounds)?
-        };
-        let sink = net.take_trace_sink();
-        let profiler = net.take_profiler();
-        let metrics = net.metrics().clone();
-        let mut totals = TransportStats::default();
-        let nodes: Vec<DistBcNode> = net
-            .into_nodes()
-            .into_iter()
-            .map(|r| {
-                totals.merge(&r.stats());
-                r.into_inner()
-            })
-            .collect();
-        (report, sink, profiler, metrics, nodes, totals)
-    } else {
-        let mut net = Network::new(g, engine_cfg, |v, _| DistBcNode::new(n, v, opts.clone()));
-        if let Some(s) = sink.take() {
-            net.set_trace_sink(s);
-        }
-        if profile {
-            net.set_profiler(Profiler::new());
-        }
-        if let Some(t) = &telemetry {
-            net.set_telemetry(t.clone());
-        }
-        let report = if config.threads > 1 {
-            net.run_parallel(max_rounds, config.threads)?
-        } else {
-            net.run(max_rounds)?
-        };
-        let sink = net.take_trace_sink();
-        let profiler = net.take_profiler();
-        let metrics = net.metrics().clone();
-        let nodes = net.into_nodes();
-        (
-            report,
-            sink,
-            profiler,
-            metrics,
-            nodes,
-            TransportStats::default(),
-        )
-    };
-    let mut metrics = metrics;
-    metrics.messages_retransmitted = transport.retransmits;
-    metrics.messages_deduped = transport.deduped;
-
+    let (trace, profiler, metrics) = (
+        net.take_trace_sink(),
+        net.take_profiler(),
+        net.metrics().clone(),
+    );
+    let mut transport = TransportStats::default();
+    let nodes: Vec<DistBcNode> = net
+        .into_nodes()
+        .into_iter()
+        .map(|node| node.harvest(&mut transport))
+        .collect();
     debug_assert_eq!(
         nodes[0].schedule(),
-        &sched,
+        &plan.sched,
         "root and driver windows differ"
     );
-    let summaries: Vec<NodeSummary> = nodes.iter().map(summarize_node).collect();
-    let root = summarize_root(&nodes[0]);
-    let state_bytes_total: u64 = summaries.iter().map(|s| s.state_bytes).sum();
-    let state_bytes_peak = summaries.iter().map(|s| s.state_bytes).max().unwrap_or(0);
-    if let Some(t) = &telemetry {
-        t.add(0, bc_congest::Counter::StateBytes, state_bytes_total);
-    }
-    let profile = profiler.map(|p| {
-        let mut engine = if config.threads > 1 {
-            format!("parallel({})", config.threads)
-        } else {
-            "serial".to_string()
-        };
-        if config.threads > 1 && config.partition != PartitionStrategy::Contiguous {
-            engine.push('+');
-            engine.push_str(config.partition.label());
-        }
-        if config.reliable {
-            engine.push_str("+reliable");
-        }
-        let phases = phase_windows(&sched, report.rounds);
-        let mut rep = p.report(&engine, &phases);
-        rep.messages_retransmitted = transport.retransmits;
-        rep.messages_deduped = transport.deduped;
-        rep.faults_injected = metrics.faults_dropped
-            + metrics.faults_duplicated
-            + metrics.faults_corrupted
-            + metrics.faults_delayed;
-        rep.state_bytes_total = state_bytes_total;
-        rep.state_bytes_peak = state_bytes_peak;
-        rep
-    });
-    let result = assemble_result(
-        n,
-        &config.sources,
-        config.estimator,
-        config.compute_stress,
-        sched,
-        fp,
-        report.rounds,
+    let harvest = Harvest {
+        rounds: report.rounds,
         metrics,
-        &summaries,
-        &root,
-    );
-    Ok((result, sink, profile))
+        transport,
+        summaries: nodes.iter().map(summarize_node).collect(),
+        root: summarize_root(&nodes[0]),
+    };
+    let sharded = (config.threads > 1).then(|| format!("parallel({})", config.threads));
+    let (result, profile) = plan.finish(config, harvest, profiler, sharded);
+    Ok(Run {
+        result,
+        trace,
+        profile,
+    })
 }
 
-/// Convenience wrapper returning only the closeness centralities computed
-/// distributively (Eq. 1 — the `O(N)`-round by-product the introduction
-/// mentions for APSP-based centralities).
-///
-/// # Errors
-///
-/// Same as [`run_distributed_bc`].
-pub fn run_distributed_closeness(g: &Graph, config: DistBcConfig) -> Result<Vec<f64>, DistBcError> {
-    run_distributed_bc(g, config).map(|r| r.closeness)
+/// Everything a run derives from its graph and configuration before the
+/// first round. The in-process driver, the wire leader and every shard
+/// process build it the same way, so none of them can disagree.
+pub(crate) struct Plan {
+    /// The windows the nodes will settle on, for every view of the run.
+    pub(crate) sched: PhaseSchedule,
+    pub(crate) opts: AlgoOptions,
+    /// The engine's per-message budget: the configured one, plus
+    /// [`HEADER_BITS`] for the frame header of a reliable run.
+    pub(crate) budget: Budget,
+    /// The engine's round cap.
+    pub(crate) max_rounds: u64,
 }
 
-/// Convenience wrapper returning the distributively computed diameter.
-///
-/// # Errors
-///
-/// Same as [`run_distributed_bc`].
-pub fn run_distributed_diameter(g: &Graph, config: DistBcConfig) -> Result<u32, DistBcError> {
-    run_distributed_bc(g, config).map(|r| r.diameter)
+impl Plan {
+    /// Validates `config` against `g` and derives the run's parameters;
+    /// publishes the windows to the configured telemetry.
+    pub(crate) fn new(g: &Graph, config: &DistBcConfig) -> Result<Plan, DistBcError> {
+        let n = g.n();
+        if n == 0 {
+            return Err(DistBcError::EmptyGraph);
+        }
+        if !algo::is_connected(g) {
+            return Err(DistBcError::Disconnected);
+        }
+        if config.estimator == Estimator::JiYan {
+            if !matches!(config.sources, SourceSelection::Sample { .. }) {
+                return Err(DistBcError::BadConfig(
+                    "the Ji–Yan estimator requires sampled sources".into(),
+                ));
+            }
+            if config.compute_stress {
+                return Err(DistBcError::BadConfig(
+                    "the Ji–Yan estimator cannot be combined with stress centrality \
+                     (both extend the aggregation message)"
+                        .into(),
+                ));
+            }
+        }
+        let fp = config.fp.unwrap_or_else(|| FpParams::for_graph_size(n));
+        // Built once and shared: every node keys its O(|S|) state off this map.
+        let source_index = Arc::new(SourceIndex::build(&config.sources, n));
+        let sched = PhaseSchedule::for_graph(g, config.scheduling, source_index.len());
+        if let Some(t) = &config.telemetry {
+            sched.publish(t);
+        }
+        let opts = AlgoOptions {
+            fp,
+            scheduling: config.scheduling,
+            compute_stress: config.compute_stress,
+            sources: config.sources.clone(),
+            targets: config.targets.clone(),
+            estimator: config.estimator,
+            source_index: Some(source_index),
+        };
+        let (budget, max_rounds) = if config.reliable {
+            // Frames wrap each protocol message in a HEADER_BITS-bit
+            // header; the inner protocol still respects the configured
+            // budget. Fault-free reliable runs pipeline one virtual round
+            // per physical round; under faults every loss stalls its edge
+            // for up to an RTO. The limit only guards non-termination, so
+            // scale generously.
+            let budget = match config.budget.resolve(n) {
+                Some(b) => Budget::Bits(b + HEADER_BITS),
+                None => Budget::Unlimited,
+            };
+            (budget, sched.max_rounds() * 8 + 64)
+        } else {
+            (config.budget, sched.max_rounds())
+        };
+        Ok(Plan {
+            sched,
+            opts,
+            budget,
+            max_rounds,
+        })
+    }
+
+    /// Turns a harvest into the result and, given the run's profiler,
+    /// the profile: records the state footprint into telemetry, and the
+    /// transport's repair counts and the engine label into the profile.
+    /// `sharded` names a sharded engine (`parallel(4)`, `wire(2)`); `None`
+    /// is the serial one.
+    pub(crate) fn finish(
+        &self,
+        config: &DistBcConfig,
+        harvest: Harvest,
+        profiler: Option<Profiler>,
+        sharded: Option<String>,
+    ) -> (DistBcResult, Option<ProfileReport>) {
+        let result = assemble_result(config, self.sched, self.opts.fp, harvest);
+        if let Some(t) = &config.telemetry {
+            t.add(0, bc_congest::Counter::StateBytes, result.state_bytes_total);
+        }
+        let profile = profiler.map(|p| {
+            let mut engine = match sharded {
+                None => "serial".to_string(),
+                Some(mut engine) => {
+                    if config.partition != PartitionStrategy::Contiguous {
+                        engine.push('+');
+                        engine.push_str(config.partition.label());
+                    }
+                    engine
+                }
+            };
+            if config.reliable {
+                engine.push_str("+reliable");
+            }
+            let m = &result.metrics;
+            let mut rep = p.report(&engine, &phase_windows(&self.sched, result.rounds));
+            rep.messages_retransmitted = m.messages_retransmitted;
+            rep.messages_deduped = m.messages_deduped;
+            rep.faults_injected =
+                m.faults_dropped + m.faults_duplicated + m.faults_corrupted + m.faults_delayed;
+            rep.state_bytes_total = result.state_bytes_total;
+            rep.state_bytes_peak = result.state_bytes_peak;
+            rep
+        });
+        (result, profile)
+    }
 }
 
 /// Results of a weighted run (see [`run_distributed_bc_weighted`]),

@@ -41,6 +41,17 @@
 //! assert!(out.rounds < 16 * 40);                // Theorem 3, O(N)
 //! # Ok::<(), bc_core::DistBcError>(())
 //! ```
+//!
+//! # Entry points
+//!
+//! Every in-process run goes through [`run`], which takes the graph, a
+//! [`DistBcConfig`] and the [`Instruments`] to attach (a trace sink, the
+//! profiler) and returns a [`Run`]: the result, the sink and the profile.
+//! [`run_distributed_bc`] is its uninstrumented shorthand and
+//! [`run_distributed_bc_weighted`] the weighted extension on top of it.
+//! Multi-process runs go through [`wire::run_leader`] and
+//! [`wire::serve_shard`]; they validate, plan and finish a run exactly as
+//! [`run`] does.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,10 +69,9 @@ pub mod wire;
 
 pub use codec::{Codec, DecodeError, ProtocolMsg};
 pub use driver::{
-    auto_threads, auto_threads_for, run_distributed_bc, run_distributed_bc_profiled,
-    run_distributed_bc_traced, run_distributed_bc_traced_profiled, run_distributed_bc_weighted,
-    run_distributed_closeness, run_distributed_diameter, DistBcConfig, DistBcError, DistBcResult,
-    PartitionStrategy, WeightedDistBcResult, AUTO_THREADS_MIN_NODES,
+    auto_threads, auto_threads_for, run, run_distributed_bc, run_distributed_bc_weighted,
+    DistBcConfig, DistBcError, DistBcResult, Instruments, PartitionStrategy, Run,
+    WeightedDistBcResult, AUTO_THREADS_MIN_NODES,
 };
 pub use node::{AggInfo, AlgoOptions, DistBcNode};
 pub use sampling::{source_mask, Estimator, SourceIndex, SourceSelection};

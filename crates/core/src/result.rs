@@ -11,9 +11,11 @@
 //! layer ([`crate::snapshot`]) version results without caring which
 //! engine produced them.
 
+use crate::driver::DistBcConfig;
 use crate::node::{AggInfo, DistBcNode};
 use crate::sampling::{Estimator, SourceSelection};
 use crate::schedule::PhaseSchedule;
+use crate::transport::TransportStats;
 use bc_congest::{NetMetrics, PhaseStat};
 use bc_numeric::FpParams;
 
@@ -140,25 +142,39 @@ pub(crate) fn phase_windows(sched: &PhaseSchedule, rounds: u64) -> Vec<(String, 
     .into()
 }
 
-/// Derives the [`DistBcResult`] from per-node summaries — the single
-/// shared harvest path for the in-process engines and the socket leader,
-/// so both produce bit-identical floats from identical summaries.
-#[allow(clippy::too_many_arguments)]
+/// A run's harvest, in global node order.
+pub(crate) struct Harvest {
+    pub rounds: u64,
+    pub metrics: NetMetrics,
+    /// Repair counts of the reliable transport (zero without it).
+    pub transport: TransportStats,
+    pub summaries: Vec<NodeSummary>,
+    pub root: RootSummary,
+}
+
+/// Derives the [`DistBcResult`] of a run with windows `sched` and float
+/// format `fp` from its harvest — the single shared path for the
+/// in-process engines and the socket leader, so both produce
+/// bit-identical floats from identical summaries.
 pub(crate) fn assemble_result(
-    n: usize,
-    sources: &SourceSelection,
-    estimator: Estimator,
-    compute_stress: bool,
+    config: &DistBcConfig,
     sched: PhaseSchedule,
     fp: FpParams,
-    rounds: u64,
-    metrics: NetMetrics,
-    summaries: &[NodeSummary],
-    root: &RootSummary,
+    harvest: Harvest,
 ) -> DistBcResult {
+    let Harvest {
+        rounds,
+        mut metrics,
+        transport,
+        summaries,
+        root,
+    } = harvest;
+    metrics.messages_retransmitted = transport.retransmits;
+    metrics.messages_deduped = transport.deduped;
+    let (n, sources) = (summaries.len(), &config.sources);
     let sample_size = root.source_count;
     let refined =
-        estimator == Estimator::JiYan && matches!(sources, SourceSelection::Sample { .. });
+        config.estimator == Estimator::JiYan && matches!(sources, SourceSelection::Sample { .. });
     let betweenness: Vec<f64> = if refined {
         // Ji–Yan (arXiv:1608.04472): pairs with both endpoints in `S` are
         // counted exactly (`δ_in/2` — each unordered in-sample pair was
@@ -184,7 +200,7 @@ pub(crate) fn assemble_result(
     };
     let mut closeness = Vec::with_capacity(n);
     let mut graph_centrality = Vec::with_capacity(n);
-    for s in summaries {
+    for s in &summaries {
         closeness.push(if s.dist_total == 0 {
             0.0
         } else {
@@ -192,7 +208,9 @@ pub(crate) fn assemble_result(
         });
         graph_centrality.push(if s.ecc == 0 { 0.0 } else { 1.0 / s.ecc as f64 });
     }
-    let stress = compute_stress.then(|| summaries.iter().map(|s| s.stress).collect());
+    let stress = config
+        .compute_stress
+        .then(|| summaries.iter().map(|s| s.stress).collect());
     let info = root.agg;
     let counting_rounds_used = root
         .dfs_done_round

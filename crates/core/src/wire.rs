@@ -17,26 +17,26 @@
 //! runs do in process, so budgets, round limits, and results line up
 //! with the in-process reliable oracle by construction.
 
-use crate::driver::{DistBcConfig, DistBcError, PartitionStrategy};
-use crate::node::{AggInfo, AlgoOptions, DistBcNode};
+use crate::driver::{DistBcConfig, DistBcError, PartitionStrategy, Plan, RunNode};
+use crate::node::{AggInfo, DistBcNode};
 use crate::result::{
-    assemble_result, phase_windows, summarize_node, summarize_root, DistBcResult, NodeSummary,
-    RootSummary,
+    summarize_node, summarize_root, DistBcResult, Harvest, NodeSummary, RootSummary,
 };
-use crate::sampling::{Estimator, SourceIndex, SourceSelection};
-use crate::schedule::{PhaseSchedule, Scheduling};
-use crate::transport::{Reliable, ReliableConfig, TransportStats, HEADER_BITS};
+use crate::sampling::{Estimator, SourceSelection};
+use crate::schedule::Scheduling;
+use crate::transport::{Reliable, ReliableConfig, TransportStats};
 use bc_congest::telemetry::{Counter, HistogramId, COUNTERS};
 use bc_congest::wire::{
     fnv1a64, graph_hash, put_f64, put_str, put_u32, put_u64, put_u8, run_shard_engine, ByteReader,
-    Hello, ShardEngineConfig, WireError, WireListener, WireProfRow, WireStream, COUNTER_COUNT,
+    Hello, ShardEngineConfig, WireError, WireListener, WireStream, COUNTER_COUNT,
     PEER_READ_TIMEOUT, ROLE_LEADER, ROLE_SHARD, TAG_DONE, TAG_ERROR, TAG_HELLO, TAG_SETUP,
     VERDICT_QUIESCENT, VERDICT_ROUND_LIMIT,
 };
 use bc_congest::{
-    Budget, CongestError, Enforcement, NetMetrics, ProfileReport, Profiler, RoundSpan, Telemetry,
+    canonical_abort, Budget, CongestError, Enforcement, NetMetrics, ProfRow, ProfileReport,
+    Profiler, RoundSpan, Telemetry,
 };
-use bc_graph::{algo, Graph, NodeId};
+use bc_graph::{Graph, NodeId};
 use bc_numeric::{FpParams, Rounding};
 use std::fmt;
 use std::sync::Arc;
@@ -80,30 +80,36 @@ fn proto(msg: impl Into<String>) -> WireRunError {
     WireRunError::Net(WireError::Protocol(msg.into()))
 }
 
+/// The failure shard `i` reported in an `ERROR` frame.
+fn shard_error(i: usize, payload: &[u8]) -> WireRunError {
+    WireError::Peer(format!("shard {i}: {}", String::from_utf8_lossy(payload))).into()
+}
+
 // ---------------------------------------------------------------------------
 // SETUP codec
 // ---------------------------------------------------------------------------
 
-/// The run description the leader distributes to every shard. All fields
-/// are already resolved (fp, budget) so every process derives identical
-/// schedules, partitions, and node options from the same bytes.
-#[derive(Debug, Clone, PartialEq)]
+/// The run description the leader distributes to every shard: the graph,
+/// the shard addresses and the run's configuration, from which every
+/// process builds the same [`Plan`]. The configuration's attachments
+/// (telemetry registry, fault plan, cut, thread count) stay with the
+/// leader; only whether telemetry and profiling rows are wanted crosses.
+#[derive(Debug, Clone)]
 struct Setup {
     n: usize,
     edges: Vec<(NodeId, NodeId)>,
     addrs: Vec<String>,
-    partition: PartitionStrategy,
-    scheduling: Scheduling,
-    compute_stress: bool,
-    sources: SourceSelection,
-    targets: Option<Arc<[bool]>>,
-    fp: FpParams,
-    budget: Budget,
-    strict: bool,
-    skip_idle: bool,
+    /// Always reliable: wire runs put every node behind the transport.
+    config: DistBcConfig,
     telemetry: bool,
     profiling: bool,
-    estimator: Estimator,
+}
+
+/// Two SETUPs are equal when they put the same bytes on the wire.
+impl PartialEq for Setup {
+    fn eq(&self, other: &Setup) -> bool {
+        self.encode() == other.encode()
+    }
 }
 
 fn put_mask(buf: &mut Vec<u8>, mask: &[bool]) {
@@ -147,23 +153,11 @@ impl Setup {
         for a in &self.addrs {
             put_str(&mut buf, a);
         }
-        put_u8(
-            &mut buf,
-            match self.partition {
-                PartitionStrategy::Contiguous => 0,
-                PartitionStrategy::DegreeBalanced => 1,
-                PartitionStrategy::ScheduleAware => 2,
-            },
-        );
-        put_u8(
-            &mut buf,
-            match self.scheduling {
-                Scheduling::DfsPipelined => 0,
-                Scheduling::Sequential => 1,
-            },
-        );
-        put_u8(&mut buf, self.compute_stress as u8);
-        match &self.sources {
+        let config = &self.config;
+        put_u8(&mut buf, config.partition as u8);
+        put_u8(&mut buf, config.scheduling as u8);
+        put_u8(&mut buf, config.compute_stress as u8);
+        match &config.sources {
             SourceSelection::All => put_u8(&mut buf, 0),
             SourceSelection::Sample { k, seed } => {
                 put_u8(&mut buf, 1);
@@ -175,22 +169,20 @@ impl Setup {
                 put_mask(&mut buf, mask);
             }
         }
-        match &self.targets {
+        match &config.targets {
             None => put_u8(&mut buf, 0),
             Some(mask) => {
                 put_u8(&mut buf, 1);
                 put_mask(&mut buf, mask);
             }
         }
-        put_u32(&mut buf, self.fp.mantissa_bits());
-        put_u8(
-            &mut buf,
-            match self.fp.rounding() {
-                Rounding::Ceil => 0,
-                Rounding::Nearest => 1,
-            },
-        );
-        match self.budget {
+        // Resolved here exactly as `Plan::new` resolves it.
+        let fp = config
+            .fp
+            .unwrap_or_else(|| FpParams::for_graph_size(self.n));
+        put_u32(&mut buf, fp.mantissa_bits());
+        put_u8(&mut buf, fp.rounding() as u8);
+        match config.budget {
             Budget::Auto => put_u8(&mut buf, 0),
             Budget::Bits(b) => {
                 put_u8(&mut buf, 1);
@@ -198,11 +190,12 @@ impl Setup {
             }
             Budget::Unlimited => put_u8(&mut buf, 2),
         }
-        put_u8(&mut buf, self.strict as u8);
-        put_u8(&mut buf, self.skip_idle as u8);
+        let strict = matches!(config.enforcement, Enforcement::Strict);
+        put_u8(&mut buf, strict as u8);
+        put_u8(&mut buf, config.skip_idle as u8);
         put_u8(&mut buf, self.telemetry as u8);
         put_u8(&mut buf, self.profiling as u8);
-        put_u8(&mut buf, self.estimator as u8);
+        put_u8(&mut buf, config.estimator as u8);
         buf
     }
 
@@ -258,14 +251,17 @@ impl Setup {
                 "mantissa bits {l} out of range"
             )));
         }
-        let fp = FpParams::new(l, rounding);
+        let fp = Some(FpParams::new(l, rounding));
         let budget = match r.u8()? {
             0 => Budget::Auto,
             1 => Budget::Bits(r.u64()? as usize),
             2 => Budget::Unlimited,
             t => return Err(WireError::Protocol(format!("unknown budget tag {t}"))),
         };
-        let strict = r.u8()? != 0;
+        let enforcement = match r.u8()? {
+            0 => Enforcement::Record,
+            _ => Enforcement::Strict,
+        };
         let skip_idle = r.u8()? != 0;
         let telemetry = r.u8()? != 0;
         let profiling = r.u8()? != 0;
@@ -275,22 +271,27 @@ impl Setup {
             t => return Err(WireError::Protocol(format!("unknown estimator tag {t}"))),
         };
         r.finish()?;
+        let config = DistBcConfig {
+            fp,
+            scheduling,
+            enforcement,
+            budget,
+            partition,
+            compute_stress,
+            sources,
+            targets,
+            estimator,
+            skip_idle,
+            reliable: true,
+            ..DistBcConfig::default()
+        };
         Ok(Setup {
             n,
             edges,
             addrs,
-            partition,
-            scheduling,
-            compute_stress,
-            sources,
-            targets,
-            fp,
-            budget,
-            strict,
-            skip_idle,
+            config,
             telemetry,
             profiling,
-            estimator,
         })
     }
 }
@@ -314,7 +315,7 @@ struct ShardDone {
     /// Present only from the shard owning global node 0 (quiescent runs).
     root: Option<RootSummary>,
     telemetry_deltas: Vec<[u64; COUNTER_COUNT]>,
-    prof: Vec<WireProfRow>,
+    prof: Vec<ProfRow>,
     round_wall_ns: Vec<u64>,
 }
 
@@ -596,7 +597,7 @@ impl ShardDone {
         let count = r.u32()? as usize;
         let mut prof = Vec::with_capacity(count.min(1 << 20));
         for _ in 0..count {
-            prof.push(WireProfRow {
+            prof.push(ProfRow {
                 busy_ns: r.u64()?,
                 compute_ns: r.u64()?,
                 route_ns: r.u64()?,
@@ -629,22 +630,18 @@ impl ShardDone {
 // Shared derivations
 // ---------------------------------------------------------------------------
 
-/// The engine parameters both sides derive from a [`Setup`] — one code
-/// path, so a leader and its shards can never disagree.
-fn derive_engine(setup: &Setup) -> (PhaseSchedule, ShardEngineConfig) {
-    let sched = PhaseSchedule::new(setup.n, setup.scheduling);
-    let budget_bits = setup.budget.resolve(setup.n).map(|b| b + HEADER_BITS);
-    let cfg = ShardEngineConfig {
-        budget_bits,
-        strict: setup.strict,
-        skip_idle: setup.skip_idle,
-        // Same provisioning as the in-process reliable driver: fault-free
-        // pipelining needs ~1 physical round per virtual round; the limit
-        // only guards non-termination.
-        max_rounds: sched.max_rounds() * 8 + 64,
-        profiling: setup.profiling,
-    };
-    (sched, cfg)
+impl Setup {
+    /// The shard engine's parameters under `plan` — one code path, so a
+    /// leader and its shards can never disagree.
+    fn engine(&self, plan: &Plan) -> ShardEngineConfig {
+        ShardEngineConfig {
+            budget_bits: plan.budget.resolve(self.n),
+            strict: matches!(self.config.enforcement, Enforcement::Strict),
+            skip_idle: self.config.skip_idle,
+            max_rounds: plan.max_rounds,
+            profiling: self.profiling,
+        }
+    }
 }
 
 /// Round-trip timeout the transport is configured with; the wire carries
@@ -735,9 +732,13 @@ fn shard_run(
     my_hello: Hello,
     listener: &WireListener,
 ) -> Result<Vec<u8>, WireRunError> {
-    let (sched, engine_cfg) = derive_engine(setup);
-    let partition = setup.partition.to_engine(graph, &sched, &setup.sources);
-    let map = partition.shard_map(graph, k);
+    let plan = Plan::new(graph, &setup.config)?;
+    let engine_cfg = setup.engine(&plan);
+    let map = setup
+        .config
+        .partition
+        .to_engine(graph, &plan.sched, &setup.config.sources)
+        .shard_map(graph, k);
     if map.len() != k {
         return Err(proto(format!(
             "partition produced {} shards for requested {k} (n = {})",
@@ -797,17 +798,7 @@ fn shard_run(
     // Node construction mirrors the in-process reliable driver; the
     // telemetry registry is shard-local (1 shard, minimal ring) and only
     // feeds the per-round deltas the leader replays.
-    let opts = AlgoOptions {
-        fp: setup.fp,
-        scheduling: setup.scheduling,
-        compute_stress: setup.compute_stress,
-        sources: setup.sources.clone(),
-        targets: setup.targets.clone(),
-        estimator: setup.estimator,
-        // Built once per shard from the selection; every process derives
-        // the identical dense remap from the same SETUP bytes.
-        source_index: Some(Arc::new(SourceIndex::build(&setup.sources, graph.n()))),
-    };
+    let opts = &plan.opts;
     let rcfg = ReliableConfig { rto: WIRE_RTO };
     let telemetry = setup.telemetry.then(|| Arc::new(Telemetry::new(1, 1)));
     let n = graph.n();
@@ -837,10 +828,7 @@ fn shard_run(
     let inner: Vec<DistBcNode> = outcome
         .nodes
         .into_iter()
-        .map(|r| {
-            transport.merge(&r.stats());
-            r.into_inner()
-        })
+        .map(|r| r.harvest(&mut transport))
         .collect();
     // Only a quiescent run has a harvestable protocol state (the root's
     // aggregation broadcast happened); error verdicts carry attribution
@@ -877,41 +865,18 @@ fn shard_run(
 // Leader side
 // ---------------------------------------------------------------------------
 
-/// `error_node` ordering for canonical violation attribution (the same
-/// rule as the in-process join: `RoundLimit` sorts last).
-fn error_node(e: &CongestError) -> NodeId {
-    match e {
-        CongestError::Collision { node, .. }
-        | CongestError::Oversized { node, .. }
-        | CongestError::NodePanic { node, .. } => *node,
-        CongestError::RoundLimit { .. } => NodeId::MAX,
-    }
-}
-
 /// Replays one shard's one-round telemetry delta into the leader's
 /// registry — the adds `TelemetryHandle::on_round` performed remotely,
 /// re-performed against shard slot `shard` so per-shard load attribution
 /// (and thus straggler detection) survives the wire.
 fn replay_delta(t: &Telemetry, shard: usize, delta: &[u64; COUNTER_COUNT]) {
-    for (i, (c, _)) in COUNTERS.iter().enumerate() {
-        t.add(shard, *c, delta[i]);
+    // Delta rows follow `COUNTERS`, which is in `Counter` order.
+    let at = |c: Counter| delta[c as usize];
+    for &(c, _) in &COUNTERS {
+        t.add(shard, c, at(c));
     }
-    let idx = |c: Counter| {
-        COUNTERS
-            .iter()
-            .position(|(x, _)| *x == c)
-            .expect("counter listed")
-    };
-    t.record(
-        shard,
-        HistogramId::InboxDepth,
-        delta[idx(Counter::InboxMessages)],
-    );
-    t.record(
-        shard,
-        HistogramId::RoundMessages,
-        delta[idx(Counter::Messages)],
-    );
+    t.record(shard, HistogramId::InboxDepth, at(Counter::InboxMessages));
+    t.record(shard, HistogramId::RoundMessages, at(Counter::Messages));
 }
 
 /// Runs a betweenness-centrality execution across the shard processes
@@ -937,13 +902,13 @@ pub fn run_leader(
     addrs: &[String],
     profile: bool,
 ) -> Result<(DistBcResult, Option<ProfileReport>), WireRunError> {
+    // Wire runs are always reliable.
+    let config = DistBcConfig {
+        reliable: true,
+        ..config.clone()
+    };
+    let plan = Plan::new(g, &config)?;
     let n = g.n();
-    if n == 0 {
-        return Err(DistBcError::EmptyGraph.into());
-    }
-    if !algo::is_connected(g) {
-        return Err(DistBcError::Disconnected.into());
-    }
     let k = addrs.len();
     if k == 0 {
         return Err(proto("no shard addresses"));
@@ -957,62 +922,25 @@ pub fn run_leader(
              engine takes real faults via the network itself",
         ));
     }
-
-    if config.estimator == Estimator::JiYan {
-        if !matches!(config.sources, SourceSelection::Sample { .. }) {
-            return Err(DistBcError::BadConfig(
-                "the Ji–Yan estimator requires sampled sources".into(),
-            )
-            .into());
-        }
-        if config.compute_stress {
-            return Err(DistBcError::BadConfig(
-                "the Ji–Yan estimator cannot be combined with stress \
-                 centrality (both extend the aggregation message)"
-                    .into(),
-            )
-            .into());
-        }
-    }
-
-    let fp = config.fp.unwrap_or_else(|| FpParams::for_graph_size(n));
     let setup = Setup {
         n,
         edges: g.edges().collect(),
         addrs: addrs.to_vec(),
-        partition: config.partition,
-        scheduling: config.scheduling,
-        compute_stress: config.compute_stress,
-        sources: config.sources.clone(),
-        targets: config.targets.clone(),
-        fp,
-        budget: config.budget,
-        strict: matches!(config.enforcement, Enforcement::Strict),
-        skip_idle: config.skip_idle,
         telemetry: config.telemetry.is_some(),
         profiling: profile,
-        estimator: config.estimator,
+        config,
     };
-    let (sched, engine_cfg) = derive_engine(&setup);
-    let map = setup
+    let config = &setup.config;
+    let engine_cfg = setup.engine(&plan);
+    let map = config
         .partition
-        .to_engine(g, &sched, &setup.sources)
+        .to_engine(g, &plan.sched, &config.sources)
         .shard_map(g, k);
     if map.len() != k {
         return Err(proto(format!(
             "partition produced {} shards for {k}",
             map.len()
         )));
-    }
-    // The run's windows for the leader's views; the shards keep the
-    // N-only ones, which only size their round cap.
-    let run_sched = PhaseSchedule::for_graph(
-        g,
-        config.scheduling,
-        SourceIndex::build(&config.sources, n).len(),
-    );
-    if let Some(t) = &config.telemetry {
-        run_sched.publish(t);
     }
 
     let setup_bytes = setup.encode();
@@ -1039,8 +967,7 @@ pub fn run_leader(
         s.write_frame(TAG_SETUP, &setup_bytes)?;
         let (tag, payload) = s.read_frame()?;
         if tag == TAG_ERROR {
-            let msg = String::from_utf8_lossy(&payload).into_owned();
-            return Err(WireError::Peer(format!("shard {i}: {msg}")).into());
+            return Err(shard_error(i, &payload));
         }
         if tag != TAG_HELLO {
             return Err(proto(format!("expected HELLO from shard {i}, got {tag}")));
@@ -1073,10 +1000,7 @@ pub fn run_leader(
                 }
                 dones.push(d);
             }
-            TAG_ERROR => {
-                let msg = String::from_utf8_lossy(&payload).into_owned();
-                return Err(WireError::Peer(format!("shard {i}: {msg}")).into());
-            }
+            TAG_ERROR => return Err(shard_error(i, &payload)),
             t => return Err(proto(format!("expected DONE from shard {i}, got tag {t}"))),
         }
     }
@@ -1094,18 +1018,14 @@ pub fn run_leader(
     // Merge metrics exactly like the in-process join: partials add, the
     // committed count becomes the round total.
     let mut metrics = NetMetrics::default();
+    let mut transport = TransportStats::default();
     for d in &dones {
         metrics.merge(&d.metrics);
+        transport.merge(&d.transport);
     }
     if committed > 0 {
         metrics.rounds = committed;
     }
-    let mut transport = TransportStats::default();
-    for d in &dones {
-        transport.merge(&d.transport);
-    }
-    metrics.messages_retransmitted = transport.retransmits;
-    metrics.messages_deduped = transport.deduped;
 
     // Replay telemetry before any error return so a postmortem carries
     // the flight recorder up to the failure. Committed rounds replay
@@ -1128,29 +1048,11 @@ pub fn run_leader(
         }
     }
 
-    // Canonical error attribution, mirroring the in-process join.
-    let first_panic = dones
-        .iter()
-        .filter_map(|d| d.panic.clone())
-        .min_by_key(|&(v, _)| v);
-    let clip = first_panic.as_ref().map_or(NodeId::MAX, |&(v, _)| v);
-    let first_error = dones
-        .iter()
-        .filter_map(|d| d.first_error.as_ref())
-        .filter(|e| error_node(e) < clip)
-        .min_by_key(|e| error_node(e))
-        .cloned();
-    if let Some((node, message)) = first_panic {
-        return Err(DistBcError::Congest(CongestError::NodePanic {
-            node,
-            round: committed,
-            message,
-        })
-        .into());
-    }
-    if let Some(e) = first_error {
-        return Err(DistBcError::Congest(e).into());
-    }
+    canonical_abort(
+        dones.iter().map(|d| (&d.panic, d.first_error.as_ref())),
+        committed,
+    )
+    .map_err(DistBcError::Congest)?;
     if verdict == VERDICT_ROUND_LIMIT {
         return Err(DistBcError::Congest(CongestError::RoundLimit {
             max_rounds: engine_cfg.max_rounds,
@@ -1188,77 +1090,27 @@ pub fn run_leader(
         .ok_or_else(|| proto("incomplete node coverage across shards"))?;
     let root = root.ok_or_else(|| proto("no shard reported the root summary"))?;
 
-    // Leader-recorded run-level state footprint, mirroring the in-process
-    // driver: shards already measured each node, the leader just folds.
-    let state_bytes_total: u64 = summaries.iter().map(|s| s.state_bytes).sum();
-    let state_bytes_peak: u64 = summaries.iter().map(|s| s.state_bytes).max().unwrap_or(0);
-    if let Some(t) = &config.telemetry {
-        t.add(0, Counter::StateBytes, state_bytes_total);
-    }
-
-    let profile_report = profile.then(|| {
+    let profiler = profile.then(|| {
         let mut profiler = Profiler::new();
         for r in 0..committed as usize {
-            let mut worker_busy_ns = Vec::with_capacity(k);
-            let mut worker_route_ns = Vec::with_capacity(k);
-            let mut compute_ns = 0u64;
-            let mut inbox_messages = 0u64;
-            let mut nodes_stepped = 0u64;
-            let (mut cross, mut intra) = (0u64, 0u64);
-            for d in &dones {
-                let row = d.prof.get(r).copied().unwrap_or_default();
-                worker_busy_ns.push(row.busy_ns);
-                worker_route_ns.push(row.route_ns);
-                compute_ns += row.compute_ns;
-                inbox_messages += row.inbox_messages;
-                nodes_stepped += row.nodes_stepped;
-                cross += row.cross;
-                intra += row.intra;
-            }
-            profiler.record_round(RoundSpan {
-                round: r as u64,
-                total_ns: dones[0].round_wall_ns.get(r).copied().unwrap_or(0),
-                compute_ns,
-                inbox_messages,
-                nodes_stepped,
-                worker_busy_ns,
-                worker_route_ns,
-                cross_shard_messages: cross,
-                intra_shard_messages: intra,
-            });
+            profiler.record_round(RoundSpan::fold(
+                r as u64,
+                dones[0].round_wall_ns.get(r).copied().unwrap_or(0),
+                dones
+                    .iter()
+                    .map(|d| d.prof.get(r).copied().unwrap_or_default()),
+            ));
         }
-        let mut engine = format!("wire({k})");
-        if config.partition != PartitionStrategy::Contiguous {
-            engine.push('+');
-            engine.push_str(config.partition.label());
-        }
-        engine.push_str("+reliable");
-        let phases = phase_windows(&run_sched, committed);
-        let mut rep = profiler.report(&engine, &phases);
-        rep.messages_retransmitted = transport.retransmits;
-        rep.messages_deduped = transport.deduped;
-        rep.faults_injected = metrics.faults_dropped
-            + metrics.faults_duplicated
-            + metrics.faults_corrupted
-            + metrics.faults_delayed;
-        rep.state_bytes_total = state_bytes_total;
-        rep.state_bytes_peak = state_bytes_peak;
-        rep
+        profiler
     });
-
-    let result = assemble_result(
-        n,
-        &config.sources,
-        config.estimator,
-        config.compute_stress,
-        run_sched,
-        fp,
-        committed,
+    let harvest = Harvest {
+        rounds: committed,
         metrics,
-        &summaries,
-        &root,
-    );
-    Ok((result, profile_report))
+        transport,
+        summaries,
+        root,
+    };
+    Ok(plan.finish(config, harvest, profiler, Some(format!("wire({k})"))))
 }
 
 #[cfg(test)]
@@ -1270,18 +1122,22 @@ mod tests {
             n: 9,
             edges: vec![(0, 1), (1, 2), (2, 3)],
             addrs: vec!["tcp:127.0.0.1:4100".into(), "unix:/tmp/s1.sock".into()],
-            partition: PartitionStrategy::DegreeBalanced,
-            scheduling: Scheduling::Sequential,
-            compute_stress: true,
-            sources: SourceSelection::Sample { k: 4, seed: 99 },
-            targets: Some(vec![true, false, true, true, false, true, true, false, true].into()),
-            fp: FpParams::new(13, Rounding::Nearest),
-            budget: Budget::Bits(96),
-            strict: true,
-            skip_idle: false,
+            config: DistBcConfig {
+                partition: PartitionStrategy::DegreeBalanced,
+                scheduling: Scheduling::Sequential,
+                compute_stress: true,
+                sources: SourceSelection::Sample { k: 4, seed: 99 },
+                targets: Some(vec![true, false, true, true, false, true, true, false, true].into()),
+                fp: Some(FpParams::new(13, Rounding::Nearest)),
+                budget: Budget::Bits(96),
+                enforcement: Enforcement::Strict,
+                skip_idle: false,
+                estimator: Estimator::JiYan,
+                reliable: true,
+                ..DistBcConfig::default()
+            },
             telemetry: true,
             profiling: true,
-            estimator: Estimator::JiYan,
         }
     }
 
@@ -1292,9 +1148,12 @@ mod tests {
         assert_eq!(Setup::decode(&enc).unwrap(), setup);
 
         let explicit = Setup {
-            sources: SourceSelection::Explicit(vec![true; 9].into()),
-            targets: None,
-            budget: Budget::Auto,
+            config: DistBcConfig {
+                sources: SourceSelection::Explicit(vec![true; 9].into()),
+                targets: None,
+                budget: Budget::Auto,
+                ..setup.config.clone()
+            },
             ..setup
         };
         assert_eq!(Setup::decode(&explicit.encode()).unwrap(), explicit);
@@ -1305,7 +1164,10 @@ mod tests {
         let setup = setup_fixture();
         let enc = setup.encode();
         let pipelined = Setup {
-            scheduling: Scheduling::DfsPipelined,
+            config: DistBcConfig {
+                scheduling: Scheduling::DfsPipelined,
+                ..setup.config.clone()
+            },
             ..setup
         }
         .encode();
@@ -1402,7 +1264,7 @@ mod tests {
                 dfs_done_round: Some(44),
             }),
             telemetry_deltas: vec![[1u64; COUNTER_COUNT], [2u64; COUNTER_COUNT]],
-            prof: vec![WireProfRow {
+            prof: vec![ProfRow {
                 busy_ns: 1,
                 compute_ns: 2,
                 route_ns: 3,

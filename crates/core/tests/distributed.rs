@@ -214,13 +214,12 @@ fn trivial_graphs() {
 }
 
 #[test]
-fn convenience_wrappers() {
+fn closeness_and_diameter_come_with_the_run() {
     let g = generators::star(8);
-    let cc = bc_core::run_distributed_closeness(&g, DistBcConfig::default()).unwrap();
-    assert_eq!(cc.len(), 8);
-    assert!(cc[0] > cc[1]);
-    let d = bc_core::run_distributed_diameter(&g, DistBcConfig::default()).unwrap();
-    assert_eq!(d, 2);
+    let out = run_distributed_bc(&g, DistBcConfig::default()).unwrap();
+    assert_eq!(out.closeness.len(), 8);
+    assert!(out.closeness[0] > out.closeness[1]);
+    assert_eq!(out.diameter, 2);
 }
 
 #[test]

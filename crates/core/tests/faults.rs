@@ -9,7 +9,7 @@
 //! transport: an undecodable payload surfaces as a `DistBcError`, not a
 //! panic.
 
-use bc_congest::asynchronous::{run_synchronized_faulty, AsyncConfig};
+use bc_congest::asynchronous::{run_synchronized_with, AsyncConfig, SyncOptions};
 use bc_congest::{CongestError, FaultPlan};
 use bc_core::transport::{Reliable, ReliableConfig};
 use bc_core::{run_distributed_bc, AlgoOptions, DistBcConfig, DistBcError, DistBcNode};
@@ -136,15 +136,18 @@ fn alpha_synchronizer_with_faults_and_transport_matches_baseline() {
         let rcfg = ReliableConfig {
             rto: plan.max_delay + 2,
         };
-        let (nodes, _) = run_synchronized_faulty(
+        let (nodes, _, _) = run_synchronized_with(
             &g,
             AsyncConfig {
                 max_delay: 4,
                 seed: seed ^ 0xa5a5,
             },
             pulses,
-            plan,
             |v, gg| Reliable::new(DistBcNode::new(n, v, opts.clone()), gg.degree(v), rcfg),
+            SyncOptions {
+                faults: Some(plan),
+                ..SyncOptions::default()
+            },
         );
         for (v, node) in nodes.iter().enumerate() {
             assert_eq!(

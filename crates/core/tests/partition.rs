@@ -7,7 +7,7 @@
 
 use bc_congest::trace::{RingSink, TraceEvent, TraceSink};
 use bc_congest::FaultPlan;
-use bc_core::{run_distributed_bc, run_distributed_bc_traced, DistBcConfig, PartitionStrategy};
+use bc_core::{run, run_distributed_bc, DistBcConfig, Instruments, PartitionStrategy};
 use bc_graph::{Graph, GraphBuilder, NodeId};
 use proptest::prelude::*;
 
@@ -42,8 +42,12 @@ fn arb_connected_graph(max_n: usize) -> impl Strategy<Value = Graph> {
 /// alongside the result.
 fn run_traced(g: &Graph, cfg: DistBcConfig) -> (bc_core::DistBcResult, Vec<TraceEvent>) {
     let sink: Box<dyn TraceSink> = Box::new(RingSink::new(1 << 22));
-    let (out, mut sink) = run_distributed_bc_traced(g, cfg, sink).expect("traced run succeeds");
-    (out, sink.drain_events())
+    let instruments = Instruments {
+        trace: Some(sink),
+        profile: false,
+    };
+    let run = run(g, cfg, instruments).expect("traced run succeeds");
+    (run.result, run.trace.expect("sink returned").drain_events())
 }
 
 proptest! {

@@ -17,11 +17,11 @@
 use distbc::brandes;
 use distbc::congest::trace::{self, check, stats, JsonlSink, TraceSink};
 use distbc::congest::wire::fnv1a64;
-use distbc::congest::{Counter, Enforcement, FaultPlan, ProfileReport, Telemetry};
+use distbc::congest::{Counter, Enforcement, FaultPlan, Telemetry};
 use distbc::core::{
-    auto_threads, run_distributed_bc, run_distributed_bc_profiled, run_distributed_bc_traced,
-    run_distributed_bc_traced_profiled, run_leader, serve_shard, DistBcConfig, DistBcResult,
-    Estimator, PartitionStrategy, Scheduling, SourceSelection, AUTO_THREADS_MIN_NODES,
+    auto_threads, run, run_distributed_bc, run_leader, serve_shard, DistBcConfig, DistBcResult,
+    Estimator, Instruments, PartitionStrategy, Run, Scheduling, SourceSelection,
+    AUTO_THREADS_MIN_NODES,
 };
 use distbc::graph::{algo, datasets, generators, io, Graph};
 use distbc::lowerbound::disjoint::{random_instance, universe_size};
@@ -31,7 +31,7 @@ use distbc::serve::{
     Server, ServerConfig,
 };
 use std::error::Error;
-use std::io::IsTerminal;
+use std::io::{IsTerminal, Write};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -130,6 +130,16 @@ enum Algorithm {
     Exact,
     Naive,
     Sampled(usize),
+}
+
+impl Algorithm {
+    /// The distributed run's sources: `sampled:K` draws `K` with `seed`.
+    fn sources(&self, seed: u64) -> SourceSelection {
+        match *self {
+            Algorithm::Sampled(k) => SourceSelection::Sample { k, seed },
+            _ => SourceSelection::All,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -377,11 +387,13 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                 )
             }
             "--mantissa-bits" => {
-                mantissa_bits = Some(
-                    value("--mantissa-bits")?
-                        .parse()
-                        .map_err(|_| "bad --mantissa-bits value".to_string())?,
-                )
+                let l: u32 = value("--mantissa-bits")?
+                    .parse()
+                    .map_err(|_| "bad --mantissa-bits value".to_string())?;
+                if !(1..=31).contains(&l) {
+                    return Err(format!("--mantissa-bits must be in 1..=31, got {l}"));
+                }
+                mantissa_bits = Some(l);
             }
             "--kind" => {
                 kind = Some(match value("--kind")?.as_str() {
@@ -480,39 +492,23 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
             if listen.is_some() {
                 return Err("--listen belongs to serve-shard; the leader uses --connect".into());
             }
-            match &connect {
-                None => {
-                    if shards.is_some() {
-                        return Err("--shards requires --connect".into());
-                    }
+            check_shards(connect.as_deref(), shards)?;
+            if connect.is_some() {
+                if !distributed {
+                    return Err("--connect requires --algorithm distributed or sampled:K".into());
                 }
-                Some(addrs) => {
-                    if !distributed {
-                        return Err(
-                            "--connect requires --algorithm distributed or sampled:K".into()
-                        );
-                    }
-                    if let Some(s) = shards {
-                        if s != addrs.len() {
-                            return Err(format!(
-                                "--shards {s} disagrees with the {} --connect addresses",
-                                addrs.len()
-                            ));
-                        }
-                    }
-                    if faults.is_some() || best_effort {
-                        return Err("--faults/--best-effort are in-process fault injection; \
-                                    the wire engine takes real faults from the network itself"
-                            .into());
-                    }
-                    if trace.is_some() {
-                        return Err("--trace is not supported with --connect".into());
-                    }
-                    if watch {
-                        return Err("--watch is not supported with --connect (telemetry is \
-                                    replayed on the leader after the run)"
-                            .into());
-                    }
+                if faults.is_some() || best_effort {
+                    return Err("--faults/--best-effort are in-process fault injection; \
+                                the wire engine takes real faults from the network itself"
+                        .into());
+                }
+                if trace.is_some() {
+                    return Err("--trace is not supported with --connect".into());
+                }
+                if watch {
+                    return Err("--watch is not supported with --connect (telemetry is \
+                                replayed on the leader after the run)"
+                        .into());
                 }
             }
             Ok(Command::Centrality {
@@ -566,17 +562,7 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
             if connect.is_some() && algorithm == Algorithm::Brandes {
                 return Err("--connect requires --algorithm distributed or sampled:K".into());
             }
-            if let (Some(s), Some(addrs)) = (shards, &connect) {
-                if s != addrs.len() {
-                    return Err(format!(
-                        "--shards {s} disagrees with the {} --connect addresses",
-                        addrs.len()
-                    ));
-                }
-            }
-            if shards.is_some() && connect.is_none() {
-                return Err("--shards requires --connect".into());
-            }
+            check_shards(connect.as_deref(), shards)?;
             if no_telemetry && postmortem.is_some() {
                 return Err("--no-telemetry is incompatible with --postmortem".into());
             }
@@ -614,12 +600,24 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                 csv,
             })
         }
-        "gadget" => Ok(Command::Gadget {
-            kind: kind.ok_or("gadget needs --kind diameter|bc")?,
-            n: n.ok_or("gadget needs --n")?,
-            x,
-            planted,
-        }),
+        "gadget" => {
+            let kind = kind.ok_or("gadget needs --kind diameter|bc")?;
+            let n = n.ok_or("gadget needs --n")?;
+            if n == 0 {
+                return Err("gadget needs --n of at least 1".into());
+            }
+            if kind == GadgetKind::Diameter && x < 8 {
+                return Err(format!(
+                    "the diameter gadget needs --x of at least 8, got {x}"
+                ));
+            }
+            Ok(Command::Gadget {
+                kind,
+                n,
+                x,
+                planted,
+            })
+        }
         "check-trace" => Ok(Command::CheckTrace {
             file: positional
                 .first()
@@ -644,6 +642,18 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
     }
 }
 
+/// `--shards K` needs `--connect` with exactly `K` addresses.
+fn check_shards(connect: Option<&[String]>, shards: Option<usize>) -> Result<(), String> {
+    match (connect, shards) {
+        (None, Some(_)) => Err("--shards requires --connect".into()),
+        (Some(addrs), Some(s)) if s != addrs.len() => Err(format!(
+            "--shards {s} disagrees with the {} --connect addresses",
+            addrs.len()
+        )),
+        _ => Ok(()),
+    }
+}
+
 /// Parses an `U:V` edge spec for `--add-edge`/`--remove-edge`.
 fn parse_edge(spec: &str, flag: &str) -> Result<(u32, u32), String> {
     let bad = || format!("bad {flag} value {spec:?} (expected U:V)");
@@ -653,34 +663,53 @@ fn parse_edge(spec: &str, flag: &str) -> Result<(u32, u32), String> {
 
 fn generate(spec: &str) -> Result<Graph, String> {
     let parts: Vec<&str> = spec.split(':').collect();
-    let num = |i: usize| -> Result<usize, String> {
+    let arg = |i: usize| {
         parts
             .get(i)
-            .ok_or_else(|| format!("{spec:?}: missing argument {i}"))?
-            .parse()
-            .map_err(|_| format!("{spec:?}: bad integer argument {i}"))
+            .ok_or_else(|| format!("{spec:?}: missing argument {i}"))
     };
-    let float = |i: usize| -> Result<f64, String> {
-        parts
-            .get(i)
-            .ok_or_else(|| format!("{spec:?}: missing argument {i}"))?
+    // The generators assert their preconditions; check them here so bad
+    // input is a usage error, not a panic.
+    let num = |i: usize, min: usize| -> Result<usize, String> {
+        let v: usize = arg(i)?
             .parse()
-            .map_err(|_| format!("{spec:?}: bad float argument {i}"))
+            .map_err(|_| format!("{spec:?}: bad integer argument {i}"))?;
+        if v < min {
+            return Err(format!("{spec:?}: argument {i} must be at least {min}"));
+        }
+        Ok(v)
     };
+    let prob = |i: usize| -> Result<f64, String> {
+        let p: f64 = arg(i)?
+            .parse()
+            .map_err(|_| format!("{spec:?}: bad float argument {i}"))?;
+        if !(0.0..=1.0).contains(&p) {
+            return Err(format!("{spec:?}: argument {i} must be in [0, 1]"));
+        }
+        Ok(p)
+    };
+    let seed = |i: usize| num(i, 0).map(|s| s as u64);
     Ok(match parts[0] {
-        "path" => generators::path(num(1)?),
-        "cycle" => generators::cycle(num(1)?),
-        "star" => generators::star(num(1)?),
-        "complete" => generators::complete(num(1)?),
-        "grid" => generators::grid(num(1)?, num(2)?),
-        "er" => generators::erdos_renyi_connected(num(1)?, float(2)?, num(3)? as u64),
-        "ba" => generators::barabasi_albert(num(1)?, num(2)?, num(3)? as u64),
+        "path" => generators::path(num(1, 1)?),
+        "cycle" => generators::cycle(num(1, 3)?),
+        "star" => generators::star(num(1, 1)?),
+        "complete" => generators::complete(num(1, 1)?),
+        "grid" => generators::grid(num(1, 1)?, num(2, 1)?),
+        "er" => generators::erdos_renyi_connected(num(1, 1)?, prob(2)?, seed(3)?),
+        "ba" => {
+            let m = num(2, 1)?;
+            generators::barabasi_albert(num(1, m + 1)?, m, seed(3)?)
+        }
         "ws" => {
-            let g = generators::watts_strogatz(num(1)?, num(2)?, float(3)?, num(4)? as u64);
+            let k = num(2, 0)?;
+            if k % 2 != 0 {
+                return Err(format!("{spec:?}: argument 2 must be even"));
+            }
+            let g = generators::watts_strogatz(num(1, k + 1)?, k, prob(3)?, seed(4)?);
             algo::largest_component(&g).0
         }
-        "tree" => generators::random_tree(num(1)?, num(2)? as u64),
-        "barbell" => generators::barbell(num(1)?, num(2)?),
+        "tree" => generators::random_tree(num(1, 1)?, seed(2)?),
+        "barbell" => generators::barbell(num(1, 2)?, num(2, 0)?),
         "karate" => datasets::karate_club(),
         "florentine" => datasets::florentine_families(),
         "figure1" => generators::paper_figure1(),
@@ -688,9 +717,10 @@ fn generate(spec: &str) -> Result<Graph, String> {
     })
 }
 
-/// A flag combination that could only be rejected after the graph was
-/// loaded (e.g. `sampled:K` with `K > n`). Reported like a parse error:
-/// usage text and exit code 2, not the runtime failure exit 1.
+/// Bad input that could only be rejected after parsing: a generator spec
+/// the family cannot build, or a flag combination that needs the loaded
+/// graph (e.g. `sampled:K` with `K > n`). Reported like a parse error:
+/// exit code 2, not the runtime failure exit 1.
 #[derive(Debug)]
 struct UsageError(String);
 
@@ -722,7 +752,7 @@ fn load(source: &GraphSource) -> Result<Graph, Box<dyn Error>> {
             let text = std::fs::read_to_string(path)?;
             Ok(io::parse_edge_list(&text)?)
         }
-        GraphSource::Generate(spec) => Ok(generate(spec)?),
+        GraphSource::Generate(spec) => generate(spec).map_err(|e| UsageError(e).into()),
     }
 }
 
@@ -951,13 +981,7 @@ fn cmd_centrality(
                 fp: mantissa_bits.map(|l| FpParams::new(l, Rounding::Ceil)),
                 scheduling,
                 compute_stress: stress,
-                sources: match algorithm {
-                    Algorithm::Sampled(k) => SourceSelection::Sample {
-                        k: *k,
-                        seed: sample_seed,
-                    },
-                    _ => SourceSelection::All,
-                },
+                sources: algorithm.sources(sample_seed),
                 estimator,
                 threads,
                 partition,
@@ -978,8 +1002,6 @@ fn cmd_centrality(
                 Some(path) => Some(Box::new(JsonlSink::create(path)?)),
                 None => None,
             };
-            let mut profile_report: Option<ProfileReport> = None;
-            let mut returned_sink: Option<Box<dyn TraceSink>> = None;
             // --perfetto renders from the profiler's round spans, so it
             // turns profiling on internally even without --profile.
             let want_profile = profile || perfetto.is_some();
@@ -987,38 +1009,31 @@ fn cmd_centrality(
                 (Some(t), true) => Some(WatchThread::spawn(t.clone(), postmortem_path.to_string())),
                 _ => None,
             };
-            let run_result: Result<DistBcResult, Box<dyn Error>> = (|| {
-                if let Some(addrs) = connect {
-                    // Multi-process run: the shard processes execute, the
-                    // leader merges. Wire runs are implicitly reliable.
-                    let (out, report) = run_leader(&g, &cfg, addrs, want_profile)?;
-                    profile_report = report;
-                    return Ok(out);
+            let run_result: Result<Run, Box<dyn Error>> = match connect {
+                // Multi-process run: the shard processes execute, the
+                // leader merges. Wire runs are implicitly reliable.
+                Some(addrs) => run_leader(&g, &cfg, addrs, want_profile)
+                    .map(|(result, profile)| Run {
+                        result,
+                        trace: None,
+                        profile,
+                    })
+                    .map_err(Box::from),
+                None => {
+                    let instruments = Instruments {
+                        trace: sink,
+                        profile: want_profile,
+                    };
+                    run(&g, cfg, instruments).map_err(Box::from)
                 }
-                Ok(match (sink, want_profile) {
-                    (Some(sink), true) => {
-                        let (out, sink, report) =
-                            run_distributed_bc_traced_profiled(&g, cfg, sink)?;
-                        profile_report = Some(report);
-                        returned_sink = Some(sink);
-                        out
-                    }
-                    (Some(sink), false) => {
-                        let (out, sink) = run_distributed_bc_traced(&g, cfg, sink)?;
-                        returned_sink = Some(sink);
-                        out
-                    }
-                    (None, true) => {
-                        let (out, report) = run_distributed_bc_profiled(&g, cfg)?;
-                        profile_report = Some(report);
-                        out
-                    }
-                    (None, false) => run_distributed_bc(&g, cfg)?,
-                })
-            })();
+            };
             drop(watcher);
-            let out = match run_result {
-                Ok(out) => out,
+            let Run {
+                result: out,
+                trace: mut returned_sink,
+                profile: profile_report,
+            } = match run_result {
+                Ok(run) => run,
                 Err(e) => {
                     // The run died (NodePanic, RoundLimit, abort, ...):
                     // preserve the scene before reporting the failure.
@@ -1205,13 +1220,7 @@ fn cmd_serve(
         }
         Algorithm::Distributed | Algorithm::Sampled(_) => {
             let cfg = DistBcConfig {
-                sources: match algorithm {
-                    Algorithm::Sampled(k) => SourceSelection::Sample {
-                        k: *k,
-                        seed: sample_seed,
-                    },
-                    _ => SourceSelection::All,
-                },
+                sources: algorithm.sources(sample_seed),
                 estimator,
                 threads,
                 telemetry: telemetry.clone(),
@@ -1267,7 +1276,6 @@ fn cmd_serve(
     // address (ephemeral TCP ports resolved) — so scripts and tests can
     // discover where to connect.
     println!("listening on {}", server.addr());
-    use std::io::Write as _;
     std::io::stdout().flush()?;
     eprintln!(
         "# serve: {} nodes, algorithm {}, snapshot v{} (graph {:016x}, config {:016x})",
@@ -1429,14 +1437,18 @@ fn cmd_check_trace(file: &str) -> Result<(), Box<dyn Error>> {
 fn cmd_trace_stats(file: &str, csv: bool, json: bool, top: usize) -> Result<(), Box<dyn Error>> {
     let events = trace::read_jsonl(file)?;
     let s = stats::analyze(&events, top);
-    if csv {
-        print!("{}", s.to_csv());
+    let text = if csv {
+        s.to_csv()
     } else if json {
-        println!("{}", s.to_json());
+        format!("{}\n", s.to_json())
     } else {
-        print!("{s}");
+        s.to_string()
+    };
+    // A reader that hangs up early (`| head`) ends the output quietly.
+    match std::io::stdout().lock().write_all(text.as_bytes()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(e.into()),
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 fn main() -> ExitCode {

@@ -662,3 +662,68 @@ fn sampled_run_without_the_root() {
         assert_eq!(stdout(&run).lines().count(), n + 1, "{spec}");
     }
 }
+
+/// Input a generator, the float format or a gadget cannot take is a usage
+/// error (exit 2) with a message, never a panic.
+#[test]
+fn bad_input_is_a_usage_error_not_a_panic() {
+    let cases: [&[&str]; 17] = [
+        &["centrality", "--generate", "path:0"],
+        &["centrality", "--generate", "star:0"],
+        &["centrality", "--generate", "cycle:2"],
+        &["centrality", "--generate", "grid:0:0"],
+        &["centrality", "--generate", "ba:5:0:1"],
+        &["centrality", "--generate", "ws:10:10:0.1:1"],
+        &["centrality", "--generate", "er:10:1.5:1"],
+        &["centrality", "--generate", "barbell:1:0"],
+        &["centrality", "--generate", "tree:0:1"],
+        &["centrality", "--generate", "nosuch:3"],
+        &["centrality", "--generate", "path:x"],
+        &["info", "--generate", "cycle:2"],
+        &["centrality", "--generate", "path:8", "--mantissa-bits", "0"],
+        &[
+            "centrality",
+            "--generate",
+            "path:8",
+            "--mantissa-bits",
+            "200",
+        ],
+        &["gadget", "--kind", "diameter", "--n", "2", "--x", "0"],
+        &["gadget", "--kind", "bc", "--n", "0"],
+        &["gadget", "--kind", "diameter", "--n", "0"],
+    ];
+    for args in cases {
+        let out = distbc(args);
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.starts_with("error: "), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
+
+/// `trace-stats` writing into a reader that already hung up (`| head`)
+/// ends quietly with exit 0 instead of panicking on the broken pipe.
+#[test]
+fn trace_stats_into_a_closed_pipe_exits_cleanly() {
+    let trace = tmp("closed-pipe.jsonl");
+    let run = distbc(&[
+        "centrality",
+        "--generate",
+        "path:64",
+        "--trace",
+        trace.to_str().unwrap(),
+    ]);
+    assert!(run.status.success(), "{run:?}");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_distbc"))
+        .args(["trace-stats", trace.to_str().unwrap(), "--json"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn distbc");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait");
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    std::fs::remove_file(&trace).ok();
+}

@@ -4,18 +4,29 @@
 //! every engine (serial, parallel, α-synchronizer) and both kinds of phase
 //! windows (depth-aware and N-only).
 
-use distbc::congest::asynchronous::{run_synchronized, run_synchronized_profiled, AsyncConfig};
-use distbc::congest::Profiler;
+use distbc::congest::asynchronous::{
+    run_synchronized, run_synchronized_with, AsyncConfig, SyncOptions,
+};
+use distbc::congest::{ProfileReport, Profiler};
 use distbc::core::{
-    run_distributed_bc, run_distributed_bc_profiled, AlgoOptions, DistBcConfig, DistBcNode,
+    run, run_distributed_bc, AlgoOptions, DistBcConfig, DistBcNode, DistBcResult, Instruments,
     PhaseSchedule, Scheduling,
 };
-use distbc::graph::generators;
+use distbc::graph::{generators, Graph};
+
+fn profiled(g: &Graph, cfg: DistBcConfig) -> (DistBcResult, ProfileReport) {
+    let instruments = Instruments {
+        trace: None,
+        profile: true,
+    };
+    let run = run(g, cfg, instruments).unwrap();
+    (run.result, run.profile.expect("profile requested"))
+}
 
 fn assert_profiling_free(cfg: DistBcConfig) {
     let g = generators::erdos_renyi_connected(36, 0.12, 17);
     let plain = run_distributed_bc(&g, cfg.clone()).unwrap();
-    let (profiled, report) = run_distributed_bc_profiled(&g, cfg).unwrap();
+    let (profiled, report) = profiled(&g, cfg);
     assert_eq!(plain.rounds, profiled.rounds);
     assert_eq!(plain.metrics, profiled.metrics);
     assert_eq!(plain.betweenness, profiled.betweenness);
@@ -30,7 +41,7 @@ fn profiling_is_free_on_serial_engine() {
     let cfg = DistBcConfig::default();
     assert_profiling_free(cfg.clone());
     let g = generators::paper_figure1();
-    let (out, report) = run_distributed_bc_profiled(&g, cfg).unwrap();
+    let (out, report) = profiled(&g, cfg);
     assert!((out.betweenness[1] - 3.5).abs() < 1e-9);
     assert_eq!(report.engine, "serial");
     // Provisioned runs expose the four phase windows with wall-clock.
@@ -51,7 +62,7 @@ fn profiling_is_free_on_parallel_engine() {
     };
     assert_profiling_free(cfg.clone());
     let g = generators::erdos_renyi_connected(36, 0.12, 17);
-    let (_, report) = run_distributed_bc_profiled(&g, cfg).unwrap();
+    let (_, report) = profiled(&g, cfg);
     assert_eq!(report.engine, "parallel(4)");
     let w = report.workers.expect("parallel run reports worker stats");
     assert_eq!(w.workers, 4);
@@ -68,7 +79,7 @@ fn profiling_is_free_on_both_window_kinds() {
         (generators::path(30), false),
     ] {
         let plain = run_distributed_bc(&g, DistBcConfig::default()).unwrap();
-        let (out, report) = run_distributed_bc_profiled(&g, DistBcConfig::default()).unwrap();
+        let (out, report) = profiled(&g, DistBcConfig::default());
         assert_eq!(plain.rounds, out.rounds);
         assert_eq!(plain.metrics, out.metrics);
         assert_eq!(plain.betweenness, out.betweenness);
@@ -94,12 +105,15 @@ fn profiling_is_free_on_synchronizer() {
         let cfg = AsyncConfig { max_delay, seed };
         let (plain_nodes, plain_report) =
             run_synchronized(&g, cfg, pulses, |v, _| DistBcNode::new(n, v, opts.clone()));
-        let (prof_nodes, prof_report, profiler) = run_synchronized_profiled(
+        let (prof_nodes, prof_report, options) = run_synchronized_with(
             &g,
             cfg,
             pulses,
             |v, _| DistBcNode::new(n, v, opts.clone()),
-            Profiler::new(),
+            SyncOptions {
+                profiler: Some(Profiler::new()),
+                ..SyncOptions::default()
+            },
         );
         for (p, q) in plain_nodes.iter().zip(&prof_nodes) {
             assert_eq!(
@@ -111,7 +125,7 @@ fn profiling_is_free_on_synchronizer() {
         assert_eq!(plain_report.virtual_time, prof_report.virtual_time);
         assert_eq!(plain_report.control_messages, prof_report.control_messages);
         assert_eq!(plain_report.payload_messages, prof_report.payload_messages);
-        let report = profiler.report("alpha-sync", &[]);
+        let report = options.profiler.unwrap().report("alpha-sync", &[]);
         let s = report.sync.expect("synchronizer reports pulse counters");
         assert!(s.deliveries > 0);
         assert!(s.max_queue_depth > 0);

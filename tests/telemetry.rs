@@ -7,7 +7,7 @@
 //! pattern to the always-on counter layer.
 
 use distbc::congest::asynchronous::{
-    run_synchronized, run_synchronized_faulty, run_synchronized_telemetry, AsyncConfig,
+    run_synchronized, run_synchronized_with, AsyncConfig, SyncOptions,
 };
 use distbc::congest::telemetry::HistogramId;
 use distbc::congest::{Counter, FaultPlan, Postmortem, Telemetry};
@@ -104,13 +104,15 @@ fn telemetry_is_free_on_synchronizer() {
     let (plain_nodes, plain_report) =
         run_synchronized(&g, cfg, pulses, |v, _| DistBcNode::new(n, v, opts.clone()));
     let tel = Arc::new(Telemetry::new(1, 32));
-    let (tel_nodes, tel_report) = run_synchronized_telemetry(
+    let (tel_nodes, tel_report, _) = run_synchronized_with(
         &g,
         cfg,
         pulses,
-        None,
         |v, _| DistBcNode::new(n, v, opts.clone()),
-        tel.clone(),
+        SyncOptions {
+            telemetry: Some(tel.clone()),
+            ..SyncOptions::default()
+        },
     );
     for (p, q) in plain_nodes.iter().zip(&tel_nodes) {
         assert_eq!(
@@ -127,24 +129,32 @@ fn telemetry_is_free_on_synchronizer() {
     assert!(snap.get(Counter::Rounds) > 0);
     assert!(!tel.recent_rounds().is_empty());
 
-    // Faulty: telemetered faulty α-sync vs the plain faulty wrapper.
+    // Faulty: telemetered faulty α-sync vs the untelemetered faulty run.
     let plan = FaultPlan {
         drop: 0.05,
         duplicate: 0.05,
         ..FaultPlan::seeded(3)
     };
-    let (faulty_nodes, faulty_report) =
-        run_synchronized_faulty(&g, cfg, pulses, plan.clone(), |v, _| {
-            DistBcNode::new(n, v, opts.clone())
-        });
-    let tel = Arc::new(Telemetry::new(1, 32));
-    let (tel_nodes, tel_report) = run_synchronized_telemetry(
+    let (faulty_nodes, faulty_report, _) = run_synchronized_with(
         &g,
         cfg,
         pulses,
-        Some(plan),
         |v, _| DistBcNode::new(n, v, opts.clone()),
-        tel,
+        SyncOptions {
+            faults: Some(plan.clone()),
+            ..SyncOptions::default()
+        },
+    );
+    let (tel_nodes, tel_report, _) = run_synchronized_with(
+        &g,
+        cfg,
+        pulses,
+        |v, _| DistBcNode::new(n, v, opts.clone()),
+        SyncOptions {
+            faults: Some(plan),
+            telemetry: Some(Arc::new(Telemetry::new(1, 32))),
+            ..SyncOptions::default()
+        },
     );
     for (p, q) in faulty_nodes.iter().zip(&tel_nodes) {
         assert_eq!(

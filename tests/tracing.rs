@@ -2,15 +2,30 @@
 //! protocol execution on every engine, feed the trace to the offline
 //! analyzer, and confirm it re-derives the paper's schedule facts.
 
-use distbc::congest::asynchronous::{run_synchronized_traced, AsyncConfig};
-use distbc::congest::trace::{check, read_jsonl, JsonlSink, ProtocolDetail, RingSink, TraceEvent};
+use distbc::congest::asynchronous::{run_synchronized_with, AsyncConfig, SyncOptions};
+use distbc::congest::trace::{
+    check, read_jsonl, JsonlSink, ProtocolDetail, RingSink, TraceEvent, TraceSink,
+};
 use distbc::congest::Telemetry;
 use distbc::core::{
-    run_distributed_bc, run_distributed_bc_traced, run_distributed_bc_traced_profiled, AlgoOptions,
-    DistBcConfig, DistBcNode, PhaseSchedule, Scheduling,
+    run, run_distributed_bc, AlgoOptions, DistBcConfig, DistBcNode, DistBcResult, Instruments,
+    PhaseSchedule, Scheduling,
 };
-use distbc::graph::generators;
+use distbc::graph::{generators, Graph};
 use std::sync::Arc;
+
+fn traced(
+    g: &Graph,
+    cfg: DistBcConfig,
+    sink: Box<dyn TraceSink>,
+) -> (DistBcResult, Box<dyn TraceSink>) {
+    let instruments = Instruments {
+        trace: Some(sink),
+        profile: false,
+    };
+    let run = run(g, cfg, instruments).unwrap();
+    (run.result, run.trace.expect("sink returned"))
+}
 
 /// The paper's Figure 1 example. The DFS visits the sources in preorder
 /// (v1..v5 = nodes 0..4), and the tightest Lemma-4-admissible schedule
@@ -49,8 +64,12 @@ fn phase_entries_fall_inside_the_published_windows() {
             telemetry: Some(telemetry.clone()),
             ..DistBcConfig::default()
         };
-        let (out, mut sink, profile) =
-            run_distributed_bc_traced_profiled(&g, cfg, Box::new(RingSink::new(1 << 22))).unwrap();
+        let instruments = Instruments {
+            trace: Some(Box::new(RingSink::new(1 << 22))),
+            profile: true,
+        };
+        let run = run(&g, cfg, instruments).unwrap();
+        let (out, mut sink, profile) = (run.result, run.trace.unwrap(), run.profile.unwrap());
         let s = out.schedule;
         assert_eq!(
             s,
@@ -131,12 +150,11 @@ fn phase_entries_fall_inside_the_published_windows() {
 #[test]
 fn figure1_trace_validates_on_serial_engine() {
     let g = generators::paper_figure1();
-    let (out, mut sink) = run_distributed_bc_traced(
+    let (out, mut sink) = traced(
         &g,
         DistBcConfig::default(),
         Box::new(RingSink::new(1 << 20)),
-    )
-    .unwrap();
+    );
     let events = sink.drain_events();
     assert_figure1_trace(&events);
     let report = check::check(&events);
@@ -152,8 +170,7 @@ fn figure1_trace_validates_on_parallel_engine() {
         threads: 3,
         ..DistBcConfig::default()
     };
-    let (_, mut sink) =
-        run_distributed_bc_traced(&g, cfg, Box::new(RingSink::new(1 << 20))).unwrap();
+    let (_, mut sink) = traced(&g, cfg, Box::new(RingSink::new(1 << 20)));
     assert_figure1_trace(&sink.drain_events());
 }
 
@@ -164,13 +181,17 @@ fn figure1_trace_validates_on_synchronizer() {
     // Reference run for the round count and the provisioned schedule.
     let out = run_distributed_bc(&g, DistBcConfig::default()).unwrap();
     let opts = AlgoOptions::for_graph_size(n);
-    let (_, _, mut sink) = run_synchronized_traced(
+    let (_, _, options) = run_synchronized_with(
         &g,
         AsyncConfig::default(),
         out.rounds + 1,
         |v, _| DistBcNode::new(n, v, opts.clone()),
-        Box::new(RingSink::new(1 << 20)),
+        SyncOptions {
+            sink: Some(Box::new(RingSink::new(1 << 20))),
+            ..SyncOptions::default()
+        },
     );
+    let mut sink = options.sink.unwrap();
     // The synchronizer traces only execution events; prepend the context
     // the driver would have recorded.
     let mut events = vec![
@@ -194,8 +215,7 @@ fn jsonl_trace_roundtrips_through_disk() {
     let g = generators::paper_figure1();
     let path = std::env::temp_dir().join("distbc-figure1-trace-test.jsonl");
     let sink = JsonlSink::create(&path).unwrap();
-    let (_, mut sink) =
-        run_distributed_bc_traced(&g, DistBcConfig::default(), Box::new(sink)).unwrap();
+    let (_, mut sink) = traced(&g, DistBcConfig::default(), Box::new(sink));
     sink.flush().unwrap();
     drop(sink);
     let events = read_jsonl(&path).unwrap();
@@ -249,14 +269,13 @@ mod phase_accounting {
 fn tracing_leaves_results_and_metrics_unchanged() {
     let g = generators::erdos_renyi_connected(40, 0.1, 21);
     let plain = run_distributed_bc(&g, DistBcConfig::default()).unwrap();
-    let (traced, _) = run_distributed_bc_traced(
+    let (out, _) = traced(
         &g,
         DistBcConfig::default(),
         Box::new(RingSink::new(1 << 20)),
-    )
-    .unwrap();
-    assert_eq!(plain.rounds, traced.rounds);
-    assert_eq!(plain.metrics, traced.metrics);
-    assert_eq!(plain.betweenness, traced.betweenness);
-    assert_eq!(plain.phase_stats, traced.phase_stats);
+    );
+    assert_eq!(plain.rounds, out.rounds);
+    assert_eq!(plain.metrics, out.metrics);
+    assert_eq!(plain.betweenness, out.betweenness);
+    assert_eq!(plain.phase_stats, out.phase_stats);
 }
