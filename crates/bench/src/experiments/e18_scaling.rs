@@ -170,8 +170,8 @@ pub fn run(quick: bool) -> ExperimentReport {
         "this host exposes {cores} core{} (recorded as host_cores in the artifact); \
          with fewer cores than workers the engine detects oversubscription, yields at \
          the round barrier, and wall-clock parity with serial is the physical floor — \
-         the ratio then measures pure data-plane overhead, which the free-running \
-         barrier keeps to ~10 us/round at n=256",
+         the ratio then measures pure data-plane overhead: two spin-barrier \
+         crossings per round, with worker 0 settling the round between them",
         if cores == 1 { "" } else { "s" }
     ));
     rep.note(

@@ -384,16 +384,70 @@ mod tests {
         }
     }
 
+    /// Runs one protocol state per node as two socket shards on threads,
+    /// over a `unix:` listener, and joins their outcomes the way the wire
+    /// leader does.
+    fn socket_run<P: Protocol + Send>(
+        g: &Graph,
+        max_rounds: u64,
+        make: impl Fn() -> P + Sync,
+    ) -> Result<RunReport, CongestError> {
+        use wire::{ShardEngineConfig, WireListener, WireStream};
+        static RUNS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let run = RUNS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path =
+            std::env::temp_dir().join(format!("bc-congest-lib-{}-{run}.sock", std::process::id()));
+        let addr = format!("unix:{}", path.display());
+        let listener = WireListener::bind(&addr).unwrap();
+        let map = Partition::Contiguous.shard_map(g, 2);
+        let cfg = ShardEngineConfig {
+            budget_bits: Budget::Auto.resolve(g.n()),
+            strict: true,
+            skip_idle: true,
+            max_rounds,
+            profiling: false,
+        };
+        let shard = |me: usize, peer: WireStream| {
+            let mut peers = [None, None];
+            peers[1 - me] = Some(peer);
+            let nodes = map.shards()[me].iter().map(|_| make()).collect();
+            wire::run_shard_engine(g, &map, me, &cfg, nodes, &mut peers, None).unwrap()
+        };
+        let outcomes = std::thread::scope(|s| {
+            let dialer = s.spawn(|| shard(1, WireStream::connect(&addr).unwrap()));
+            let first = shard(0, listener.accept().unwrap());
+            [first, dialer.join().unwrap()]
+        });
+        let _ = std::fs::remove_file(&path);
+        let committed = outcomes[0].committed;
+        canonical_abort(
+            outcomes.iter().map(|o| (&o.panic, o.first_error.as_ref())),
+            committed,
+        )?;
+        match outcomes[0].verdict {
+            wire::VERDICT_ROUND_LIMIT => Err(CongestError::RoundLimit { max_rounds }),
+            _ => Ok(RunReport { rounds: committed }),
+        }
+    }
+
     #[test]
     fn node_panic_names_same_node_and_round_on_both_engines() {
-        // Node 3 blows up in round 2; every engine and thread count must
-        // report exactly that, not abort the process, and not report a
-        // higher-id node that also panicked.
-        struct Fused;
+        // Nodes 3 and up misbehave in round 2 — they panic, or send twice
+        // on port 0. Every engine, thread count and the socket shards must
+        // report node 3 in round 2, not abort the process, and not report
+        // a higher-id node that misbehaved too; a run cut short by its
+        // round limit reports that limit everywhere.
+        struct Fused {
+            collide: bool,
+        }
         impl Protocol for Fused {
             fn round(&mut self, ctx: &mut RoundCtx<'_>, _: &[(usize, Message)]) {
                 if ctx.round() == 2 && ctx.id() >= 3 {
-                    panic!("fuse blown at node {}", ctx.id());
+                    if !self.collide {
+                        panic!("fuse blown at node {}", ctx.id());
+                    }
+                    ctx.send(0, msg(1, 8));
+                    ctx.send(0, msg(2, 8));
                 }
             }
             fn is_halted(&self) -> bool {
@@ -401,17 +455,63 @@ mod tests {
             }
         }
         let g = generators::cycle(8);
-        let expected = Err(CongestError::NodePanic {
-            node: 3,
-            round: 2,
-            message: "fuse blown at node 3".to_string(),
-        });
-        let mut serial = Network::new(&g, Config::default(), |_, _| Fused);
-        assert_eq!(serial.run(10), expected);
-        for threads in [1, 2, 3, 8] {
-            let mut par = Network::new(&g, Config::default(), |_, _| Fused);
-            assert_eq!(par.run_parallel(10, threads), expected, "threads={threads}");
+        let cases = [
+            (
+                false,
+                10,
+                CongestError::NodePanic {
+                    node: 3,
+                    round: 2,
+                    message: "fuse blown at node 3".to_string(),
+                },
+            ),
+            (
+                true,
+                10,
+                CongestError::Collision {
+                    node: 3,
+                    port: 0,
+                    round: 2,
+                },
+            ),
+            (false, 2, CongestError::RoundLimit { max_rounds: 2 }),
+        ];
+        for (collide, max_rounds, expected) in cases {
+            let expected = Err(expected);
+            let make = || Fused { collide };
+            let mut serial = Network::new(&g, Config::default(), |_, _| make());
+            assert_eq!(serial.run(max_rounds), expected);
+            for threads in [1, 2, 3, 8] {
+                let mut par = Network::new(&g, Config::default(), |_, _| make());
+                assert_eq!(
+                    par.run_parallel(max_rounds, threads),
+                    expected,
+                    "threads={threads}"
+                );
+            }
+            assert_eq!(socket_run(&g, max_rounds, make), expected, "sockets");
         }
+    }
+
+    #[test]
+    fn a_panicking_trace_sink_fails_a_pooled_run_instead_of_hanging() {
+        // The sink lives on worker 0, which settles rounds while its peers
+        // wait at the barrier: they must not wait for it forever.
+        struct Bomb;
+        impl trace::TraceSink for Bomb {
+            fn event(&mut self, event: &TraceEvent) {
+                assert!(
+                    !matches!(event, TraceEvent::RoundStart { round: 2 }),
+                    "sink failed"
+                );
+            }
+        }
+        let g = generators::cycle(8);
+        let mut net = Network::new(&g, Config::default(), |_, _| Flood::new());
+        net.set_trace_sink(Box::new(Bomb));
+        let run =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| net.run_parallel(100, 3)));
+        assert!(run.is_err());
     }
 
     #[test]
@@ -463,6 +563,53 @@ mod tests {
         assert_eq!(net.metrics().rounds, 2);
         assert_eq!(net.node(1).dist, Some(1));
         assert_eq!(net.node(3).dist, None);
+    }
+
+    #[test]
+    fn pooled_run_resumes_a_serial_run_with_delayed_mail_in_flight() {
+        // A serial prefix leaves fault-delayed messages and pre-filled
+        // inboxes behind; pooled runs must finish it exactly as one serial
+        // run does.
+        let g = generators::erdos_renyi_connected(40, 0.1, 3);
+        let plan = FaultPlan::parse("seed=5,dup=0.2,delay=0.4:3").unwrap();
+        let cfg = Config {
+            faults: Some(plan.clone()),
+            ..Config::default()
+        };
+        let traced = || {
+            let mut net = Network::new(&g, cfg.clone(), |_, _| Flood::new());
+            net.set_trace_sink(Box::new(trace::RingSink::new(1 << 20)));
+            net
+        };
+        let mut serial = traced();
+        serial.run(10_000).unwrap();
+        let dists = |net: &Network<Flood>| g.nodes().map(|v| net.node(v).dist).collect::<Vec<_>>();
+        let serial_events = serial.take_trace_sink().unwrap().drain_events();
+        let prefix = 3;
+        // Messages the prefix sent that the pooled run still delivers:
+        // clean ones sent in its last round (pre-filled inboxes), and
+        // delayed ones due from the switch round on.
+        let (mut prefilled, mut delayed) = (0, 0);
+        for e in &serial_events {
+            if let TraceEvent::MessageSent {
+                round, from, to, ..
+            } = *e
+            {
+                let d = plan.decide(from, to, round);
+                prefilled += usize::from(round + 1 == prefix && d.is_clean());
+                delayed += usize::from(d.delay > 0 && !d.drop && round + 1 + d.delay >= prefix);
+            }
+        }
+        assert!(prefilled > 0 && delayed > 0, "{prefilled} {delayed}");
+        for threads in [2, 3] {
+            let mut net = traced();
+            net.run_rounds(prefix).unwrap();
+            net.run_parallel(10_000, threads).unwrap();
+            assert_eq!(dists(&net), dists(&serial), "threads={threads}");
+            assert_eq!(net.metrics(), serial.metrics(), "threads={threads}");
+            let events = net.take_trace_sink().unwrap().drain_events();
+            assert_eq!(events, serial_events, "threads={threads}");
+        }
     }
 
     #[test]

@@ -27,17 +27,20 @@
 //!   run, every round under a fault plan, and every round with
 //!   [`Config::skip_idle`] off (the correctness escape hatch) visit every
 //!   node;
-//! - **a sharded data plane** — [`Network::run_parallel`] spawns a
-//!   persistent pool of workers, each *owning* one shard of node states and
-//!   inboxes for the whole run (assignment chosen by
-//!   [`Config::partition`]). Workers validate and route their own sends
-//!   directly into per-destination outboxes; at the next round barrier each
-//!   destination drains its peers' batches, so message payloads never pass
-//!   through the main thread. Only compact summaries (trace-event buffers,
-//!   fault-delayed sends, error/panic attribution) return to the main
-//!   thread, which k-way-merges them in ascending node-id order — keeping
-//!   parallel traces and metrics byte-identical to serial for every worker
-//!   count and every partition strategy.
+//! - **a sharded data plane** — [`Network::run_parallel`] runs a pool of
+//!   workers, each *owning* one shard of node states and inboxes for the
+//!   whole run (assignment chosen by [`Config::partition`]). Every worker
+//!   runs the one shard round loop (`ShardWorker::run`), which socket
+//!   shards run too; only the lanes under it differ (the `Lanes` trait:
+//!   channels and a barrier here, `BATCH` frames in [`crate::wire`]).
+//!   Workers validate and route their own sends directly into
+//!   per-destination batches, so message payloads never pass through a
+//!   coordinator. Only compact summaries (trace-event buffers,
+//!   fault-delayed sends, error/panic attribution) reach worker 0, which
+//!   merges them in ascending node-id order between the round
+//!   barrier's two crossings — keeping parallel traces and metrics
+//!   byte-identical to serial for every worker count and every partition
+//!   strategy.
 
 use crate::faults::{self, FaultPlan};
 use crate::message::Message;
@@ -47,12 +50,14 @@ use crate::profile::{ProfRow, Profiler, RoundSpan};
 use crate::telemetry::{Telemetry, TelemetryHandle};
 use crate::trace::{ProtocolDetail, TraceEvent, TraceSink, ViolationKind};
 use crate::wake::WakeSet;
+use crate::wire::{VERDICT_ABORT, VERDICT_CONTINUE, VERDICT_QUIESCENT, VERDICT_ROUND_LIMIT};
 use bc_graph::{Graph, NodeId, ReversePorts};
 use bc_numeric::bits::id_bits;
+use std::convert::Infallible;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{mpsc, Mutex};
 use std::time::Instant;
 
 /// Per-message bit budget.
@@ -273,12 +278,6 @@ impl<'a> RoundCtx<'a> {
             tracing,
             events,
         }
-    }
-
-    /// Recovers the staging buffers so an engine outside this module (the
-    /// wire engine) can recycle them the way the in-process workers do.
-    pub(crate) fn into_buffers(self) -> (Vec<(usize, Message)>, Vec<ProtocolDetail>) {
-        (self.sends, self.events)
     }
 
     /// This node's identifier.
@@ -749,24 +748,25 @@ impl<P: Protocol> Network<P> {
     }
 }
 
-/// One routed message in flight between workers: `(destination's local
+/// One routed message in flight between shards: `(destination's local
 /// index within its shard, reverse port, payload)`.
-type LaneEntry = (u32, usize, Message);
+pub(crate) type LaneEntry = (u32, u32, Message);
 
-/// One round's worth of cross-shard messages on one directed worker→worker
-/// lane. Exactly one batch (possibly empty) crosses each lane per round —
-/// that invariant is what lets the receiver's drain double as the round
+/// One round's worth of messages on one directed shard→shard lane.
+/// Exactly one batch (possibly empty) crosses each lane per round — that
+/// invariant is what lets the receiver's drain double as the round
 /// barrier.
-type LaneBatch = Vec<LaneEntry>;
+pub(crate) type LaneBatch = Vec<LaneEntry>;
 
-/// What a worker loop hands back to the main thread when it exits: the
-/// shard's node states, per-node inboxes, and its [`NetMetrics`] partial.
-type ShardHandoff<P> = (Vec<P>, Vec<Vec<(usize, Message)>>, NetMetrics);
+/// What the shard loop hands back when it exits: the shard's node states,
+/// per-node inboxes, and its [`NetMetrics`] partial.
+pub(crate) type ShardHandoff<P> = (Vec<P>, Vec<Vec<(usize, Message)>>, NetMetrics);
 
-/// Recycled buffers that round-trip between the main thread and a worker:
-/// shipped empty with each `Step`, returned filled in the [`WorkerReply`].
+/// One round's summary from one shard. Message payloads are *not* here —
+/// they went directly to their destination shards over the lanes. The
+/// buffers are reused round after round.
 #[derive(Default)]
-struct StepBufs {
+pub(crate) struct WorkerReply {
     /// `(node, events emitted)` per stepped node that produced trace
     /// events, ascending by node id; payloads are flattened into `events`
     /// in the same order.
@@ -775,45 +775,78 @@ struct StepBufs {
     /// Fault-delayed sends staged this round, tagged with their sender:
     /// `(sender, due round, target, port, message)`, ascending by sender.
     delayed: Vec<(NodeId, u64, NodeId, usize, Message)>,
-}
-
-/// One round's work order shipped to a shard worker.
-enum WorkerCmd {
-    Step {
-        round: u64,
-        tracing: bool,
-        profiling: bool,
-        /// Fault-delayed messages due this round for this worker's nodes,
-        /// as `(local index, port, message)` in canonical injection order.
-        inject: Vec<(u32, usize, Message)>,
-        bufs: StepBufs,
-    },
-    /// Shut down. `deliver` says whether to drain the final round's lanes
-    /// into the owned inboxes first (`true` on quiescence / round limit,
-    /// matching the serial engine's post-swap state; `false` on abort,
-    /// where the serial engine discards the round's deliveries too).
-    Finish { deliver: bool },
-}
-
-/// One round's summary from a shard worker. Message payloads are *not*
-/// here — they went directly to their destination workers over the lanes.
-struct WorkerReply {
-    bufs: StepBufs,
+    /// Fault-delayed messages due at this shard in the next round, in
+    /// canonical injection order.
+    inject: LaneBatch,
     /// First constraint violation in this shard's step order (= its
-    /// lowest-id violating node); the main thread picks the globally
-    /// lowest across shards, which is the one the serial engine reports.
-    first_error: Option<CongestError>,
+    /// lowest-id violating node), kept only under strict enforcement; the
+    /// run reports the globally lowest, which is the one the serial engine
+    /// reports.
+    pub(crate) first_error: Option<CongestError>,
     /// First `round()` panic in the shard; nodes after it were not stepped
     /// and its own output was discarded.
-    panic: Option<(NodeId, String)>,
-    /// Messages this worker delivered for the next round (intra + cross).
-    routed: u64,
+    pub(crate) panic: Option<(NodeId, String)>,
+    /// Messages this shard routed for the next round (intra + cross).
+    pub(crate) routed: u64,
     /// The round's timings (zero unless profiling) and tallies.
-    prof: ProfRow,
-    all_halted: bool,
+    pub(crate) prof: ProfRow,
+    /// Every node of the shard has halted.
+    pub(crate) all_halted: bool,
 }
 
-/// A sense-reversing spin barrier for the free-running round loop.
+impl WorkerReply {
+    /// The shard saw a node panic or a strict violation: the round aborts.
+    pub(crate) fn fatal(&self) -> bool {
+        self.panic.is_some() || self.first_error.is_some()
+    }
+}
+
+/// The verdict on a round every shard has stepped: abort (`fatal` on any
+/// shard) beats quiescence (`quiet`: no mail in flight and every node
+/// halted) beats the round limit.
+pub(crate) fn round_verdict(fatal: bool, quiet: bool, round: u64, max_rounds: u64) -> u8 {
+    if fatal {
+        VERDICT_ABORT
+    } else if quiet {
+        VERDICT_QUIESCENT
+    } else if round + 1 >= max_rounds {
+        VERDICT_ROUND_LIMIT
+    } else {
+        VERDICT_CONTINUE
+    }
+}
+
+/// How a shard trades its round's batches with its peers and learns each
+/// round's verdict. [`ShardWorker::run`] is the one shard round loop; the
+/// in-process pool runs it over [`MeshLanes`] (channels and a barrier),
+/// socket shards over `BATCH` frames (`crate::wire`).
+pub(crate) trait Lanes {
+    /// A transport failure.
+    type Error;
+
+    /// Sends this round's batch for peer `to` — exactly one per peer per
+    /// round, empty or not — and leaves `batch` empty for reuse. `reply`
+    /// is the shard's round summary.
+    fn send(
+        &mut self,
+        to: usize,
+        batch: &mut LaneBatch,
+        round: u64,
+        reply: &WorkerReply,
+    ) -> Result<(), Self::Error>;
+
+    /// Hands every entry peer `from` sent last round to `deliver`, in
+    /// order, then recycles the batch's buffer.
+    fn receive(&mut self, from: usize, deliver: impl FnMut(LaneEntry));
+
+    /// Settles `round` once the shard has stepped it and sent its batches,
+    /// returning the verdict, which is the same on every shard. `reply`
+    /// comes back with its buffers, carrying the next round's
+    /// fault-delayed injections.
+    fn settle(&mut self, round: u64, reply: &mut WorkerReply) -> Result<u8, Self::Error>;
+}
+
+/// A sense-reversing spin barrier for the pool's round loop.
 ///
 /// Workers cross it twice per round, so the wait must stay in the
 /// sub-microsecond range when the pool actually runs in parallel:
@@ -822,10 +855,6 @@ struct WorkerReply {
 /// host has cores — detected once at construction) spinning can only
 /// steal the quantum the straggler needs to arrive, so the wait yields
 /// immediately instead.
-///
-/// `wait` returns `true` for exactly one caller per crossing: the *last*
-/// arriver, which makes it the natural leader for work that must observe
-/// every worker's round contribution (the continue/stop verdict).
 struct SpinBarrier {
     count: AtomicUsize,
     generation: AtomicUsize,
@@ -833,6 +862,9 @@ struct SpinBarrier {
     /// Spin iterations before each check falls back to `yield_now`; zero
     /// when oversubscribed.
     spins: u32,
+    /// Set when a worker unwinds, so the others panic instead of waiting
+    /// for it forever.
+    poisoned: AtomicBool,
 }
 
 impl SpinBarrier {
@@ -849,21 +881,24 @@ impl SpinBarrier {
             } else {
                 0
             },
+            poisoned: AtomicBool::new(false),
         }
     }
 
-    /// Blocks until all `total` workers have arrived; returns `true` for
-    /// the last arriver (the leader of this crossing).
-    fn wait(&self) -> bool {
+    /// Blocks until all `total` workers have arrived.
+    fn wait(&self) {
         let gen = self.generation.load(Ordering::Acquire);
         if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
             self.count.store(0, Ordering::Relaxed);
             self.generation
                 .store(gen.wrapping_add(1), Ordering::Release);
-            true
         } else {
             let mut spins = 0u32;
             while self.generation.load(Ordering::Acquire) == gen {
+                assert!(
+                    !self.poisoned.load(Ordering::Relaxed),
+                    "a pool worker panicked"
+                );
                 if spins < self.spins {
                     spins += 1;
                     std::hint::spin_loop();
@@ -871,66 +906,22 @@ impl SpinBarrier {
                     std::thread::yield_now();
                 }
             }
-            false
         }
     }
 }
 
-/// The free-running loop's verdict after each round, published by the
-/// barrier leader. Order mirrors the orchestrated path's checks: abort
-/// (panic / strict violation) beats quiescence beats the round limit.
-const VERDICT_CONTINUE: u8 = 0;
-const VERDICT_QUIESCENT: u8 = 1;
-const VERDICT_ROUND_LIMIT: u8 = 2;
-const VERDICT_ABORT: u8 = 3;
-
-/// Shared state of the free-running data plane: per-round accumulators
-/// workers publish before barrier crossing one, and the verdict the
-/// leader derives from them between the two crossings.
+/// What the pool's workers share to settle a round: each peer publishes
+/// its [`WorkerReply`] in its slot before the barrier's first crossing;
+/// worker 0, the coordinator, reads every slot, publishes the verdict and
+/// hands the replies back before the second.
 struct RoundSync {
     barrier: SpinBarrier,
-    /// Messages routed this round, summed across workers (the parallel
-    /// `pending` of the orchestrated path's quiescence check).
-    routed: AtomicU64,
-    /// AND across workers of "my whole shard has halted".
-    all_halted: AtomicBool,
-    /// Any worker observed a node panic (or, under strict enforcement, a
-    /// constraint violation) this round.
-    fatal: AtomicBool,
+    /// One slot per worker (worker 0's is unused).
+    slots: Vec<Mutex<Option<WorkerReply>>>,
     verdict: AtomicU8,
 }
 
-impl RoundSync {
-    fn new(workers: usize) -> Self {
-        Self {
-            barrier: SpinBarrier::new(workers),
-            routed: AtomicU64::new(0),
-            all_halted: AtomicBool::new(true),
-            fatal: AtomicBool::new(false),
-            verdict: AtomicU8::new(VERDICT_CONTINUE),
-        }
-    }
-}
-
-/// What a free-running worker reports at join time, replacing the
-/// per-round [`WorkerReply`] stream of the orchestrated path.
-struct FreeRunStats {
-    /// Rounds this worker committed (identical across workers — they run
-    /// in lockstep and an aborted round commits nowhere).
-    rounds: u64,
-    /// Strict-mode violation from the aborting round, if that is why the
-    /// run stopped (canonicalized across workers by the main thread).
-    first_error: Option<CongestError>,
-    /// Node panic from the aborting round, if any.
-    panic: Option<(NodeId, String)>,
-    /// One row per committed round when profiling.
-    prof: Vec<ProfRow>,
-    /// Worker 0 only: wall time of each committed round, measured from
-    /// its own round start to the verdict barrier.
-    round_wall_ns: Vec<u64>,
-}
-
-/// Buffers a worker's trace events for the main thread's canonical merge.
+/// Buffers a worker's trace events for the coordinator's canonical merge.
 struct BufSink(Vec<TraceEvent>);
 
 impl TraceSink for BufSink {
@@ -988,25 +979,50 @@ pub fn canonical_abort<'a>(
     }
 }
 
-/// One persistent worker of the sharded data plane. Owns its shard's node
-/// states and inboxes for the whole run; exchanges message batches with
-/// peer workers directly over the lane mesh and reports only summaries
-/// (trace buffers, delayed sends, errors, counters) to the main thread.
-struct ShardWorker<'a, P> {
+/// What every shard of a run shares: topology, partition, and the run's
+/// engine settings.
+#[derive(Clone, Copy)]
+pub(crate) struct ShardEnv<'a> {
+    pub(crate) graph: &'a Graph,
+    pub(crate) reverse: &'a ReversePorts,
+    pub(crate) map: &'a ShardMap,
+    pub(crate) budget_bits: Option<usize>,
+    pub(crate) cut: Option<&'a EdgeCut>,
+    pub(crate) faults: Option<&'a FaultPlan>,
+    pub(crate) skip_idle: bool,
+    /// Violations abort the run ([`Enforcement::Strict`]).
+    pub(crate) strict: bool,
+    pub(crate) tracing: bool,
+    pub(crate) profiling: bool,
+}
+
+/// Appends a delivered entry to its inbox, noting in `touched` each inbox
+/// that goes non-empty (only those get sorted).
+fn deliver(
+    inboxes: &mut [Vec<(usize, Message)>],
+    touched: &mut Vec<u32>,
+    (local, port, msg): LaneEntry,
+) {
+    let inbox = &mut inboxes[local as usize];
+    if inbox.is_empty() {
+        touched.push(local);
+    }
+    inbox.push((port as usize, msg));
+}
+
+/// One shard of the sharded data plane: a worker of the in-process pool
+/// or a socket shard process. Owns its shard's node states and inboxes
+/// for the whole run, trades message batches with its peers over its
+/// [`Lanes`], and reports only a [`WorkerReply`] per round.
+pub(crate) struct ShardWorker<'a, P> {
     me: usize,
-    map: &'a ShardMap,
-    graph: &'a Graph,
-    reverse: &'a ReversePorts,
-    budget_bits: Option<usize>,
-    cut: Option<&'a EdgeCut>,
-    faults: Option<&'a FaultPlan>,
-    skip_idle: bool,
+    env: ShardEnv<'a>,
     /// Node states of this shard, ascending by node id.
     nodes: Vec<P>,
     /// Current-round inboxes, parallel to `nodes`.
     inboxes: Vec<Vec<(usize, Message)>>,
-    /// This worker's metric partial; merged into the run metrics once at
-    /// shutdown ([`NetMetrics::merge`] is commutative over disjoint node
+    /// This shard's metric partial; merged into the run metrics once at
+    /// the end ([`NetMetrics::merge`] is commutative over disjoint node
     /// sets).
     metrics: NetMetrics,
     stage_sends: Vec<(usize, Message)>,
@@ -1015,8 +1031,8 @@ struct ShardWorker<'a, P> {
     /// Untagged fault-delay staging for `account_sends`; drained per node
     /// into the sender-tagged reply buffer.
     delayed_scratch: Vec<(u64, NodeId, usize, Message)>,
-    /// Next-round deliveries to this worker's own nodes (the intra-shard
-    /// fast path — the self-lane never touches a channel).
+    /// Next-round deliveries to this shard's own nodes (the intra-shard
+    /// fast path never touches a lane).
     pending_intra: LaneBatch,
     /// Per-destination outboxes for the current round (`out[me]` unused).
     out: Vec<LaneBatch>,
@@ -1025,266 +1041,153 @@ struct ShardWorker<'a, P> {
     touched: Vec<u32>,
     /// Which of the shard's nodes each round visits.
     wake: WakeSet,
-    /// False until the first `Step`: the initial inboxes arrive pre-filled
-    /// and pre-sorted with the shard, not over the lanes.
+    /// False until the first round has sent its batches: the initial
+    /// inboxes arrive with the shard, not over the lanes.
     lanes_live: bool,
-    /// `lane_tx[d]` sends this worker's batch for destination `d`.
-    lane_tx: Vec<Option<mpsc::Sender<LaneBatch>>>,
-    /// `lane_rx[s]` receives the batch worker `s` sent to this worker.
-    lane_rx: Vec<Option<mpsc::Receiver<LaneBatch>>>,
-    /// `back_tx[s]` returns worker `s`'s drained batch buffer to it.
-    back_tx: Vec<Option<mpsc::Sender<LaneBatch>>>,
-    /// `back_rx[d]` receives this worker's own buffers back from `d`.
-    back_rx: Vec<Option<mpsc::Receiver<LaneBatch>>>,
-    /// Per-worker telemetry shard; one batched update per round.
+    /// Per-shard telemetry handle; one batched update per round.
     telemetry: Option<TelemetryHandle>,
+    /// The last round's reply, whose buffers the next round reuses.
+    recycled: WorkerReply,
 }
 
-impl<P: Protocol> ShardWorker<'_, P> {
-    /// Command loop: one [`WorkerCmd::Step`] per round until
-    /// [`WorkerCmd::Finish`] (or channel close), then hand the shard's
-    /// states, inboxes, and metric partial back to the main thread.
-    fn run(
-        mut self,
-        rx: mpsc::Receiver<WorkerCmd>,
-        tx: mpsc::Sender<WorkerReply>,
-    ) -> ShardHandoff<P> {
-        while let Ok(cmd) = rx.recv() {
-            match cmd {
-                WorkerCmd::Step {
-                    round,
-                    tracing,
-                    profiling,
-                    inject,
-                    bufs,
-                } => {
-                    let reply = self.step(round, tracing, profiling, inject, bufs);
-                    if tx.send(reply).is_err() {
-                        break;
-                    }
-                }
-                WorkerCmd::Finish { deliver } => return self.into_handoff(deliver),
-            }
+impl<'a, P: Protocol> ShardWorker<'a, P> {
+    /// Takes over shard `me`: its node states and current inboxes in
+    /// ascending id order, and the fault-delayed messages due in its
+    /// first round.
+    pub(crate) fn new(
+        me: usize,
+        env: ShardEnv<'a>,
+        nodes: Vec<P>,
+        inboxes: Vec<Vec<(usize, Message)>>,
+        telemetry: Option<TelemetryHandle>,
+        inject: LaneBatch,
+    ) -> Self {
+        // Pre-filled inboxes (a run re-entered mid-flight) count as
+        // delivered mail: the first round sorts in what is injected there.
+        let touched = (0..inboxes.len() as u32)
+            .filter(|&i| !inboxes[i as usize].is_empty())
+            .collect();
+        ShardWorker {
+            me,
+            env,
+            wake: WakeSet::new(nodes.len()),
+            nodes,
+            inboxes,
+            metrics: NetMetrics::default(),
+            stage_sends: Vec::new(),
+            stage_events: Vec::new(),
+            send_scratch: SendScratch::default(),
+            delayed_scratch: Vec::new(),
+            pending_intra: Vec::new(),
+            out: (0..env.map.len()).map(|_| Vec::new()).collect(),
+            touched,
+            lanes_live: false,
+            telemetry,
+            recycled: WorkerReply {
+                inject,
+                ..WorkerReply::default()
+            },
         }
-        self.into_handoff(false)
     }
 
-    /// Ends the worker's run and hands its shard back. On a clean ending
-    /// (`deliver`) one batch per peer lane is still in flight from the
-    /// final stepped round; it is delivered so the returned inboxes match
-    /// the serial engine's post-swap state.
-    fn into_handoff(mut self, deliver: bool) -> ShardHandoff<P> {
-        if deliver && self.lanes_live {
-            self.drain_lanes();
-            for &local in &self.touched {
-                sort_inbox(&mut self.inboxes[local as usize]);
-            }
-        }
-        (self.nodes, self.inboxes, self.metrics)
-    }
-
-    /// Free-running loop for runs with no trace sink and no fault plan:
-    /// the worker steps rounds back to back, synchronizing with its peers
-    /// over two [`SpinBarrier`] crossings per round instead of a
-    /// command/reply round trip through the main thread.
-    ///
-    /// The first crossing guarantees every worker's accumulators (routed
-    /// count, halt flag, fatal flag) are published; its leader derives the
-    /// verdict and resets the accumulators. The second crossing publishes
-    /// the verdict. Lane batches are always sent *before* the first
-    /// crossing, so the next round's lane `recv` finds its batch already
-    /// waiting and never parks — in steady state no thread touches a futex.
-    ///
-    /// Observable behaviour (states, metrics, error attribution, round
-    /// count) is identical to the orchestrated path: the same `step` runs,
-    /// and the leader applies the same checks in the same order.
-    fn run_free(
+    /// The shard round loop: step round `round`, settle it over `lanes`,
+    /// and go on until the verdict ends the run. A clean ending
+    /// (quiescence or the round limit) delivers the final round's batches
+    /// first, so the returned inboxes match the serial engine's post-swap
+    /// state; an aborted round delivers nothing, as in the serial engine.
+    pub(crate) fn run<L: Lanes>(
         mut self,
-        sync: &RoundSync,
-        start_round: u64,
-        max_rounds: u64,
-        profiling: bool,
-        strict: bool,
-    ) -> (ShardHandoff<P>, FreeRunStats) {
-        let mut stats = FreeRunStats {
-            rounds: 0,
-            first_error: None,
-            panic: None,
-            prof: Vec::new(),
-            round_wall_ns: Vec::new(),
-        };
-        let mut bufs = StepBufs::default();
-        let mut round = start_round;
-        let deliver = loop {
-            let round_start = (profiling && self.me == 0).then(Instant::now);
-            let reply = self.step(round, false, profiling, Vec::new(), bufs);
-            if reply.panic.is_some() || (strict && reply.first_error.is_some()) {
-                sync.fatal.store(true, Ordering::Release);
+        lanes: &mut L,
+        mut round: u64,
+    ) -> Result<(ShardHandoff<P>, u8), L::Error> {
+        loop {
+            let mut reply = self.step(round, lanes)?;
+            let verdict = lanes.settle(round, &mut reply)?;
+            self.recycled = reply;
+            if verdict == VERDICT_CONTINUE {
+                round += 1;
+                continue;
             }
-            sync.routed.fetch_add(reply.routed, Ordering::AcqRel);
-            if !reply.all_halted {
-                sync.all_halted.store(false, Ordering::Release);
-            }
-            if sync.barrier.wait() {
-                // Leader: every worker's contribution is in. Decide, reset
-                // the accumulators for the next round (peers are parked at
-                // the second crossing, so this cannot race), publish.
-                let verdict = if sync.fatal.load(Ordering::Acquire) {
-                    VERDICT_ABORT
-                } else if sync.routed.load(Ordering::Acquire) == 0
-                    && sync.all_halted.load(Ordering::Acquire)
-                {
-                    VERDICT_QUIESCENT
-                } else if round + 1 >= max_rounds {
-                    VERDICT_ROUND_LIMIT
-                } else {
-                    VERDICT_CONTINUE
-                };
-                sync.routed.store(0, Ordering::Relaxed);
-                sync.all_halted.store(true, Ordering::Relaxed);
-                // The leader observed every worker's round contribution;
-                // commit it into the shared flight recorder (aborted
-                // rounds commit nowhere, matching the orchestrated path).
-                if verdict != VERDICT_ABORT {
-                    if let Some(h) = &self.telemetry {
-                        h.registry().finish_round(round);
-                    }
-                }
-                sync.verdict.store(verdict, Ordering::Release);
-            }
-            sync.barrier.wait();
-            let verdict = sync.verdict.load(Ordering::Acquire);
-            bufs = reply.bufs;
-            if verdict == VERDICT_ABORT {
-                // An aborted round commits nowhere (the orchestrated path
-                // breaks before its round increment and profiler record);
-                // keep only the error attribution for the join.
-                stats.panic = reply.panic;
-                if strict {
-                    stats.first_error = reply.first_error;
-                }
-                break false;
-            }
-            stats.rounds += 1;
-            if profiling {
-                stats.prof.push(reply.prof);
-                if let Some(t0) = round_start {
-                    stats.round_wall_ns.push(t0.elapsed().as_nanos() as u64);
+            if verdict != VERDICT_ABORT {
+                self.drain_lanes(lanes);
+                for &local in &self.touched {
+                    sort_inbox(&mut self.inboxes[local as usize]);
                 }
             }
-            match verdict {
-                VERDICT_CONTINUE => round += 1,
-                _ => break true, // quiescent or round limit: clean ending
-            }
-        };
-        (self.into_handoff(deliver), stats)
+            return Ok(((self.nodes, self.inboxes, self.metrics), verdict));
+        }
     }
 
-    /// Moves every peer's in-flight batch (and the worker's own intra-shard
-    /// staging) into the owned inboxes, recording which went non-empty.
-    /// Blocks until each peer's batch for the round has arrived — this is
-    /// the data-plane half of the round barrier.
-    fn drain_lanes(&mut self) {
-        for src in 0..self.map.len() {
+    /// Moves every peer's batch of the last round (and the shard's own
+    /// intra-shard staging, in its slot) into the owned inboxes.
+    fn drain_lanes<L: Lanes>(&mut self, lanes: &mut L) {
+        let (inboxes, touched) = (&mut self.inboxes, &mut self.touched);
+        for src in 0..self.env.map.len() {
+            let push = |entry| deliver(inboxes, touched, entry);
             if src == self.me {
-                let mut batch = std::mem::take(&mut self.pending_intra);
-                for (local, port, msg) in batch.drain(..) {
-                    let inbox = &mut self.inboxes[local as usize];
-                    if inbox.is_empty() {
-                        self.touched.push(local);
-                    }
-                    inbox.push((port, msg));
-                }
-                self.pending_intra = batch;
-            } else if let Some(rx) = &self.lane_rx[src] {
-                let Ok(mut batch) = rx.recv() else { continue };
-                for (local, port, msg) in batch.drain(..) {
-                    let inbox = &mut self.inboxes[local as usize];
-                    if inbox.is_empty() {
-                        self.touched.push(local);
-                    }
-                    inbox.push((port, msg));
-                }
-                // Return the emptied buffer to its sender for reuse.
-                if let Some(btx) = &self.back_tx[src] {
-                    let _ = btx.send(batch);
-                }
+                self.pending_intra.drain(..).for_each(push);
+            } else {
+                lanes.receive(src, push);
             }
         }
     }
 
-    /// Executes one round over this worker's shard.
-    fn step(
-        &mut self,
-        round: u64,
-        tracing: bool,
-        profiling: bool,
-        mut inject: Vec<(u32, usize, Message)>,
-        bufs: StepBufs,
-    ) -> WorkerReply {
+    /// Executes one round over this shard and sends its batches.
+    fn step<L: Lanes>(&mut self, round: u64, lanes: &mut L) -> Result<WorkerReply, L::Error> {
+        let ShardEnv {
+            graph,
+            map,
+            faults,
+            skip_idle,
+            tracing,
+            profiling,
+            ..
+        } = self.env;
         let busy_start = profiling.then(Instant::now);
         let counting_inboxes = profiling || self.telemetry.is_some();
         self.metrics.begin_round(round);
         let mut route_ns = 0u64;
+        let WorkerReply {
+            mut index,
+            events,
+            mut delayed,
+            mut inject,
+            ..
+        } = std::mem::take(&mut self.recycled);
 
-        // Delivery: drain the previous round's lanes, then the main
-        // thread's fault-delayed injections (in that order — the serial
-        // engine also appends delayed messages after normal ones), then
-        // sort each touched inbox stably by port.
+        // Delivery: drain the previous round's lanes, then the messages
+        // whose fault delay ends now (in that order — the serial engine
+        // also appends delayed messages after normal ones), then sort
+        // each touched inbox stably by port.
         let t = profiling.then(Instant::now);
         if self.lanes_live {
-            self.drain_lanes();
+            self.drain_lanes(lanes);
         }
-        for (local, port, msg) in inject.drain(..) {
-            let inbox = &mut self.inboxes[local as usize];
-            // `touched` tracks empty→non-empty transitions; an inbox that
-            // was pre-filled when the run started (re-entry mid-flight)
-            // must be marked explicitly so it still gets sorted.
-            if inbox.is_empty() || !self.touched.contains(&local) {
-                self.touched.push(local);
-            }
-            inbox.push((port, msg));
+        for entry in inject.drain(..) {
+            deliver(&mut self.inboxes, &mut self.touched, entry);
         }
-        self.wake
-            .begin_round(round, self.skip_idle && self.faults.is_none());
+        self.wake.begin_round(round, skip_idle && faults.is_none());
         for &local in &self.touched {
             sort_inbox(&mut self.inboxes[local as usize]);
             self.wake.mark(local as usize);
         }
         self.touched.clear();
-        // Restock outboxes from buffers peers have returned.
-        for d in 0..self.out.len() {
-            if let Some(brx) = &self.back_rx[d] {
-                if let Ok(buf) = brx.try_recv() {
-                    debug_assert!(buf.is_empty());
-                    self.out[d] = buf;
-                }
-            }
-        }
         if let Some(t) = t {
             route_ns += t.elapsed().as_nanos() as u64;
         }
 
         // Step the shard in ascending node-id order, validating and
-        // routing each node's sends immediately (worker-side
-        // `account_sends` — no payload ever visits the main thread).
+        // routing each node's sends immediately (shard-side
+        // `account_sends` — no payload ever visits a coordinator).
         let me = self.me;
-        let map = self.map;
-        let graph = self.graph;
         let shard = &map.shards()[me];
         let metrics = &mut self.metrics;
-        let reverse = self.reverse;
         let send_scratch = &mut self.send_scratch;
         let delayed_scratch = &mut self.delayed_scratch;
         let pending_intra = &mut self.pending_intra;
         let out = &mut self.out;
         let stage_sends = &mut self.stage_sends;
         let stage_events = &mut self.stage_events;
-        let StepBufs {
-            mut index,
-            events,
-            mut delayed,
-        } = bufs;
         index.clear();
         delayed.clear();
         let mut sink = BufSink(events);
@@ -1300,13 +1203,13 @@ impl<P: Protocol> ShardWorker<'_, P> {
             let node = &mut self.nodes[i];
             // Crash handling mirrors the serial engine: a down node is not
             // stepped and loses its inbox for the round.
-            if self.faults.is_some_and(|p| p.crashed(v, round)) {
+            if faults.is_some_and(|p| p.crashed(v, round)) {
                 self.inboxes[i].clear();
                 self.wake.settle(i, round, node, false);
                 continue;
             }
             let inbox = &self.inboxes[i];
-            if inbox.is_empty() && self.skip_idle && node.idle_at(round) {
+            if inbox.is_empty() && skip_idle && node.idle_at(round) {
                 self.wake.settle(i, round, node, false);
                 continue;
             }
@@ -1346,14 +1249,14 @@ impl<P: Protocol> ShardWorker<'_, P> {
                         round,
                         node_sends.drain(..),
                         graph,
-                        reverse,
-                        self.budget_bits,
-                        self.cut,
+                        self.env.reverse,
+                        self.env.budget_bits,
+                        self.env.cut,
                         metrics,
                         send_scratch,
                         |target, reverse_port, msg| {
                             routed += 1;
-                            let entry = (map.local_of(target) as u32, reverse_port, msg);
+                            let entry = (map.local_of(target) as u32, reverse_port as u32, msg);
                             let dest = map.shard_of(target);
                             if dest == me {
                                 intra += 1;
@@ -1365,7 +1268,7 @@ impl<P: Protocol> ShardWorker<'_, P> {
                         },
                         &mut first_error,
                         tracing.then_some(&mut sink),
-                        self.faults,
+                        faults,
                         delayed_scratch,
                     );
                     for (due, target, port, msg) in delayed_scratch.drain(..) {
@@ -1393,17 +1296,24 @@ impl<P: Protocol> ShardWorker<'_, P> {
             }
             self.wake.settle(i, round, &self.nodes[i], true);
         }
-        let all_halted = self.wake.all_halted();
+        let mut reply = WorkerReply {
+            index,
+            events: sink.0,
+            delayed,
+            inject,
+            first_error: first_error.filter(|_| self.env.strict),
+            panic,
+            routed,
+            prof: ProfRow::default(),
+            all_halted: self.wake.all_halted(),
+        };
 
         // Publish this round's batches — exactly one per peer, empty or
         // not, which is what gives the next round's drain its barrier.
         let t = profiling.then(Instant::now);
-        for (d, slot) in out.iter_mut().enumerate() {
-            if d == me {
-                continue;
-            }
-            if let Some(tx) = &self.lane_tx[d] {
-                let _ = tx.send(std::mem::take(slot));
+        for (d, batch) in self.out.iter_mut().enumerate() {
+            if d != me {
+                lanes.send(d, batch, round, &reply)?;
             }
         }
         self.lanes_live = true;
@@ -1414,42 +1324,260 @@ impl<P: Protocol> ShardWorker<'_, P> {
         if let Some(h) = self.telemetry.as_mut() {
             h.on_round(&self.metrics, nodes_stepped, inbox_messages, intra, cross);
         }
+        reply.prof = ProfRow {
+            busy_ns: busy_start.map_or(0, |t| t.elapsed().as_nanos() as u64),
+            compute_ns,
+            route_ns,
+            inbox_messages,
+            nodes_stepped,
+            intra,
+            cross,
+        };
+        Ok(reply)
+    }
+}
 
-        WorkerReply {
-            bufs: StepBufs {
-                index,
-                events: sink.0,
-                delayed,
-            },
-            first_error,
-            panic,
-            routed,
-            prof: ProfRow {
-                busy_ns: busy_start.map_or(0, |t| t.elapsed().as_nanos() as u64),
-                compute_ns,
-                route_ns,
-                inbox_messages,
-                nodes_stepped,
-                intra,
-                cross,
-            },
-            all_halted,
+/// One pool worker's lanes: a data channel to and from every peer (one
+/// batch per round), each with a back channel that returns the drained
+/// buffer for reuse, plus the [`RoundSync`] slots that settle a round.
+struct MeshLanes<'s> {
+    me: usize,
+    sync: &'s RoundSync,
+    /// `to[d]`: this worker's lane to `d`, and the back lane returning
+    /// its buffers.
+    to: Vec<Option<(mpsc::Sender<LaneBatch>, mpsc::Receiver<LaneBatch>)>>,
+    /// `from[s]`: `s`'s lane to this worker, and the back lane returning
+    /// its buffers to `s`.
+    from: Vec<Option<(mpsc::Receiver<LaneBatch>, mpsc::Sender<LaneBatch>)>>,
+}
+
+impl<'s> MeshLanes<'s> {
+    /// The lanes of every worker of `sync`, in worker order.
+    fn mesh(sync: &'s RoundSync) -> Vec<Self> {
+        let k = sync.slots.len();
+        let mut lanes: Vec<Self> = (0..k)
+            .map(|me| MeshLanes {
+                me,
+                sync,
+                to: (0..k).map(|_| None).collect(),
+                from: (0..k).map(|_| None).collect(),
+            })
+            .collect();
+        for s in 0..k {
+            for d in (0..k).filter(|&d| d != s) {
+                let (data_tx, data_rx) = mpsc::channel();
+                let (back_tx, back_rx) = mpsc::channel();
+                lanes[s].to[d] = Some((data_tx, back_rx));
+                lanes[d].from[s] = Some((data_rx, back_tx));
+            }
+        }
+        lanes
+    }
+}
+
+impl Drop for MeshLanes<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.sync.barrier.poisoned.store(true, Ordering::Relaxed);
         }
     }
 }
 
+impl Lanes for MeshLanes<'_> {
+    type Error = Infallible;
+
+    fn send(
+        &mut self,
+        to: usize,
+        batch: &mut LaneBatch,
+        _round: u64,
+        _reply: &WorkerReply,
+    ) -> Result<(), Infallible> {
+        if let Some((lane, back)) = &self.to[to] {
+            let spare = back.try_recv().unwrap_or_default();
+            let _ = lane.send(std::mem::replace(batch, spare));
+        }
+        Ok(())
+    }
+
+    fn receive(&mut self, from: usize, deliver: impl FnMut(LaneEntry)) {
+        if let Some((lane, back)) = &self.from[from] {
+            if let Ok(mut batch) = lane.recv() {
+                batch.drain(..).for_each(deliver);
+                let _ = back.send(batch);
+            }
+        }
+    }
+
+    fn settle(&mut self, _round: u64, reply: &mut WorkerReply) -> Result<u8, Infallible> {
+        let slot = &self.sync.slots[self.me];
+        *slot.lock().expect("a round slot is never poisoned") = Some(std::mem::take(reply));
+        self.sync.barrier.wait();
+        self.sync.barrier.wait();
+        *reply = slot
+            .lock()
+            .expect("a round slot is never poisoned")
+            .take()
+            .expect("the coordinator returns every reply");
+        Ok(self.sync.verdict.load(Ordering::Acquire))
+    }
+}
+
+/// Worker 0's lanes. Between the barrier's two crossings, with every
+/// worker's reply in, it does the run-level work of a round: canonical
+/// abort attribution, the ascending-id merges of trace events and
+/// fault-delayed sends, the verdict, the round's commit into telemetry and
+/// profiler, and the next round's fault-delayed injections. Worker 0 runs
+/// on the calling thread, so it can hold the trace sink, which need not be
+/// `Send`.
+struct Coordinator<'s, 'n> {
+    mesh: MeshLanes<'s>,
+    map: &'n ShardMap,
+    max_rounds: u64,
+    sink: &'n mut Option<Box<dyn TraceSink>>,
+    /// The network's fault-delayed messages in flight:
+    /// `(delivery round, target, port, message)` in injection order.
+    delayed: &'n mut Vec<(u64, NodeId, usize, Message)>,
+    profiler: Option<&'n mut Profiler>,
+    telemetry: Option<&'n Telemetry>,
+    /// When the round being settled started (profiling only).
+    round_start: Option<Instant>,
+    /// The round's replies, in worker order.
+    replies: Vec<WorkerReply>,
+    committed: u64,
+    /// Why the run aborted, if it did.
+    abort: Result<(), CongestError>,
+}
+
+impl Coordinator<'_, '_> {
+    /// Merges the round's replies and commits the round unless it aborts;
+    /// returns the verdict.
+    fn coordinate(&mut self, round: u64) -> u8 {
+        let replies = &mut self.replies;
+        // The serial engine never observes anything nodes after a
+        // panicking one did, so the merges are clipped to ids under it.
+        let abort = canonical_abort(
+            replies.iter().map(|r| (&r.panic, r.first_error.as_ref())),
+            round,
+        );
+        let clip = match &abort {
+            Err(CongestError::NodePanic { node, .. }) => *node,
+            _ => NodeId::MAX,
+        };
+        // Merge the workers' trace buffers in ascending node-id order —
+        // byte-identical to the serial event stream.
+        if let Some(s) = self.sink.as_deref_mut() {
+            s.event(&TraceEvent::RoundStart { round });
+            let mut runs = Vec::new();
+            for (w, rep) in replies.iter().enumerate() {
+                let mut at = 0;
+                for &(v, count) in &rep.index {
+                    runs.push((v, w, at..at + count as usize));
+                    at += count as usize;
+                }
+            }
+            runs.sort_unstable_by_key(|run| run.0);
+            for (_, w, events) in runs.into_iter().take_while(|run| run.0 < clip) {
+                replies[w].events[events].iter().for_each(|e| s.event(e));
+            }
+        }
+        // Same order for fault-delayed sends: a stable sort by sender keeps
+        // each sender's own order, which reproduces the serial injection
+        // order exactly.
+        let mut sends: Vec<_> = replies
+            .iter_mut()
+            .flat_map(|r| r.delayed.drain(..))
+            .collect();
+        sends.sort_by_key(|send| send.0);
+        let due = sends.into_iter().take_while(|send| send.0 < clip);
+        self.delayed
+            .extend(due.map(|(_, due, target, port, msg)| (due, target, port, msg)));
+
+        let quiet =
+            replies.iter().all(|r| r.routed == 0 && r.all_halted) && self.delayed.is_empty();
+        let verdict = round_verdict(abort.is_err(), quiet, round, self.max_rounds);
+        if verdict == VERDICT_ABORT {
+            self.abort = abort;
+            return verdict;
+        }
+        self.committed += 1;
+        if let Some(t) = self.telemetry {
+            t.finish_round(round);
+        }
+        if let (Some(p), Some(t0)) = (self.profiler.as_deref_mut(), self.round_start) {
+            p.record_round(RoundSpan::fold(
+                round,
+                t0.elapsed().as_nanos() as u64,
+                replies.iter().map(|r| r.prof),
+            ));
+        }
+        if verdict == VERDICT_CONTINUE && !self.delayed.is_empty() {
+            for (target, port, msg) in take_due(self.delayed, round + 1) {
+                replies[self.map.shard_of(target)].inject.push((
+                    self.map.local_of(target) as u32,
+                    port as u32,
+                    msg,
+                ));
+            }
+        }
+        verdict
+    }
+}
+
+impl Lanes for Coordinator<'_, '_> {
+    type Error = Infallible;
+
+    fn send(
+        &mut self,
+        to: usize,
+        batch: &mut LaneBatch,
+        round: u64,
+        reply: &WorkerReply,
+    ) -> Result<(), Infallible> {
+        self.mesh.send(to, batch, round, reply)
+    }
+
+    fn receive(&mut self, from: usize, deliver: impl FnMut(LaneEntry)) {
+        self.mesh.receive(from, deliver);
+    }
+
+    fn settle(&mut self, round: u64, reply: &mut WorkerReply) -> Result<u8, Infallible> {
+        let sync = self.mesh.sync;
+        sync.barrier.wait();
+        self.replies.push(std::mem::take(reply));
+        for slot in &sync.slots[1..] {
+            let peer = slot.lock().expect("a round slot is never poisoned").take();
+            self.replies
+                .push(peer.expect("every peer publishes its reply"));
+        }
+        let verdict = self.coordinate(round);
+        let mut replies = self.replies.drain(..);
+        *reply = replies.next().expect("worker 0's reply");
+        for (slot, peer) in sync.slots[1..].iter().zip(replies) {
+            *slot.lock().expect("a round slot is never poisoned") = Some(peer);
+        }
+        sync.verdict.store(verdict, Ordering::Release);
+        sync.barrier.wait();
+        self.round_start = self.round_start.map(|_| Instant::now());
+        Ok(verdict)
+    }
+}
+
 impl<P: Protocol + Send> Network<P> {
-    /// Runs like [`Network::run`] but steps each round's nodes on a
-    /// persistent pool of up to `threads` shard workers (one per shard of
-    /// [`Config::partition`]; never more than one per node).
+    /// Runs like [`Network::run`] but steps each round's nodes on a pool of
+    /// up to `threads` shard workers (one per shard of
+    /// [`Config::partition`]; never more than one per node), each running
+    /// the shard round loop that socket shards run too.
     ///
-    /// Workers exchange message payloads directly over a worker→worker
-    /// lane mesh and validate their own sends; the main thread only
-    /// orchestrates rounds and k-way-merges the workers' summaries
-    /// (trace events, fault-delayed sends, violations) in ascending
-    /// node-id order. The result — node states, metrics, message order,
-    /// traces — is identical to the serial engine for every `threads`
-    /// value and every partition strategy.
+    /// Workers own their shards for the whole run, exchange message
+    /// payloads directly over a worker→worker lane mesh, validate their
+    /// own sends, and meet at a spin barrier twice per round. Worker 0 runs
+    /// on the calling thread and coordinates: between the two crossings it
+    /// merges the workers' trace events and fault-delayed sends in
+    /// ascending node-id order and decides whether the run goes on. The
+    /// result — node states, metrics, message order, traces — is identical
+    /// to the serial engine for every `threads` value and every partition
+    /// strategy, and a run may switch between the engines at any round.
     ///
     /// # Errors
     ///
@@ -1477,331 +1605,104 @@ impl<P: Protocol + Send> Network<P> {
         let n = self.graph.n();
         let map = self.config.partition.shard_map(&self.graph, threads);
         let workers = map.len();
+        let start = self.round;
 
-        // Scatter node states and current inboxes to their shards (in
-        // ascending id order, so scatter position = shard-local index).
-        // Workers own them for the whole run and hand them back at Finish.
-        let mut shard_nodes: Vec<Vec<P>> = map
+        // Scatter node states, current inboxes, and the fault-delayed
+        // messages due this round to their shards (in ascending id order,
+        // so scatter position = shard-local index). Workers own them for
+        // the whole run and hand them back at the end.
+        let mut shards: Vec<(Vec<P>, Vec<_>, LaneBatch)> = map
             .shards()
             .iter()
-            .map(|s| Vec::with_capacity(s.len()))
-            .collect();
-        let mut shard_inboxes: Vec<Vec<Vec<(usize, Message)>>> = map
-            .shards()
-            .iter()
-            .map(|s| Vec::with_capacity(s.len()))
+            .map(|s| {
+                (
+                    Vec::with_capacity(s.len()),
+                    Vec::with_capacity(s.len()),
+                    Vec::new(),
+                )
+            })
             .collect();
         for (v, (node, inbox)) in std::mem::take(&mut self.nodes)
             .into_iter()
             .zip(std::mem::take(&mut self.inboxes))
             .enumerate()
         {
-            let s = map.shard_of(v as NodeId);
-            shard_nodes[s].push(node);
-            shard_inboxes[s].push(inbox);
+            let shard = &mut shards[map.shard_of(v as NodeId)];
+            shard.0.push(node);
+            shard.1.push(inbox);
+        }
+        for (target, port, msg) in take_due(&mut self.delayed, start) {
+            shards[map.shard_of(target)]
+                .2
+                .push((map.local_of(target) as u32, port as u32, msg));
         }
 
-        let graph = &self.graph;
-        let reverse = &self.reverse;
-        let metrics = &mut self.metrics;
-        let profiler = &mut self.profiler;
-        let round_ref = &mut self.round;
-        let budget_bits = self.budget_bits;
-        let enforcement = self.config.enforcement;
-        let cut = self.config.cut.as_ref();
-        let skip_idle = self.config.skip_idle;
-        let faults = self.config.faults.as_ref();
-        let delayed = &mut self.delayed;
-        let mut sink = self.sink.take();
+        let env = ShardEnv {
+            graph: &self.graph,
+            reverse: &self.reverse,
+            map: &map,
+            budget_bits: self.budget_bits,
+            cut: self.config.cut.as_ref(),
+            faults: self.config.faults.as_ref(),
+            skip_idle: self.config.skip_idle,
+            strict: matches!(self.config.enforcement, Enforcement::Strict),
+            tracing: self.sink.is_some(),
+            profiling: self.profiler.is_some(),
+        };
         let telemetry = self.telemetry.as_ref().map(|h| h.registry().clone());
-        let map_ref = &map;
-
-        // With no trace sink and no fault plan there is nothing for the
-        // main thread to merge or inject each round, so workers can
-        // free-run over the spin barrier instead of paying two futex
-        // wakeups per round on the command/reply channels. Tracing and
-        // fault runs keep the orchestrated path.
-        let free_running = sink.is_none() && faults.is_none() && delayed.is_empty();
-        let sync = RoundSync::new(workers);
-        let sync_ref = &sync;
-
-        let (run_result, handoff) = crossbeam::thread::scope(|scope| {
-            // Build the k×k lane mesh. Each directed worker pair gets a
-            // data lane (one batch per round) and a back lane returning
-            // the drained buffer for reuse. Grids are indexed
-            // [owner][peer].
-            let make_grid = || -> Vec<Vec<Option<mpsc::Sender<LaneBatch>>>> {
-                (0..workers)
-                    .map(|_| (0..workers).map(|_| None).collect())
-                    .collect()
+        let pool: Vec<ShardWorker<'_, P>> = shards
+            .into_iter()
+            .enumerate()
+            .map(|(w, (nodes, inboxes, inject))| {
+                let handle = telemetry
+                    .as_ref()
+                    .map(|t| TelemetryHandle::new(t.clone(), w));
+                ShardWorker::new(w, env, nodes, inboxes, handle, inject)
+            })
+            .collect();
+        let sync = RoundSync {
+            barrier: SpinBarrier::new(workers),
+            slots: (0..workers).map(|_| Mutex::new(None)).collect(),
+            verdict: AtomicU8::new(VERDICT_CONTINUE),
+        };
+        let (verdict, handoff, committed, abort) = crossbeam::thread::scope(|scope| {
+            let mut lanes = MeshLanes::mesh(&sync).into_iter();
+            let mut coordinator = Coordinator {
+                mesh: lanes.next().expect("at least one shard"),
+                map: &map,
+                max_rounds,
+                sink: &mut self.sink,
+                delayed: &mut self.delayed,
+                profiler: self.profiler.as_mut(),
+                telemetry: telemetry.as_deref(),
+                round_start: env.profiling.then(Instant::now),
+                replies: Vec::with_capacity(workers),
+                committed: 0,
+                abort: Ok(()),
             };
-            let make_rx_grid = || -> Vec<Vec<Option<mpsc::Receiver<LaneBatch>>>> {
-                (0..workers)
-                    .map(|_| (0..workers).map(|_| None).collect())
-                    .collect()
-            };
-            let mut lane_tx = make_grid();
-            let mut lane_rx = make_rx_grid();
-            let mut back_tx = make_grid();
-            let mut back_rx = make_rx_grid();
-            for s in 0..workers {
-                for d in 0..workers {
-                    if s == d {
-                        continue;
-                    }
-                    let (tx, rx) = mpsc::channel::<LaneBatch>();
-                    lane_tx[s][d] = Some(tx);
-                    lane_rx[d][s] = Some(rx);
-                    let (tx, rx) = mpsc::channel::<LaneBatch>();
-                    back_tx[d][s] = Some(tx);
-                    back_rx[s][d] = Some(rx);
-                }
-            }
-
-            let mut pool = Vec::with_capacity(workers);
-            for w in 0..workers {
-                pool.push(ShardWorker {
-                    me: w,
-                    map: map_ref,
-                    graph,
-                    reverse,
-                    budget_bits,
-                    cut,
-                    faults,
-                    skip_idle,
-                    nodes: std::mem::take(&mut shard_nodes[w]),
-                    inboxes: std::mem::take(&mut shard_inboxes[w]),
-                    metrics: NetMetrics::default(),
-                    stage_sends: Vec::new(),
-                    stage_events: Vec::new(),
-                    send_scratch: SendScratch::default(),
-                    delayed_scratch: Vec::new(),
-                    pending_intra: Vec::new(),
-                    out: (0..workers).map(|_| Vec::new()).collect(),
-                    touched: Vec::new(),
-                    wake: WakeSet::new(map_ref.shards()[w].len()),
-                    lanes_live: false,
-                    lane_tx: std::mem::take(&mut lane_tx[w]),
-                    lane_rx: std::mem::take(&mut lane_rx[w]),
-                    back_tx: std::mem::take(&mut back_tx[w]),
-                    back_rx: std::mem::take(&mut back_rx[w]),
-                    telemetry: telemetry
-                        .as_ref()
-                        .map(|t| TelemetryHandle::new(t.clone(), w)),
-                });
-            }
-
-            if free_running {
-                let profiling = profiler.is_some();
-                let strict = matches!(enforcement, Enforcement::Strict);
-                let start_round = *round_ref;
-                let handles: Vec<_> = pool
-                    .into_iter()
-                    .map(|worker| {
-                        scope.spawn(move |_| {
-                            worker.run_free(sync_ref, start_round, max_rounds, profiling, strict)
-                        })
-                    })
-                    .collect();
-                let mut handoff = Vec::with_capacity(workers);
-                let mut stats = Vec::with_capacity(workers);
-                for h in handles {
-                    let (shard, s) = h.join().expect("pool worker thread died");
-                    handoff.push(shard);
-                    stats.push(s);
-                }
-                // Workers run in lockstep, so every worker committed the
-                // same number of rounds; fold them into the run exactly as
-                // the orchestrated loop would have, one round at a time.
-                let committed = stats[0].rounds;
-                debug_assert!(stats.iter().all(|s| s.rounds == committed));
-                *round_ref += committed;
-                if committed > 0 {
-                    metrics.rounds = *round_ref;
-                }
-                if let Some(p) = profiler.as_mut() {
-                    for r in 0..committed as usize {
-                        p.record_round(RoundSpan::fold(
-                            start_round + r as u64,
-                            stats[0].round_wall_ns[r],
-                            stats.iter().map(|s| s.prof[r]),
-                        ));
-                    }
-                }
-                // Strict-mode violations only reach the stats when strict.
-                let run_result = canonical_abort(
-                    stats.iter().map(|s| (&s.panic, s.first_error.as_ref())),
-                    *round_ref,
-                )
-                .and_then(|()| {
-                    if sync_ref.verdict.load(Ordering::Acquire) == VERDICT_ROUND_LIMIT {
-                        Err(CongestError::RoundLimit { max_rounds })
-                    } else {
-                        Ok(RunReport { rounds: *round_ref })
-                    }
-                });
-                return (run_result, handoff);
-            }
-
-            let mut cmd_txs = Vec::with_capacity(workers);
-            let mut reply_rxs = Vec::with_capacity(workers);
-            let mut handles = Vec::with_capacity(workers);
-            for worker in pool {
-                let (cmd_tx, cmd_rx) = mpsc::channel::<WorkerCmd>();
-                let (reply_tx, reply_rx) = mpsc::channel::<WorkerReply>();
-                handles.push(scope.spawn(move |_| worker.run(cmd_rx, reply_tx)));
-                cmd_txs.push(cmd_tx);
-                reply_rxs.push(reply_rx);
-            }
-
-            let mut step_bufs: Vec<Option<StepBufs>> =
-                (0..workers).map(|_| Some(StepBufs::default())).collect();
-            let mut inject_bufs: Vec<Vec<(u32, usize, Message)>> =
-                (0..workers).map(|_| Vec::new()).collect();
-
-            let strict = matches!(enforcement, Enforcement::Strict);
-            let run_result = loop {
-                let round = *round_ref;
-                // Group due fault-delayed messages per destination shard,
-                // preserving injection order within each.
-                if !delayed.is_empty() {
-                    for (target, port, msg) in take_due(delayed, round) {
-                        inject_bufs[map_ref.shard_of(target)].push((
-                            map_ref.local_of(target) as u32,
-                            port,
-                            msg,
-                        ));
-                    }
-                }
-                let tracing = sink.is_some();
-                let profiling = profiler.is_some();
-                let round_start = profiling.then(Instant::now);
-                for (w, tx) in cmd_txs.iter().enumerate() {
-                    let cmd = WorkerCmd::Step {
-                        round,
-                        tracing,
-                        profiling,
-                        inject: std::mem::take(&mut inject_bufs[w]),
-                        bufs: step_bufs[w].take().expect("step buffers in rotation"),
-                    };
-                    tx.send(cmd).expect("pool worker alive");
-                }
-                if let Some(s) = sink.as_deref_mut() {
-                    s.event(&TraceEvent::RoundStart { round });
-                }
-                let mut replies: Vec<WorkerReply> = reply_rxs
-                    .iter()
-                    .map(|rx| rx.recv().expect("pool worker alive"))
-                    .collect();
-
-                // Canonical abort attribution; the serial engine never
-                // observes anything nodes after a panicking one did, so
-                // the merges below are clipped to ids strictly under it.
-                let abort = canonical_abort(
-                    replies
-                        .iter()
-                        .map(|r| (&r.panic, r.first_error.as_ref().filter(|_| strict))),
-                    round,
-                );
-                let clip = match &abort {
-                    Err(CongestError::NodePanic { node, .. }) => *node,
-                    _ => NodeId::MAX,
-                };
-
-                // K-way merge of the workers' trace buffers in ascending
-                // node-id order (each worker's index is already ascending)
-                // — byte-identical to the serial event stream.
-                if let Some(s) = sink.as_deref_mut() {
-                    let mut cursor: Vec<(usize, usize)> = vec![(0, 0); replies.len()];
-                    loop {
-                        let mut best: Option<(NodeId, usize)> = None;
-                        for (w, rep) in replies.iter().enumerate() {
-                            if let Some(&(v, _)) = rep.bufs.index.get(cursor[w].0) {
-                                if v < clip && best.is_none_or(|(bv, _)| v < bv) {
-                                    best = Some((v, w));
-                                }
-                            }
-                        }
-                        let Some((_, w)) = best else { break };
-                        let (ip, ep) = cursor[w];
-                        let count = replies[w].bufs.index[ip].1 as usize;
-                        for e in &replies[w].bufs.events[ep..ep + count] {
-                            s.event(e);
-                        }
-                        cursor[w] = (ip + 1, ep + count);
-                    }
-                }
-                // Same merge for fault-delayed sends: ascending sender id
-                // reproduces the serial engine's injection order exactly.
-                {
-                    let mut cursor: Vec<usize> = vec![0; replies.len()];
-                    loop {
-                        let mut best: Option<(NodeId, usize)> = None;
-                        for (w, rep) in replies.iter().enumerate() {
-                            if let Some(&(sender, ..)) = rep.bufs.delayed.get(cursor[w]) {
-                                if sender < clip && best.is_none_or(|(bv, _)| sender < bv) {
-                                    best = Some((sender, w));
-                                }
-                            }
-                        }
-                        let Some((_, w)) = best else { break };
-                        let (_, due, target, port, msg) =
-                            replies[w].bufs.delayed[cursor[w]].clone();
-                        delayed.push((due, target, port, msg));
-                        cursor[w] += 1;
-                    }
-                }
-
-                let pending: u64 = replies.iter().map(|r| r.routed).sum();
-                let all_halted = replies.iter().all(|r| r.all_halted);
-                for (w, rep) in replies.iter_mut().enumerate() {
-                    let mut bufs = std::mem::take(&mut rep.bufs);
-                    bufs.index.clear();
-                    bufs.events.clear();
-                    bufs.delayed.clear();
-                    step_bufs[w] = Some(bufs);
-                }
-                if let Err(e) = abort {
-                    break Err(e);
-                }
-                *round_ref += 1;
-                metrics.rounds = *round_ref;
-                if let Some(t) = &telemetry {
-                    t.finish_round(round);
-                }
-                if let (Some(t0), Some(p)) = (round_start, profiler.as_mut()) {
-                    p.record_round(RoundSpan::fold(
-                        round,
-                        t0.elapsed().as_nanos() as u64,
-                        replies.iter().map(|r| r.prof),
-                    ));
-                }
-                if pending == 0 && all_halted && delayed.is_empty() {
-                    break Ok(RunReport { rounds: *round_ref });
-                }
-                if *round_ref >= max_rounds {
-                    break Err(CongestError::RoundLimit { max_rounds });
-                }
-            };
-
-            // Shut the pool down; on clean endings the workers drain the
-            // final in-flight lane batches into their inboxes first.
-            let deliver = matches!(&run_result, Ok(_) | Err(CongestError::RoundLimit { .. }));
-            for tx in &cmd_txs {
-                let _ = tx.send(WorkerCmd::Finish { deliver });
-            }
-            drop(cmd_txs);
-            let handoff: Vec<_> = handles
-                .into_iter()
-                .map(|h| h.join().expect("pool worker thread died"))
+            let mut pool = pool.into_iter();
+            let first = pool.next().expect("at least one shard");
+            let peers: Vec<_> = pool
+                .zip(lanes)
+                .map(|(worker, mut lanes)| scope.spawn(move |_| worker.run(&mut lanes, start)))
                 .collect();
-            (run_result, handoff)
+            let Ok((shard, verdict)) = first.run(&mut coordinator, start);
+            let mut handoff = vec![shard];
+            for h in peers {
+                let Ok((shard, _)) = h.join().expect("pool worker thread died");
+                handoff.push(shard);
+            }
+            (verdict, handoff, coordinator.committed, coordinator.abort)
         })
         .expect("worker pool scope failed");
 
         // Gather: reassemble id-ordered state and fold each worker's
         // metric partial into the run metrics (merge is commutative, so
         // gather order does not matter).
+        self.round += committed;
+        if committed > 0 {
+            self.metrics.rounds = self.round;
+        }
         let mut nodes: Vec<Option<P>> = (0..n).map(|_| None).collect();
         let mut inboxes: Vec<Vec<(usize, Message)>> = (0..n).map(|_| Vec::new()).collect();
         for (w, (worker_nodes, worker_inboxes, worker_metrics)) in handoff.into_iter().enumerate() {
@@ -1819,8 +1720,11 @@ impl<P: Protocol + Send> Network<P> {
         self.inboxes = inboxes;
         debug_assert_eq!(self.nodes.len(), n);
         debug_assert!(self.spare.iter().all(|i| i.is_empty()));
-        self.sink = sink;
-        run_result
+        abort?;
+        match verdict {
+            VERDICT_ROUND_LIMIT => Err(CongestError::RoundLimit { max_rounds }),
+            _ => Ok(RunReport { rounds: self.round }),
+        }
     }
 }
 

@@ -398,9 +398,9 @@ impl Telemetry {
     /// counters, derives the round's deltas, runs the live straggler
     /// check (message load vs median × k over the window), and advances
     /// the round gauge. Called exactly once per committed round by
-    /// whichever thread coordinates the round (serial loop, pool
-    /// orchestrator, free-running barrier leader, synchronizer pulse
-    /// loop).
+    /// whichever thread coordinates the round: the serial loop, worker 0
+    /// of the pool, the socket leader replaying its shards' deltas, or the
+    /// synchronizer's pulse loop.
     pub fn finish_round(&self, round: u64) {
         self.add(0, Counter::Rounds, 1);
         let snap = self.snapshot();

@@ -3,10 +3,9 @@
 //! The in-process parallel engine ([`crate::Network::run_parallel`]) moves
 //! per-round lane batches between shard workers over channels. This module
 //! moves the *same* batches between shard **processes** over TCP or
-//! Unix-domain sockets, with nothing else changed: each shard runs the
-//! identical worker loop ([`run_shard_engine`] mirrors the free-running
-//! `ShardWorker` round template statement for statement), and the leader
-//! performs the same canonical k-way merge, so results, metrics, and
+//! Unix-domain sockets, with nothing else changed: [`run_shard_engine`]
+//! runs the pool's shard round loop with `BATCH` frames for lanes, and
+//! the leader applies the same canonical join, so results, metrics, and
 //! telemetry snapshots stay bit-identical to the serial oracle.
 //!
 //! # Frame format
@@ -52,13 +51,12 @@ use crate::faults::{corrupt_message, FaultPlan};
 use crate::message::Message;
 use crate::metrics::NetMetrics;
 use crate::network::{
-    account_sends, panic_message, sort_inbox, CongestError, Protocol, RoundCtx, SendScratch,
+    round_verdict, CongestError, LaneBatch, LaneEntry, Lanes, Protocol, ShardEnv, ShardWorker,
+    WorkerReply,
 };
 use crate::partition::ShardMap;
 use crate::profile::ProfRow;
-use crate::telemetry::{Telemetry, TelemetryHandle, COUNTERS, SCHEMA_VERSION};
-use crate::trace::TraceSink;
-use crate::wake::WakeSet;
+use crate::telemetry::{Telemetry, TelemetryHandle, TelemetrySnapshot, COUNTERS, SCHEMA_VERSION};
 use bc_graph::{Graph, NodeId, ReversePorts};
 use bc_numeric::bits::BitWriter;
 use std::fmt;
@@ -66,7 +64,6 @@ use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -693,19 +690,17 @@ pub struct ShardRunOutcome<P> {
     pub telemetry_deltas: Vec<[u64; COUNTER_COUNT]>,
     /// Per-committed-round profile rows (empty unless profiling).
     pub prof: Vec<ProfRow>,
-    /// Per-committed-round wall times; only shard 0 measures them, the
-    /// same convention as the in-process free-running engine.
+    /// Per-committed-round wall times; only shard 0 measures them, as
+    /// worker 0 does in the in-process pool.
     pub round_wall_ns: Vec<u64>,
 }
 
 /// Runs one shard's slice of the synchronous round loop over socket
-/// lanes, mirroring the in-process free-running `ShardWorker` exactly:
-/// same delivery order (peer batches in ascending shard order, own
-/// intra-shard staging in its slot, stable per-port inbox sort), same
-/// ascending-id stepping over the wake calendar with idle skipping and
-/// panic capture, same `account_sends` validation and routing, and the
-/// same verdict rule — which every shard computes locally from the
-/// identical `(routed, all_halted, fatal)` sums carried on the batches.
+/// lanes: the same shard round loop as the in-process pool's workers
+/// (delivery, wake-calendar stepping, `account_sends` and the verdict
+/// rule), with `BATCH` frames for lanes. Every shard computes the verdict
+/// locally from the identical `(routed, all_halted, fatal)` sums carried
+/// on the frames.
 ///
 /// `peers[d]` must be a connected stream for every `d != me` and `None`
 /// at `me`. `telemetry`, when present, is a *local* registry: the engine
@@ -725,13 +720,16 @@ pub fn run_shard_engine<P: Protocol>(
     map: &ShardMap,
     me: usize,
     cfg: &ShardEngineConfig,
-    mut nodes: Vec<P>,
+    nodes: Vec<P>,
     peers: &mut [Option<WireStream>],
     telemetry: Option<&Arc<Telemetry>>,
 ) -> Result<ShardRunOutcome<P>, WireError> {
     let k = map.len();
-    let shard: &[NodeId] = &map.shards()[me];
-    assert_eq!(nodes.len(), shard.len(), "one node state per shard member");
+    assert_eq!(
+        nodes.len(),
+        map.shards()[me].len(),
+        "one node state per shard member"
+    );
     assert_eq!(peers.len(), k, "one peer slot per shard");
     for (d, p) in peers.iter().enumerate() {
         if d != me && p.is_none() {
@@ -741,192 +739,112 @@ pub fn run_shard_engine<P: Protocol>(
         }
     }
 
-    let mut metrics = NetMetrics::default();
-    let mut inboxes: Vec<Vec<(usize, Message)>> = (0..shard.len()).map(|_| Vec::new()).collect();
-    let mut staged: Vec<Vec<(u32, u32, Message)>> = (0..k).map(|_| Vec::new()).collect();
-    let mut pending_intra: Vec<(u32, u32, Message)> = Vec::new();
-    let mut out: Vec<Vec<(u32, u32, Message)>> = (0..k).map(|_| Vec::new()).collect();
-    let mut touched: Vec<u32> = Vec::new();
-    let mut wake = WakeSet::new(shard.len());
-    let mut stage_sends: Vec<(usize, Message)> = Vec::new();
-    let mut stage_events = Vec::new();
     let reverse = ReversePorts::new(graph);
-    let mut send_scratch = SendScratch::default();
-    let mut delayed_scratch: Vec<(u64, NodeId, usize, Message)> = Vec::new();
-    let mut handle = telemetry.map(|t| TelemetryHandle::new(t.clone(), 0));
-    let mut last_snap = telemetry.map(|t| t.snapshot());
-    let mut telemetry_deltas: Vec<[u64; COUNTER_COUNT]> = Vec::new();
-    let mut prof: Vec<ProfRow> = Vec::new();
-    let mut round_wall_ns: Vec<u64> = Vec::new();
+    let env = ShardEnv {
+        graph,
+        reverse: &reverse,
+        map,
+        budget_bits: cfg.budget_bits,
+        cut: None,
+        faults: None,
+        skip_idle: cfg.skip_idle,
+        strict: cfg.strict,
+        tracing: false,
+        profiling: cfg.profiling,
+    };
+    let inboxes = (0..nodes.len()).map(|_| Vec::new()).collect();
+    let handle = telemetry.map(|t| TelemetryHandle::new(t.clone(), 0));
+    let worker = ShardWorker::new(me, env, nodes, inboxes, handle, Vec::new());
+    let mut lanes = SocketLanes {
+        me,
+        cfg: *cfg,
+        peers,
+        staged: (0..k).map(|_| Vec::new()).collect(),
+        telemetry: telemetry.map(|t| (t.as_ref(), t.snapshot())),
+        round_start: Instant::now(),
+        outcome: ShardRunOutcome {
+            nodes: Vec::new(),
+            metrics: NetMetrics::default(),
+            committed: 0,
+            verdict: VERDICT_CONTINUE,
+            panic: None,
+            first_error: None,
+            telemetry_deltas: Vec::new(),
+            prof: Vec::new(),
+            round_wall_ns: Vec::new(),
+        },
+    };
+    let ((nodes, _, metrics), verdict) = worker.run(&mut lanes, 0)?;
+    Ok(ShardRunOutcome {
+        nodes,
+        metrics,
+        verdict,
+        ..lanes.outcome
+    })
+}
 
-    let mut round = 0u64;
-    let mut committed = 0u64;
-    let mut final_panic: Option<(NodeId, String)> = None;
-    let mut final_first_error: Option<CongestError> = None;
-    let verdict = loop {
-        let wall_start = (cfg.profiling && me == 0).then(Instant::now);
-        let busy_start = cfg.profiling.then(Instant::now);
-        metrics.begin_round(round);
-        let mut route_ns = 0u64;
+/// A socket shard's [`Lanes`]: one `BATCH` frame to and from every peer
+/// per round. Settling a round reads every peer's frame; the frames carry
+/// each shard's flags, so every shard sums the same values and reaches
+/// the same verdict.
+struct SocketLanes<'p, P> {
+    me: usize,
+    cfg: ShardEngineConfig,
+    peers: &'p mut [Option<WireStream>],
+    /// `staged[s]`: the entries peer `s` sent in the round just settled.
+    staged: Vec<LaneBatch>,
+    /// The shard-local registry and its snapshot at the end of the last
+    /// round, for the per-round deltas.
+    telemetry: Option<(&'p Telemetry, TelemetrySnapshot)>,
+    round_start: Instant,
+    /// The per-round records, filled in as rounds settle.
+    outcome: ShardRunOutcome<P>,
+}
 
-        // Delivery: previous round's batches in ascending source-shard
-        // order, with this shard's own intra staging taking its slot —
-        // then the stable per-port sort. Identical to `drain_lanes`.
-        let t = cfg.profiling.then(Instant::now);
-        for (src, slot) in staged.iter_mut().enumerate() {
-            let batch = if src == me { &mut pending_intra } else { slot };
-            for (local, port, msg) in batch.drain(..) {
-                let inbox = &mut inboxes[local as usize];
-                if inbox.is_empty() {
-                    touched.push(local);
-                }
-                inbox.push((port as usize, msg));
-            }
-        }
-        wake.begin_round(round, cfg.skip_idle);
-        for &local in &touched {
-            sort_inbox(&mut inboxes[local as usize]);
-            wake.mark(local as usize);
-        }
-        touched.clear();
-        if let Some(t) = t {
-            route_ns += t.elapsed().as_nanos() as u64;
-        }
+impl<P> Lanes for SocketLanes<'_, P> {
+    type Error = WireError;
 
-        // Step the due nodes in ascending node-id order.
-        let mut first_error: Option<CongestError> = None;
-        let mut panic: Option<(NodeId, String)> = None;
-        let mut compute_ns = 0u64;
-        let mut inbox_messages = 0u64;
-        let mut nodes_stepped = 0u64;
-        let (mut routed, mut intra, mut cross) = (0u64, 0u64, 0u64);
-        while let Some(i) = wake.next_due() {
-            let v = shard[i];
-            let node = &mut nodes[i];
-            let inbox = &inboxes[i];
-            if inbox.is_empty() && cfg.skip_idle && node.idle_at(round) {
-                wake.settle(i, round, node, false);
-                continue;
-            }
-            nodes_stepped += 1;
-            inbox_messages += inbox.len() as u64;
-            let mut ctx = RoundCtx::with_buffers(
-                v,
-                round,
-                graph,
-                false,
-                std::mem::take(&mut stage_sends),
-                std::mem::take(&mut stage_events),
-            );
-            let t = cfg.profiling.then(Instant::now);
-            let outcome = catch_unwind(AssertUnwindSafe(|| node.round(&mut ctx, inbox)));
-            if let Some(t) = t {
-                compute_ns += t.elapsed().as_nanos() as u64;
-            }
-            let (mut node_sends, mut node_events) = ctx.into_buffers();
-            match outcome {
-                Ok(()) => {
-                    let t = cfg.profiling.then(Instant::now);
-                    account_sends(
-                        v,
-                        round,
-                        node_sends.drain(..),
-                        graph,
-                        &reverse,
-                        cfg.budget_bits,
-                        None,
-                        &mut metrics,
-                        &mut send_scratch,
-                        |target, reverse_port, msg| {
-                            routed += 1;
-                            let entry = (map.local_of(target) as u32, reverse_port as u32, msg);
-                            let dest = map.shard_of(target);
-                            if dest == me {
-                                intra += 1;
-                                pending_intra.push(entry);
-                            } else {
-                                cross += 1;
-                                out[dest].push(entry);
-                            }
-                        },
-                        &mut first_error,
-                        None::<&mut dyn TraceSink>,
-                        None,
-                        &mut delayed_scratch,
-                    );
-                    debug_assert!(delayed_scratch.is_empty(), "no fault plan on the wire");
-                    if let Some(t) = t {
-                        route_ns += t.elapsed().as_nanos() as u64;
-                    }
-                }
-                Err(payload) => {
-                    node_sends.clear();
-                    node_events.clear();
-                    panic = Some((v, panic_message(payload)));
-                }
-            }
-            stage_sends = node_sends;
-            stage_events = node_events;
-            inboxes[i].clear();
-            if panic.is_some() {
-                break;
-            }
-            wake.settle(i, round, &nodes[i], true);
-        }
-        let all_halted = wake.all_halted();
-        let fatal_local = panic.is_some() || (cfg.strict && first_error.is_some());
+    fn send(
+        &mut self,
+        to: usize,
+        batch: &mut LaneBatch,
+        round: u64,
+        reply: &WorkerReply,
+    ) -> Result<(), WireError> {
+        let frame = Batch {
+            round,
+            routed: reply.routed,
+            all_halted: reply.all_halted,
+            fatal: reply.fatal(),
+            entries: std::mem::take(batch),
+        };
+        let stream = self.peers[to].as_mut().expect("checked at start");
+        stream.write_frame(TAG_BATCH, &frame.encode())?;
+        *batch = frame.entries;
+        batch.clear();
+        Ok(())
+    }
 
-        // Publish: exactly one batch per peer, empty or not — the frame
-        // is the round barrier.
-        let t = cfg.profiling.then(Instant::now);
-        for d in 0..k {
-            if d == me {
-                continue;
-            }
-            let batch = Batch {
-                round,
-                routed,
-                all_halted,
-                fatal: fatal_local,
-                entries: std::mem::take(&mut out[d]),
-            };
-            let payload = batch.encode();
-            peers[d]
-                .as_mut()
-                .expect("checked above")
-                .write_frame(TAG_BATCH, &payload)?;
-            let mut entries = batch.entries;
-            entries.clear();
-            out[d] = entries;
-        }
-        if let Some(t) = t {
-            route_ns += t.elapsed().as_nanos() as u64;
-        }
+    fn receive(&mut self, from: usize, deliver: impl FnMut(LaneEntry)) {
+        self.staged[from].drain(..).for_each(deliver);
+    }
 
-        if let Some(h) = handle.as_mut() {
-            h.on_round(&metrics, nodes_stepped, inbox_messages, intra, cross);
-        }
-        if let (Some(t), Some(prev)) = (telemetry, last_snap.as_mut()) {
+    fn settle(&mut self, round: u64, reply: &mut WorkerReply) -> Result<u8, WireError> {
+        if let Some((t, prev)) = self.telemetry.as_mut() {
             let now = t.snapshot();
             let mut delta = [0u64; COUNTER_COUNT];
             for (i, (c, _)) in COUNTERS.iter().enumerate() {
                 delta[i] = now.get(*c).saturating_sub(prev.get(*c));
             }
-            telemetry_deltas.push(delta);
+            self.outcome.telemetry_deltas.push(delta);
             *prev = now;
         }
-
-        // Collect every peer's batch for this round; the flag sums are
-        // identical on every shard, so the verdict below needs no extra
-        // agreement round.
-        let mut routed_sum = routed;
-        let mut all_halted_all = all_halted;
-        let mut fatal_any = fatal_local;
-        for src in 0..k {
-            if src == me {
-                continue;
-            }
-            let (tag, payload) = peers[src].as_mut().expect("checked above").read_frame()?;
+        let mut routed = reply.routed;
+        let mut all_halted = reply.all_halted;
+        let mut fatal = reply.fatal();
+        for (src, peer) in self.peers.iter_mut().enumerate() {
+            let Some(peer) = peer else { continue };
+            let (tag, payload) = peer.read_frame()?;
             if tag == TAG_ERROR {
                 let msg = String::from_utf8_lossy(&payload).into_owned();
                 return Err(WireError::Peer(format!("shard {src}: {msg}")));
@@ -943,62 +861,30 @@ pub fn run_shard_engine<P: Protocol>(
                     batch.round
                 )));
             }
-            routed_sum += batch.routed;
-            all_halted_all &= batch.all_halted;
-            fatal_any |= batch.fatal;
-            staged[src] = batch.entries;
+            routed += batch.routed;
+            all_halted &= batch.all_halted;
+            fatal |= batch.fatal;
+            self.staged[src] = batch.entries;
         }
-
-        let verdict = if fatal_any {
-            VERDICT_ABORT
-        } else if routed_sum == 0 && all_halted_all {
-            VERDICT_QUIESCENT
-        } else if round + 1 >= cfg.max_rounds {
-            VERDICT_ROUND_LIMIT
-        } else {
-            VERDICT_CONTINUE
-        };
+        let verdict = round_verdict(fatal, routed == 0 && all_halted, round, self.cfg.max_rounds);
+        let out = &mut self.outcome;
         if verdict == VERDICT_ABORT {
-            // An aborted round commits nowhere; keep only the error
-            // attribution, exactly like the in-process engines.
-            final_panic = panic;
-            if cfg.strict {
-                final_first_error = first_error;
-            }
-            break verdict;
-        }
-        committed += 1;
-        if cfg.profiling {
-            prof.push(ProfRow {
-                busy_ns: busy_start.map_or(0, |t| t.elapsed().as_nanos() as u64),
-                compute_ns,
-                route_ns,
-                inbox_messages,
-                nodes_stepped,
-                intra,
-                cross,
-            });
-            if let Some(t0) = wall_start {
-                round_wall_ns.push(t0.elapsed().as_nanos() as u64);
+            // An aborted round commits nowhere; keep only the attribution.
+            out.panic = reply.panic.take();
+            out.first_error = reply.first_error.take();
+        } else {
+            out.committed += 1;
+            if self.cfg.profiling {
+                out.prof.push(reply.prof);
+                if self.me == 0 {
+                    out.round_wall_ns
+                        .push(self.round_start.elapsed().as_nanos() as u64);
+                }
             }
         }
-        match verdict {
-            VERDICT_CONTINUE => round += 1,
-            _ => break verdict,
-        }
-    };
-
-    Ok(ShardRunOutcome {
-        nodes,
-        metrics,
-        committed,
-        verdict,
-        panic: final_panic,
-        first_error: final_first_error,
-        telemetry_deltas,
-        prof,
-        round_wall_ns,
-    })
+        self.round_start = Instant::now();
+        Ok(verdict)
+    }
 }
 
 // ---------------------------------------------------------------------------

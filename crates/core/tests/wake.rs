@@ -164,7 +164,7 @@ proptest! {
                     prop_assert_eq!(&calendar.metrics, &every.metrics, "{}", label);
                     prop_assert_eq!(&calendar.sums, &every.sums, "{}", label);
                     prop_assert!(calendar.events == every.events, "trace differs: {}", label);
-                    // Untraced pooled runs take the free-running path.
+                    // Untraced runs: the polled wrapper must step the same nodes.
                     let untraced = run(&g, cfg(true), threads, false, max_rounds, node);
                     let polled = run(
                         &g,
