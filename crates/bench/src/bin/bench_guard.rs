@@ -5,16 +5,22 @@
 //!
 //! Both files hold the `{"profiles":[{"graph":...,"profile":{...}},...]}`
 //! shape written by E15 (`BENCH_profile.json`), E16 (`BENCH_engine.json`),
-//! and E17 (`BENCH_faults.json`). Every `(graph, engine)` key present in
+//! and E17 (`BENCH_faults.json`), or the flat `{"graph":...,"engine":...}`
+//! records of the other `BENCH_*.json` files. Each file is parsed as JSON
+//! and its `profiles` array walked: a record's `graph` is its own field,
+//! its `engine` and metric are its own fields or those of its nested
+//! `profile`, so field order does not matter and a record without the
+//! metric is skipped. Every `(graph, engine)` key present in
 //! *both* files is compared: the run fails (exit 1) when any fresh metric
 //! value exceeds `FACTOR ×` its baseline (default 1.25), or when the files
 //! share no keys at all — a silent no-op guard is itself a failure.
 //!
-//! `--metric` selects which integer field of each record is compared
-//! (default `wall_ns`). Wall clocks are host-dependent, so that default is
-//! only meaningful when fresh and baseline numbers come from comparable
-//! machines (in CI: the same runner class); the generous default threshold
-//! absorbs runner noise while still catching engine-level slowdowns.
+//! `--metric` selects which unsigned-integer field of each record is
+//! compared (default `wall_ns`); a value of any other kind exits 2. Wall
+//! clocks are host-dependent, so that default is only meaningful when
+//! fresh and baseline numbers come from comparable machines (in CI: the
+//! same runner class); the generous default threshold absorbs runner
+//! noise while still catching engine-level slowdowns.
 //! E17's `--metric overhead_permille` is deterministic (a rounds ratio)
 //! and compares exactly across hosts.
 //!
@@ -23,10 +29,10 @@
 //! a missing or unknown version exits 2 instead of silently comparing
 //! mismatched shapes.
 
-use bc_congest::SCHEMA_VERSION;
+use bc_congest::{json, SCHEMA_VERSION};
 use std::process::exit;
 
-/// One `(graph, engine) → metric` record scraped from a profiles file.
+/// One `(graph, engine) → metric` record of a profiles file.
 #[derive(Debug, Clone, PartialEq)]
 struct Record {
     graph: String,
@@ -34,52 +40,39 @@ struct Record {
     value: u64,
 }
 
-/// Extracts the string following `marker` up to the next `"`.
-fn string_after(text: &str, marker: &str) -> Option<(String, usize)> {
-    let start = text.find(marker)? + marker.len();
-    let end = start + text[start..].find('"')?;
-    Some((text[start..end].to_string(), end))
+/// The record of one `profiles[*]` entry, or `None` if it lacks `metric`.
+/// `graph` is the entry's own field; `engine` and the metric are its own
+/// or, failing that, those of its nested `profile`.
+fn record(entry: &json::Value, metric: &str) -> Result<Option<Record>, String> {
+    let entry = entry.as_object()?;
+    let nested = entry.opt("profile").and_then(|p| p.as_object().ok());
+    let lookup = |key: &str| entry.opt(key).or_else(|| nested?.opt(key));
+    let Some(value) = lookup(metric) else {
+        return Ok(None);
+    };
+    let engine = lookup("engine").ok_or("missing field \"engine\"")?;
+    Ok(Some(Record {
+        graph: entry.str("graph")?.to_string(),
+        engine: engine.as_str()?.to_string(),
+        value: value
+            .as_u64()
+            .map_err(|e| format!("field {metric:?}: {e}"))?,
+    }))
 }
 
-/// Extracts the integer following `marker`.
-fn number_after(text: &str, marker: &str) -> Option<(u64, usize)> {
-    let start = text.find(marker)? + marker.len();
-    let digits: String = text[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    if digits.is_empty() {
-        return None;
-    }
-    Some((digits.parse().ok()?, start + digits.len()))
-}
-
-/// Scrapes all records from a profiles JSON document. Relies on the field
-/// order `to_json` guarantees: within each record, `"graph"` precedes
-/// `"engine"`, which precedes the record's `metric` field (for the
-/// default `wall_ns`, the per-phase `wall_ns` fields all come later,
-/// inside `"phases"`, so the profile-level one wins).
-fn parse_profiles(text: &str, metric: &str) -> Vec<Record> {
-    let marker = format!("\"{metric}\":");
+/// The records of a profiles document that carry `metric`.
+fn parse_profiles(doc: &json::Object, metric: &str) -> Result<Vec<Record>, String> {
     let mut records = Vec::new();
-    let mut rest = text;
-    while let Some((graph, at)) = string_after(rest, "\"graph\":\"") {
-        rest = &rest[at..];
-        let Some((engine, at)) = string_after(rest, "\"engine\":\"") else {
-            break;
-        };
-        rest = &rest[at..];
-        let Some((value, at)) = number_after(rest, &marker) else {
-            break;
-        };
-        rest = &rest[at..];
-        records.push(Record {
-            graph,
-            engine,
-            value,
-        });
+    for (i, entry) in doc.get("profiles")?.as_array()?.iter().enumerate() {
+        records.extend(record(entry, metric).map_err(|e| format!("profiles[{i}]: {e}"))?);
     }
-    records
+    Ok(records)
+}
+
+/// Reports a file that cannot be compared and exits 2.
+fn refuse(path: &str, why: &str) -> ! {
+    eprintln!("bench_guard: {path}: {why}");
+    exit(2);
 }
 
 fn read_profiles(path: &str, metric: &str) -> Vec<Record> {
@@ -87,7 +80,9 @@ fn read_profiles(path: &str, metric: &str) -> Vec<Record> {
         eprintln!("bench_guard: cannot read {path}: {e}");
         exit(2);
     });
-    match number_after(&text, "\"schema_version\":") {
+    let doc = json::parse(&text).unwrap_or_else(|e| refuse(path, &e));
+    let doc = doc.as_object().unwrap_or_else(|e| refuse(path, &e));
+    match doc.opt("schema_version").map(json::Value::as_u64) {
         None => {
             eprintln!(
                 "bench_guard: {path} has no schema_version field — refusing to compare \
@@ -95,7 +90,7 @@ fn read_profiles(path: &str, metric: &str) -> Vec<Record> {
             );
             exit(2);
         }
-        Some((v, _)) if v != u64::from(SCHEMA_VERSION) => {
+        Some(Ok(v)) if v != u64::from(SCHEMA_VERSION) => {
             eprintln!(
                 "bench_guard: {path} carries schema_version {v}, but this binary \
                  understands schema_version {SCHEMA_VERSION} — regenerate the artifact \
@@ -103,9 +98,10 @@ fn read_profiles(path: &str, metric: &str) -> Vec<Record> {
             );
             exit(2);
         }
-        Some(_) => {}
+        Some(Err(e)) => refuse(path, &format!("schema_version: {e}")),
+        Some(Ok(_)) => {}
     }
-    let records = parse_profiles(&text, metric);
+    let records = parse_profiles(doc, metric).unwrap_or_else(|e| refuse(path, &e));
     if records.is_empty() {
         eprintln!("bench_guard: {path} holds no (graph, engine, {metric}) records");
         exit(2);

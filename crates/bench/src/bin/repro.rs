@@ -15,6 +15,8 @@
 //! the filesystem; this binary is the only writer.
 
 use bc_bench::{run_experiment, ExperimentReport, ALL_EXPERIMENTS};
+use bc_congest::json;
+use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Instant;
 
@@ -114,61 +116,56 @@ fn write_artifacts(dir: &Path, reports: &[ExperimentReport], quick: bool) {
 /// The aggregated perf-trajectory file: one record per distributed run
 /// across all selected experiments.
 fn rounds_json(reports: &[ExperimentReport], quick: bool) -> String {
-    let mut recs: Vec<String> = Vec::new();
-    for r in reports {
-        for p in &r.perf {
-            recs.push(format!(
-                "{{\"experiment\":\"{}\",\"run\":\"{}\",\"rounds\":{},\"messages\":{},\"bits\":{}}}",
-                esc(&r.id),
-                esc(&p.run),
-                p.rounds,
-                p.messages,
-                p.bits
-            ));
-        }
-    }
-    format!(
-        "{{\"schema_version\":{},\"scale\":\"{}\",\"runs\":[{}]}}",
+    let mut out = format!(
+        "{{\"schema_version\":{},\"scale\":\"{}\",\"runs\":[",
         bc_congest::SCHEMA_VERSION,
         if quick { "quick" } else { "full" },
-        recs.join(",")
-    )
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    );
+    let runs = reports
+        .iter()
+        .flat_map(|r| r.perf.iter().map(move |p| (&r.id, p)));
+    json::join(&mut out, runs, |out, (id, p)| {
+        out.push_str("{\"experiment\":");
+        json::write_str(out, id);
+        out.push_str(",\"run\":");
+        json::write_str(out, &p.run);
+        write!(
+            out,
+            ",\"rounds\":{},\"messages\":{},\"bits\":{}}}",
+            p.rounds, p.messages, p.bits
+        )
+    });
+    out.push_str("]}");
     out
 }
 
-/// Tiny JSON encoder for the report shape (strings, arrays, one struct),
-/// avoiding any external JSON dependency for one flag.
+/// The `--json` payload: one object per report.
 fn to_json(reports: &[ExperimentReport]) -> String {
-    fn arr(items: &[String]) -> String {
-        let inner: Vec<String> = items.iter().map(|i| format!("\"{}\"", esc(i))).collect();
-        format!("[{}]", inner.join(","))
+    fn strings(out: &mut String, items: &[String]) {
+        out.push('[');
+        json::join(out, items, |out, s| {
+            json::write_str(out, s);
+            Ok(())
+        });
+        out.push(']');
     }
-    let objs: Vec<String> = reports
-        .iter()
-        .map(|r| {
-            let rows: Vec<String> = r.rows.iter().map(|row| arr(row)).collect();
-            format!(
-                "{{\"id\":\"{}\",\"title\":\"{}\",\"headers\":{},\"rows\":[{}],\"notes\":{}}}",
-                esc(&r.id),
-                esc(&r.title),
-                arr(&r.headers),
-                rows.join(","),
-                arr(&r.notes)
-            )
-        })
-        .collect();
-    format!("[{}]", objs.join(","))
+    let mut out = String::from("[");
+    json::join(&mut out, reports, |out, r| {
+        out.push_str("{\"id\":");
+        json::write_str(out, &r.id);
+        out.push_str(",\"title\":");
+        json::write_str(out, &r.title);
+        out.push_str(",\"headers\":");
+        strings(out, &r.headers);
+        out.push_str(",\"rows\":[");
+        json::join(out, &r.rows, |out, row| {
+            strings(out, row);
+            Ok(())
+        });
+        out.push_str("],\"notes\":");
+        strings(out, &r.notes);
+        out.write_char('}')
+    });
+    out.push(']');
+    out
 }

@@ -69,6 +69,7 @@
 
 pub mod asynchronous;
 pub mod faults;
+pub mod json;
 mod message;
 mod metrics;
 mod network;

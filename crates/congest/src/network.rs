@@ -53,6 +53,7 @@ use crate::wake::WakeSet;
 use crate::wire::{VERDICT_ABORT, VERDICT_CONTINUE, VERDICT_QUIESCENT, VERDICT_ROUND_LIMIT};
 use bc_graph::{Graph, NodeId, ReversePorts};
 use bc_numeric::bits::id_bits;
+use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -420,9 +421,9 @@ pub struct Network<P> {
     /// Recycled list of next-inbox indices touched in the current round
     /// (only those get sorted).
     touched: Vec<NodeId>,
-    /// Fault-delayed messages still in flight:
-    /// `(delivery round, target, port, message)` in injection order.
-    delayed: Vec<(u64, NodeId, usize, Message)>,
+    /// Fault-delayed messages still in flight, bucketed by delivery round:
+    /// `(target, port, message)` in injection order.
+    delayed: BTreeMap<u64, Vec<(NodeId, usize, Message)>>,
     /// Which nodes the serial engine's next round visits.
     wake: WakeSet,
     metrics: NetMetrics,
@@ -465,7 +466,7 @@ impl<P: Protocol> Network<P> {
             stage_events: Vec::new(),
             send_scratch: SendScratch::default(),
             touched: Vec::new(),
-            delayed: Vec::new(),
+            delayed: BTreeMap::new(),
             wake: WakeSet::new(n),
             metrics: NetMetrics::default(),
             round: 0,
@@ -596,17 +597,25 @@ impl<P: Protocol> Network<P> {
         let faults = self.config.faults.as_ref();
         self.wake.begin_round(round, skip_idle && faults.is_none());
         let mut first_error: Option<CongestError> = None;
-        if !self.delayed.is_empty() {
-            for (target, port, msg) in take_due(&mut self.delayed, round) {
-                let inbox = &mut self.inboxes[target as usize];
-                inbox.push((port, msg));
+        // `touched` first lists the inboxes this round's delayed mail
+        // reaches, so each is sorted once, then the next round's inboxes.
+        let mut touched = std::mem::take(&mut self.touched);
+        if let Some(due) = self.delayed.remove(&round) {
+            for (target, port, msg) in due {
+                self.inboxes[target as usize].push((port, msg));
+                touched.push(target);
+            }
+            touched.sort_unstable();
+            touched.dedup();
+            for &t in &touched {
                 // Stable: equal-port entries (Record-mode collisions, fault
                 // duplicates) keep arrival order — normal before delayed —
                 // which is the canonical order the parallel engine's shard
                 // drain reproduces.
-                sort_inbox(inbox);
-                self.wake.mark(target as usize);
+                sort_inbox(&mut self.inboxes[t as usize]);
+                self.wake.mark(t as usize);
             }
+            touched.clear();
         }
         self.metrics.begin_round(round);
         // The sink leaves `self` for the loop so node stepping (which
@@ -622,7 +631,6 @@ impl<P: Protocol> Network<P> {
         let mut compute_ns = 0u64;
         let mut inbox_messages = 0u64;
         let mut nodes_stepped = 0u64;
-        let mut touched = std::mem::take(&mut self.touched);
         let spare = &mut self.spare;
         debug_assert!(spare.iter().all(|i| i.is_empty()));
         while let Some(v) = self.wake.next_due() {
@@ -703,7 +711,12 @@ impl<P: Protocol> Network<P> {
                 &mut first_error,
                 sink.as_deref_mut(),
                 faults,
-                &mut self.delayed,
+                |due, target, port, msg| {
+                    self.delayed
+                        .entry(due)
+                        .or_default()
+                        .push((target, port, msg));
+                },
             );
             self.stage_sends = sends;
             self.stage_events = events;
@@ -1028,9 +1041,6 @@ pub(crate) struct ShardWorker<'a, P> {
     stage_sends: Vec<(usize, Message)>,
     stage_events: Vec<ProtocolDetail>,
     send_scratch: SendScratch,
-    /// Untagged fault-delay staging for `account_sends`; drained per node
-    /// into the sender-tagged reply buffer.
-    delayed_scratch: Vec<(u64, NodeId, usize, Message)>,
     /// Next-round deliveries to this shard's own nodes (the intra-shard
     /// fast path never touches a lane).
     pending_intra: LaneBatch,
@@ -1077,7 +1087,6 @@ impl<'a, P: Protocol> ShardWorker<'a, P> {
             stage_sends: Vec::new(),
             stage_events: Vec::new(),
             send_scratch: SendScratch::default(),
-            delayed_scratch: Vec::new(),
             pending_intra: Vec::new(),
             out: (0..env.map.len()).map(|_| Vec::new()).collect(),
             touched,
@@ -1183,7 +1192,6 @@ impl<'a, P: Protocol> ShardWorker<'a, P> {
         let shard = &map.shards()[me];
         let metrics = &mut self.metrics;
         let send_scratch = &mut self.send_scratch;
-        let delayed_scratch = &mut self.delayed_scratch;
         let pending_intra = &mut self.pending_intra;
         let out = &mut self.out;
         let stage_sends = &mut self.stage_sends;
@@ -1269,11 +1277,8 @@ impl<'a, P: Protocol> ShardWorker<'a, P> {
                         &mut first_error,
                         tracing.then_some(&mut sink),
                         faults,
-                        delayed_scratch,
+                        |due, target, port, msg| delayed.push((v, due, target, port, msg)),
                     );
-                    for (due, target, port, msg) in delayed_scratch.drain(..) {
-                        delayed.push((v, due, target, port, msg));
-                    }
                     let n_events = (sink.0.len() - events_before) as u32;
                     if n_events > 0 {
                         index.push((v, n_events));
@@ -1435,9 +1440,9 @@ struct Coordinator<'s, 'n> {
     map: &'n ShardMap,
     max_rounds: u64,
     sink: &'n mut Option<Box<dyn TraceSink>>,
-    /// The network's fault-delayed messages in flight:
-    /// `(delivery round, target, port, message)` in injection order.
-    delayed: &'n mut Vec<(u64, NodeId, usize, Message)>,
+    /// The network's fault-delayed messages in flight, bucketed by
+    /// delivery round.
+    delayed: &'n mut BTreeMap<u64, Vec<(NodeId, usize, Message)>>,
     profiler: Option<&'n mut Profiler>,
     telemetry: Option<&'n Telemetry>,
     /// When the round being settled started (profiling only).
@@ -1489,9 +1494,12 @@ impl Coordinator<'_, '_> {
             .flat_map(|r| r.delayed.drain(..))
             .collect();
         sends.sort_by_key(|send| send.0);
-        let due = sends.into_iter().take_while(|send| send.0 < clip);
-        self.delayed
-            .extend(due.map(|(_, due, target, port, msg)| (due, target, port, msg)));
+        for (_, due, target, port, msg) in sends.into_iter().take_while(|send| send.0 < clip) {
+            self.delayed
+                .entry(due)
+                .or_default()
+                .push((target, port, msg));
+        }
 
         let quiet =
             replies.iter().all(|r| r.routed == 0 && r.all_halted) && self.delayed.is_empty();
@@ -1511,8 +1519,8 @@ impl Coordinator<'_, '_> {
                 replies.iter().map(|r| r.prof),
             ));
         }
-        if verdict == VERDICT_CONTINUE && !self.delayed.is_empty() {
-            for (target, port, msg) in take_due(self.delayed, round + 1) {
+        if verdict == VERDICT_CONTINUE {
+            for (target, port, msg) in self.delayed.remove(&(round + 1)).unwrap_or_default() {
                 replies[self.map.shard_of(target)].inject.push((
                     self.map.local_of(target) as u32,
                     port as u32,
@@ -1631,7 +1639,7 @@ impl<P: Protocol + Send> Network<P> {
             shard.0.push(node);
             shard.1.push(inbox);
         }
-        for (target, port, msg) in take_due(&mut self.delayed, start) {
+        for (target, port, msg) in self.delayed.remove(&start).unwrap_or_default() {
             shards[map.shard_of(target)]
                 .2
                 .push((map.local_of(target) as u32, port as u32, msg));
@@ -1740,23 +1748,6 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Moves the fault-delayed messages due in `round` out of `delayed`,
-/// preserving injection order (so inbox insertion stays deterministic).
-fn take_due(
-    delayed: &mut Vec<(u64, NodeId, usize, Message)>,
-    round: u64,
-) -> Vec<(NodeId, usize, Message)> {
-    let mut due = Vec::new();
-    for (at, target, port, msg) in std::mem::take(delayed) {
-        if at == round {
-            due.push((target, port, msg));
-        } else {
-            delayed.push((at, target, port, msg));
-        }
-    }
-    due
-}
-
 /// Restores an inbox's canonical order: ascending port, equal ports in
 /// arrival order (a stable sort). Most inboxes arrive in that order
 /// already — a serial round steps senders in ascending id order, and a
@@ -1783,7 +1774,7 @@ pub(crate) struct SendScratch {
 /// fault plan attached, each message additionally passes through the
 /// plan's per-slot decision: drop, bit-corruption, duplication (a second
 /// `MessageSent` is traced for the extra wire copy), or delay (parked in
-/// `delayed` until its delivery round).
+/// `park`, which holds it until its delivery round).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn account_sends<S: TraceSink + ?Sized>(
     v: NodeId,
@@ -1799,7 +1790,7 @@ pub(crate) fn account_sends<S: TraceSink + ?Sized>(
     first_error: &mut Option<CongestError>,
     mut sink: Option<&mut S>,
     faults: Option<&FaultPlan>,
-    delayed: &mut Vec<(u64, NodeId, usize, Message)>,
+    mut park: impl FnMut(u64, NodeId, usize, Message),
 ) {
     // Collision detection: count messages per port (the scratch buffer is
     // only reset when the node actually sent something).
@@ -1907,12 +1898,12 @@ pub(crate) fn account_sends<S: TraceSink + ?Sized>(
         for _ in 0..copies {
             if decision.delay > 0 {
                 metrics.faults_delayed += 1;
-                delayed.push((
+                park(
                     round + 1 + decision.delay,
                     target,
                     reverse_port,
                     msg.clone(),
-                ));
+                );
             } else {
                 deliver(target, reverse_port, msg.clone());
             }

@@ -26,6 +26,7 @@
 //! host, not the algorithm — which is why they live here and never in
 //! [`crate::NetMetrics`].
 
+use crate::json;
 use crate::telemetry::{StragglerBaseline, SCHEMA_VERSION};
 use std::fmt;
 use std::time::Instant;
@@ -522,11 +523,8 @@ impl ProfileReport {
             self.cross_shard_messages, self.intra_shard_messages
         );
         out.push_str(",\"phases\":[");
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
+        json::join(&mut out, &self.phases, |out, p| {
+            write!(
                 out,
                 "{{\"name\":\"{}\",\"start\":{},\"end\":{},\"rounds\":{},\"wall_ns\":{},\
                  \"compute_ns\":{},\"overhead_ns\":{},\"inbox_messages\":{}}}",
@@ -538,8 +536,8 @@ impl ProfileReport {
                 p.compute_ns,
                 p.overhead_ns,
                 p.inbox_messages
-            );
-        }
+            )
+        });
         out.push(']');
         if let Some(w) = &self.workers {
             let _ = write!(
@@ -568,11 +566,8 @@ impl ProfileReport {
             self.state_bytes_total, self.state_bytes_peak
         );
         out.push_str(",\"stragglers\":[");
-        for (i, s) in self.stragglers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
+        json::join(&mut out, &self.stragglers, |out, s| {
+            write!(
                 out,
                 "{{\"kind\":\"{}\",\"round\":{},\"worker\":{},\"value\":{},\"baseline\":{}}}",
                 s.kind,
@@ -580,8 +575,8 @@ impl ProfileReport {
                 s.worker.map_or(-1, |w| w as i64),
                 s.value,
                 s.baseline
-            );
-        }
+            )
+        });
         out.push_str("]}");
         out
     }

@@ -31,6 +31,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use crate::json;
 use crate::metrics::NetMetrics;
 
 /// Version stamped into every JSON artifact this workspace emits
@@ -455,67 +456,33 @@ impl Telemetry {
     pub fn postmortem_json(&self, reason: &str) -> String {
         let snap = self.snapshot();
         let mut out = String::with_capacity(1 << 12);
-        let _ = write!(
-            out,
-            "{{\"schema_version\":{SCHEMA_VERSION},\"reason\":\"{}\",\"round\":{}",
-            escape_json(reason),
-            self.round()
-        );
+        let _ = write!(out, "{{\"schema_version\":{SCHEMA_VERSION},\"reason\":");
+        json::write_str(&mut out, reason);
+        let _ = write!(out, ",\"round\":{}", self.round());
         out.push_str(",\"counters\":{");
-        for (i, (label, value)) in snap.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{label}\":{value}");
-        }
+        json::join(&mut out, snap.iter(), |out, (label, value)| {
+            write!(out, "\"{label}\":{value}")
+        });
         out.push_str("},\"histograms\":{");
-        for (i, &(h, label)) in HISTOGRAMS.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{label}\":[");
-            for (j, bucket) in self.histogram(h).iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{bucket}");
-            }
-            out.push(']');
-        }
+        json::join(&mut out, HISTOGRAMS, |out, (h, label)| {
+            write!(out, "\"{label}\":[")?;
+            json::join(out, self.histogram(h), |out, bucket| {
+                write!(out, "{bucket}")
+            });
+            out.write_char(']')
+        });
         out.push_str("},\"recent_rounds\":[");
-        for (i, r) in self.recent_rounds().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
+        json::join(&mut out, self.recent_rounds(), |out, r| {
+            write!(
                 out,
                 "{{\"round\":{},\"messages\":{},\"bits\":{},\"nodes_stepped\":{},\
                  \"retransmits\":{},\"faults\":{},\"straggler\":{}}}",
                 r.round, r.messages, r.bits, r.nodes_stepped, r.retransmits, r.faults, r.straggler
-            );
-        }
+            )
+        });
         out.push_str("]}");
         out
     }
-}
-
-/// Escapes a string for embedding in a JSON document.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Per-engine-site writer handle: remembers the cumulative metric values
@@ -620,7 +587,7 @@ impl Postmortem {
     /// Returns a description of the first structural problem, including
     /// an unsupported `schema_version`.
     pub fn parse(text: &str) -> Result<Postmortem, String> {
-        let value = mini_json::parse(text)?;
+        let value = json::parse(text)?;
         let obj = value.as_object()?;
         let schema_version = obj.u64("schema_version")?;
         if schema_version != SCHEMA_VERSION as u64 {
@@ -633,7 +600,7 @@ impl Postmortem {
             .as_object()?
             .fields
             .iter()
-            .map(|(k, v)| Ok((k.clone(), v.as_u64()?)))
+            .map(|(k, v)| Ok((k.to_string(), v.as_u64()?)))
             .collect::<Result<Vec<_>, String>>()?;
         let recent_rounds = obj
             .get("recent_rounds")?
@@ -654,231 +621,11 @@ impl Postmortem {
             .collect::<Result<Vec<_>, String>>()?;
         Ok(Postmortem {
             schema_version,
-            reason: obj.get("reason")?.as_str()?.to_string(),
+            reason: obj.str("reason")?.to_string(),
             round: obj.u64("round")?,
             counters,
             recent_rounds,
         })
-    }
-}
-
-/// Minimal recursive JSON reader for postmortem validation: objects,
-/// arrays, unsigned integers, strings (with the escapes the encoder
-/// emits), and booleans. Not a general parser — anything else is
-/// rejected loudly.
-mod mini_json {
-    pub enum Value {
-        Num(u64),
-        Str(String),
-        Bool(bool),
-        Arr(Vec<Value>),
-        Obj(Object),
-    }
-
-    pub struct Object {
-        pub fields: Vec<(String, Value)>,
-    }
-
-    impl Object {
-        pub fn get(&self, key: &str) -> Result<&Value, String> {
-            self.fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field {key:?}"))
-        }
-
-        pub fn u64(&self, key: &str) -> Result<u64, String> {
-            self.get(key)?.as_u64()
-        }
-    }
-
-    impl Value {
-        pub fn as_u64(&self) -> Result<u64, String> {
-            match self {
-                Value::Num(n) => Ok(*n),
-                _ => Err("expected number".into()),
-            }
-        }
-
-        pub fn as_str(&self) -> Result<&str, String> {
-            match self {
-                Value::Str(s) => Ok(s),
-                _ => Err("expected string".into()),
-            }
-        }
-
-        pub fn as_bool(&self) -> Result<bool, String> {
-            match self {
-                Value::Bool(b) => Ok(*b),
-                _ => Err("expected bool".into()),
-            }
-        }
-
-        pub fn as_array(&self) -> Result<&[Value], String> {
-            match self {
-                Value::Arr(a) => Ok(a),
-                _ => Err("expected array".into()),
-            }
-        }
-
-        pub fn as_object(&self) -> Result<&Object, String> {
-            match self {
-                Value::Obj(o) => Ok(o),
-                _ => Err("expected object".into()),
-            }
-        }
-    }
-
-    struct Cursor<'a> {
-        s: &'a [u8],
-        pos: usize,
-    }
-
-    impl Cursor<'_> {
-        fn skip_ws(&mut self) {
-            while matches!(self.s.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.pos += 1;
-            }
-        }
-
-        fn peek(&mut self) -> Option<u8> {
-            self.skip_ws();
-            self.s.get(self.pos).copied()
-        }
-
-        fn eat(&mut self, c: u8) -> Result<(), String> {
-            if self.peek() == Some(c) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!("expected {:?} at byte {}", c as char, self.pos))
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.eat(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.s.get(self.pos).copied() {
-                    None => return Err("unterminated string".into()),
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        match self.s.get(self.pos).copied() {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b'r') => out.push('\r'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'u') => {
-                                let hex = self
-                                    .s
-                                    .get(self.pos + 1..self.pos + 5)
-                                    .ok_or("truncated \\u escape")?;
-                                let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                                let code =
-                                    u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                                out.push(char::from_u32(code).ok_or("bad \\u codepoint")?);
-                                self.pos += 4;
-                            }
-                            other => return Err(format!("bad escape {other:?}")),
-                        }
-                        self.pos += 1;
-                    }
-                    Some(_) => {
-                        // Copy the full UTF-8 sequence starting here.
-                        let rest = &self.s[self.pos..];
-                        let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8")?;
-                        let c = s.chars().next().ok_or("unterminated string")?;
-                        out.push(c);
-                        self.pos += c.len_utf8();
-                    }
-                }
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            match self.peek() {
-                Some(b'{') => {
-                    self.eat(b'{')?;
-                    let mut fields = Vec::new();
-                    if self.peek() == Some(b'}') {
-                        self.eat(b'}')?;
-                        return Ok(Value::Obj(Object { fields }));
-                    }
-                    loop {
-                        let key = self.string()?;
-                        self.eat(b':')?;
-                        fields.push((key, self.value()?));
-                        match self.peek() {
-                            Some(b',') => self.eat(b',')?,
-                            Some(b'}') => {
-                                self.eat(b'}')?;
-                                return Ok(Value::Obj(Object { fields }));
-                            }
-                            _ => return Err("malformed object".into()),
-                        }
-                    }
-                }
-                Some(b'[') => {
-                    self.eat(b'[')?;
-                    let mut items = Vec::new();
-                    if self.peek() == Some(b']') {
-                        self.eat(b']')?;
-                        return Ok(Value::Arr(items));
-                    }
-                    loop {
-                        items.push(self.value()?);
-                        match self.peek() {
-                            Some(b',') => self.eat(b',')?,
-                            Some(b']') => {
-                                self.eat(b']')?;
-                                return Ok(Value::Arr(items));
-                            }
-                            _ => return Err("malformed array".into()),
-                        }
-                    }
-                }
-                Some(b'"') => Ok(Value::Str(self.string()?)),
-                Some(b't') if self.s[self.pos..].starts_with(b"true") => {
-                    self.pos += 4;
-                    Ok(Value::Bool(true))
-                }
-                Some(b'f') if self.s[self.pos..].starts_with(b"false") => {
-                    self.pos += 5;
-                    Ok(Value::Bool(false))
-                }
-                Some(d) if d.is_ascii_digit() => {
-                    let start = self.pos;
-                    while matches!(self.s.get(self.pos), Some(c) if c.is_ascii_digit()) {
-                        self.pos += 1;
-                    }
-                    std::str::from_utf8(&self.s[start..self.pos])
-                        .ok()
-                        .and_then(|t| t.parse().ok())
-                        .map(Value::Num)
-                        .ok_or_else(|| format!("bad number at byte {start}"))
-                }
-                other => Err(format!("unexpected value start {other:?}")),
-            }
-        }
-    }
-
-    /// Parses one complete JSON document.
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let mut c = Cursor {
-            s: text.as_bytes(),
-            pos: 0,
-        };
-        let v = c.value()?;
-        if c.peek().is_some() {
-            return Err("trailing content after document".into());
-        }
-        Ok(v)
     }
 }
 

@@ -15,12 +15,14 @@
 //! Three sinks are provided: [`NoopSink`] (drop everything), [`RingSink`]
 //! (last-`k` events in memory, for tests and post-mortem inspection), and
 //! [`JsonlSink`] (one JSON object per line, the on-disk format consumed by
-//! `distbc check-trace` and [`check`]). The [`check`] submodule re-validates
-//! the paper's schedule invariants offline from a recorded stream.
+//! `distbc check-trace` and [`check`]; [`read_jsonl`] reads it back through
+//! [`crate::json`]). The [`check`] submodule re-validates the paper's
+//! schedule invariants offline from a recorded stream.
 
 pub mod check;
 pub mod stats;
 
+use crate::json;
 use bc_graph::NodeId;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -292,12 +294,7 @@ pub fn encode_event(event: &TraceEvent, out: &mut String) {
     match event {
         TraceEvent::Topology { n, edges } => {
             let _ = write!(out, "{{\"ev\":\"topology\",\"n\":{n},\"edges\":[");
-            for (i, (u, v)) in edges.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "[{u},{v}]");
-            }
+            json::join(out, edges, |out, (u, v)| write!(out, "[{u},{v}]"));
             out.push_str("]}");
         }
         TraceEvent::Schedule {
@@ -431,50 +428,59 @@ pub fn read_jsonl(path: impl AsRef<Path>) -> io::Result<Vec<TraceEvent>> {
 ///
 /// Returns a description of the first syntactic or semantic problem.
 pub fn parse_event(line: &str) -> Result<TraceEvent, String> {
-    let obj = json::parse_object(line)?;
-    let ev = obj.str_field("ev")?;
-    match ev {
+    let value = json::parse(line)?;
+    let obj = value.as_object()?;
+    match obj.str("ev")? {
         "topology" => Ok(TraceEvent::Topology {
-            n: obj.u64_field("n")? as usize,
-            edges: obj.edge_list_field("edges")?,
+            n: obj.u32("n")? as usize,
+            edges: obj.field("edges", |edges| {
+                edges
+                    .as_array()?
+                    .iter()
+                    .map(|edge| match edge.as_array()? {
+                        [u, v] => Ok((u.as_u32()?, v.as_u32()?)),
+                        _ => Err("an edge is not a [u,v] pair".to_string()),
+                    })
+                    .collect()
+            })?,
         }),
         "schedule" => Ok(TraceEvent::Schedule {
-            counting_start: obj.u64_field("counting_start")?,
-            reduce_start: obj.u64_field("reduce_start")?,
-            broadcast_start: obj.u64_field("broadcast_start")?,
-            agg_start: obj.u64_field("agg_start")?,
+            counting_start: obj.u64("counting_start")?,
+            reduce_start: obj.u64("reduce_start")?,
+            broadcast_start: obj.u64("broadcast_start")?,
+            agg_start: obj.u64("agg_start")?,
         }),
         "round_start" => Ok(TraceEvent::RoundStart {
-            round: obj.u64_field("round")?,
+            round: obj.u64("round")?,
         }),
         "message_sent" => Ok(TraceEvent::MessageSent {
-            round: obj.u64_field("round")?,
-            from: obj.u64_field("from")? as NodeId,
-            to: obj.u64_field("to")? as NodeId,
-            bits: obj.u64_field("bits")? as usize,
-            payload: obj.opt_u64_field("payload")?,
+            round: obj.u64("round")?,
+            from: obj.u32("from")?,
+            to: obj.u32("to")?,
+            bits: obj.u64("bits")? as usize,
+            payload: obj.opt("payload").map(|_| obj.u64("payload")).transpose()?,
         }),
         "violation" => {
-            let kind = match obj.str_field("kind")? {
+            let kind = match obj.str("kind")? {
                 "collision" => ViolationKind::Collision {
-                    port: obj.u64_field("port")? as usize,
+                    port: obj.u64("port")? as usize,
                 },
                 "oversized" => ViolationKind::Oversized {
-                    bits: obj.u64_field("bits")? as usize,
-                    budget: obj.u64_field("budget")? as usize,
+                    bits: obj.u64("bits")? as usize,
+                    budget: obj.u64("budget")? as usize,
                 },
                 other => return Err(format!("unknown violation kind {other:?}")),
             };
             Ok(TraceEvent::ViolationDetected {
-                round: obj.u64_field("round")?,
-                node: obj.u64_field("node")? as NodeId,
+                round: obj.u64("round")?,
+                node: obj.u32("node")?,
                 kind,
             })
         }
         "protocol" => {
-            let detail = match obj.str_field("detail")? {
+            let detail = match obj.str("detail")? {
                 "phase_enter" => {
-                    let phase = obj.str_field("phase")?;
+                    let phase = obj.str("phase")?;
                     let mut chars = phase.chars();
                     match (chars.next(), chars.next()) {
                         (Some(c), None) => ProtocolDetail::PhaseEnter { phase: c },
@@ -482,207 +488,20 @@ pub fn parse_event(line: &str) -> Result<TraceEvent, String> {
                     }
                 }
                 "token_receive" => ProtocolDetail::TokenReceive,
-                "token_send" => ProtocolDetail::TokenSend {
-                    to: obj.u64_field("to")? as NodeId,
-                },
-                "wave_start" => ProtocolDetail::WaveStart {
-                    ts: obj.u64_field("ts")?,
-                },
+                "token_send" => ProtocolDetail::TokenSend { to: obj.u32("to")? },
+                "wave_start" => ProtocolDetail::WaveStart { ts: obj.u64("ts")? },
                 "agg_send" => ProtocolDetail::AggSend {
-                    source: obj.u64_field("source")? as NodeId,
+                    source: obj.u32("source")?,
                 },
                 other => return Err(format!("unknown protocol detail {other:?}")),
             };
             Ok(TraceEvent::Protocol {
-                round: obj.u64_field("round")?,
-                node: obj.u64_field("node")? as NodeId,
+                round: obj.u64("round")?,
+                node: obj.u32("node")?,
                 detail,
             })
         }
         other => Err(format!("unknown event type {other:?}")),
-    }
-}
-
-/// Minimal JSON-object reader covering the trace format: flat objects with
-/// unsigned-integer, string, and `[[u,v],...]` array values. Deliberately
-/// not a general JSON parser — unknown shapes are rejected loudly.
-mod json {
-    /// A parsed flat object.
-    pub struct Object<'a> {
-        fields: Vec<(&'a str, Value<'a>)>,
-    }
-
-    pub enum Value<'a> {
-        Num(u64),
-        Str(&'a str),
-        Pairs(Vec<(u64, u64)>),
-    }
-
-    impl<'a> Object<'a> {
-        fn get(&self, key: &str) -> Result<&Value<'a>, String> {
-            self.fields
-                .iter()
-                .find(|(k, _)| *k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field {key:?}"))
-        }
-
-        pub fn u64_field(&self, key: &str) -> Result<u64, String> {
-            match self.get(key)? {
-                Value::Num(n) => Ok(*n),
-                _ => Err(format!("field {key:?} is not a number")),
-            }
-        }
-
-        /// Like `u64_field` but tolerates the field being absent
-        /// entirely (optional trace extensions).
-        pub fn opt_u64_field(&self, key: &str) -> Result<Option<u64>, String> {
-            match self.fields.iter().find(|(k, _)| *k == key) {
-                None => Ok(None),
-                Some((_, Value::Num(n))) => Ok(Some(*n)),
-                Some(_) => Err(format!("field {key:?} is not a number")),
-            }
-        }
-
-        pub fn str_field(&self, key: &str) -> Result<&'a str, String> {
-            match self.get(key)? {
-                Value::Str(s) => Ok(s),
-                _ => Err(format!("field {key:?} is not a string")),
-            }
-        }
-
-        pub fn edge_list_field(&self, key: &str) -> Result<Vec<(u32, u32)>, String> {
-            match self.get(key)? {
-                Value::Pairs(p) => p
-                    .iter()
-                    .map(|&(u, v)| {
-                        let u = u32::try_from(u).map_err(|_| "edge id overflow".to_string())?;
-                        let v = u32::try_from(v).map_err(|_| "edge id overflow".to_string())?;
-                        Ok((u, v))
-                    })
-                    .collect(),
-                _ => Err(format!("field {key:?} is not an edge list")),
-            }
-        }
-    }
-
-    struct Cursor<'a> {
-        s: &'a str,
-        pos: usize,
-    }
-
-    impl<'a> Cursor<'a> {
-        fn skip_ws(&mut self) {
-            while self.s[self.pos..].starts_with([' ', '\t']) {
-                self.pos += 1;
-            }
-        }
-
-        fn eat(&mut self, c: char) -> Result<(), String> {
-            self.skip_ws();
-            if self.s[self.pos..].starts_with(c) {
-                self.pos += c.len_utf8();
-                Ok(())
-            } else {
-                Err(format!("expected {c:?} at byte {}", self.pos))
-            }
-        }
-
-        fn peek(&mut self) -> Option<char> {
-            self.skip_ws();
-            self.s[self.pos..].chars().next()
-        }
-
-        fn string(&mut self) -> Result<&'a str, String> {
-            self.eat('"')?;
-            let start = self.pos;
-            // Trace strings are identifiers / single letters; escapes are
-            // never produced by the encoder and thus rejected here.
-            while let Some(c) = self.s[self.pos..].chars().next() {
-                if c == '\\' {
-                    return Err("escape sequences unsupported".into());
-                }
-                if c == '"' {
-                    let out = &self.s[start..self.pos];
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                self.pos += c.len_utf8();
-            }
-            Err("unterminated string".into())
-        }
-
-        fn number(&mut self) -> Result<u64, String> {
-            self.skip_ws();
-            let start = self.pos;
-            while self.s[self.pos..].starts_with(|c: char| c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-            self.s[start..self.pos]
-                .parse()
-                .map_err(|_| format!("expected number at byte {start}"))
-        }
-
-        fn pair_array(&mut self) -> Result<Vec<(u64, u64)>, String> {
-            self.eat('[')?;
-            let mut out = Vec::new();
-            if self.peek() == Some(']') {
-                self.eat(']')?;
-                return Ok(out);
-            }
-            loop {
-                self.eat('[')?;
-                let u = self.number()?;
-                self.eat(',')?;
-                let v = self.number()?;
-                self.eat(']')?;
-                out.push((u, v));
-                match self.peek() {
-                    Some(',') => self.eat(',')?,
-                    Some(']') => {
-                        self.eat(']')?;
-                        return Ok(out);
-                    }
-                    _ => return Err("malformed edge array".into()),
-                }
-            }
-        }
-    }
-
-    /// Parses a one-line flat object.
-    pub fn parse_object(line: &str) -> Result<Object<'_>, String> {
-        let mut c = Cursor {
-            s: line.trim_end(),
-            pos: 0,
-        };
-        c.eat('{')?;
-        let mut fields = Vec::new();
-        if c.peek() == Some('}') {
-            c.eat('}')?;
-            return Ok(Object { fields });
-        }
-        loop {
-            let key = c.string()?;
-            c.eat(':')?;
-            let value = match c.peek() {
-                Some('"') => Value::Str(c.string()?),
-                Some('[') => Value::Pairs(c.pair_array()?),
-                Some(d) if d.is_ascii_digit() => Value::Num(c.number()?),
-                other => return Err(format!("unexpected value start {other:?}")),
-            };
-            fields.push((key, value));
-            match c.peek() {
-                Some(',') => c.eat(',')?,
-                Some('}') => {
-                    c.eat('}')?;
-                    if c.peek().is_some() {
-                        return Err("trailing content after object".into());
-                    }
-                    return Ok(Object { fields });
-                }
-                _ => return Err("malformed object".into()),
-            }
-        }
     }
 }
 
@@ -819,6 +638,10 @@ mod tests {
             "{\"ev\":\"round_start\",\"round\":3}garbage",
             "{\"ev\":\"violation\",\"round\":1,\"node\":0,\"kind\":\"weird\"}",
             "{\"ev\":\"protocol\",\"round\":1,\"node\":0,\"detail\":\"phase_enter\",\"phase\":\"XY\"}",
+            // Out of range: never truncated into the u32 id space.
+            "{\"ev\":\"topology\",\"n\":18446744073709551615,\"edges\":[]}",
+            "{\"ev\":\"topology\",\"n\":2,\"edges\":[[0,4294967296]]}",
+            "{\"ev\":\"message_sent\",\"round\":0,\"from\":4294967296,\"to\":1,\"bits\":8}",
         ] {
             assert!(parse_event(bad).is_err(), "{bad:?}");
         }

@@ -26,6 +26,7 @@
 
 use super::check;
 use super::{ProtocolDetail, TraceEvent};
+use crate::json;
 use crate::partition::Partition;
 use crate::telemetry::{StragglerBaseline, SCHEMA_VERSION, STRAGGLER_FACTOR};
 use bc_graph::{algo, Graph, NodeId};
@@ -198,11 +199,8 @@ impl TraceStats {
         }
         out.push_str(",\"sources\":[");
         let opt = |v: Option<u64>| v.map_or("null".to_string(), |x| x.to_string());
-        for (i, s) in self.sources.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
+        json::join(&mut out, &self.sources, |out, s| {
+            write!(
                 out,
                 "{{\"source\":{},\"ts\":{},\"rel_ts\":{},\"minimal_ts\":{},\"slack\":{},\
                  \"ecc\":{},\"expected_wave_end\":{},\"last_agg_round\":{},\"agg_sends\":{}}}",
@@ -215,53 +213,41 @@ impl TraceStats {
                 opt(s.expected_wave_end),
                 opt(s.last_agg_round),
                 s.agg_sends,
-            );
-        }
+            )
+        });
         out.push_str("],\"hot_edges\":[");
-        for (i, e) in self.hot_edges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
+        json::join(&mut out, &self.hot_edges, |out, e| {
+            write!(
                 out,
                 "{{\"from\":{},\"to\":{},\"messages\":{},\"bits\":{},\"utilization\":{:.4}}}",
                 e.from, e.to, e.messages, e.bits, e.utilization
-            );
-        }
+            )
+        });
         out.push_str("],\"peak_rounds\":[");
-        for (i, r) in self.peak_rounds.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
+        json::join(&mut out, &self.peak_rounds, |out, r| {
+            write!(
                 out,
                 "{{\"round\":{},\"messages\":{},\"bits\":{}}}",
                 r.round, r.messages, r.bits
-            );
-        }
+            )
+        });
         out.push_str("],\"straggler_rounds\":[");
-        for (i, r) in self.straggler_rounds.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
+        json::join(&mut out, &self.straggler_rounds, |out, r| {
+            write!(
                 out,
                 "{{\"round\":{},\"messages\":{},\"bits\":{}}}",
                 r.round, r.messages, r.bits
-            );
-        }
+            )
+        });
         out.push_str("],\"shard_skew\":[");
-        for (i, s) in self.shard_skew.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
+        json::join(&mut out, &self.shard_skew, |out, s| {
+            write!(
                 out,
                 "{{\"strategy\":\"{}\",\"threads\":{},\"max_load\":{},\
                  \"mean_load\":{:.2},\"skew\":{:.4}}}",
                 s.strategy, s.threads, s.max_load, s.mean_load, s.skew
-            );
-        }
+            )
+        });
         out.push_str("]}");
         out
     }

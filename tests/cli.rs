@@ -701,6 +701,40 @@ fn bad_input_is_a_usage_error_not_a_panic() {
     }
 }
 
+/// A trace value outside the u32 node-id space (`n` past what a graph can
+/// hold, a sender id past `u32::MAX`) is a malformed line: exit 1 naming
+/// the line, never a panic and never an id truncated into range.
+#[test]
+fn out_of_range_trace_values_are_malformed_lines() {
+    let cases = [
+        (
+            "huge-n.jsonl",
+            "{\"ev\":\"round_start\",\"round\":0}\n\
+             {\"ev\":\"topology\",\"n\":18446744073709551615,\"edges\":[]}\n",
+            "trace line 2: ",
+        ),
+        (
+            "huge-from.jsonl",
+            "{\"ev\":\"topology\",\"n\":2,\"edges\":[[0,1]]}\n\
+             {\"ev\":\"round_start\",\"round\":0}\n\
+             {\"ev\":\"message_sent\",\"round\":0,\"from\":4294967296,\"to\":1,\"bits\":8}\n",
+            "trace line 3: ",
+        ),
+    ];
+    for (name, text, line) in cases {
+        let trace = tmp(name);
+        std::fs::write(&trace, text).unwrap();
+        for cmd in ["check-trace", "trace-stats"] {
+            let out = distbc(&[cmd, trace.to_str().unwrap()]);
+            let err = String::from_utf8_lossy(&out.stderr).into_owned();
+            assert_eq!(out.status.code(), Some(1), "{cmd} {name}: {err}");
+            assert!(err.contains(line), "{cmd} {name}: {err}");
+            assert!(!err.contains("panicked"), "{cmd} {name}: {err}");
+        }
+        std::fs::remove_file(&trace).ok();
+    }
+}
+
 /// `trace-stats` writing into a reader that already hung up (`| head`)
 /// ends quietly with exit 0 instead of panicking on the broken pipe.
 #[test]
