@@ -11,10 +11,11 @@
 
 use crate::ExperimentReport;
 use bc_congest::asynchronous::{run_synchronized_with, AsyncConfig, SyncOptions};
-use bc_congest::{ProfileReport, Profiler, SCHEMA_VERSION};
+use bc_congest::{ProfileReport, Telemetry, SCHEMA_VERSION};
 use bc_core::{AlgoOptions, DistBcConfig, DistBcNode, DistBcResult, Instruments};
 use bc_graph::{generators, Graph};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// One profiled in-process run of `cfg` on `g` (E15–E19).
 pub(crate) fn profiled(g: &Graph, cfg: DistBcConfig) -> (DistBcResult, ProfileReport) {
@@ -116,22 +117,23 @@ pub fn run(quick: bool) -> ExperimentReport {
             parallel_profile.to_json()
         ));
 
-        // α-synchronizer: per-pulse compute plus skew/queue counters.
+        // α-synchronizer: per-pulse compute from a clocked registry, skew
+        // and queue counters from its report.
         let opts = AlgoOptions::for_graph_size(gn);
-        let (_, _, options) = run_synchronized_with(
+        let telemetry = Arc::new(Telemetry::new(1, 1));
+        telemetry.set_clock(true);
+        let (_, sync_report, _) = run_synchronized_with(
             &g,
             AsyncConfig::default(),
             serial_out.rounds + 1,
             |v, _| DistBcNode::new(gn, v, opts.clone()),
             SyncOptions {
-                profiler: Some(Profiler::new()),
+                telemetry: Some(telemetry.clone()),
                 ..SyncOptions::default()
             },
         );
-        let sync_profile = options
-            .profiler
-            .expect("profiler returned")
-            .report("alpha-sync", &[]);
+        let mut sync_profile = ProfileReport::from_rounds("alpha-sync", telemetry.round_log(), &[]);
+        sync_profile.sync = Some(sync_report.sync);
         push_profile_row(&mut rep, &family, &sync_profile);
         json_entries.push(format!(
             "{{\"graph\":\"{family}\",\"profile\":{}}}",

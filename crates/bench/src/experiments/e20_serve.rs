@@ -23,12 +23,17 @@ use bc_serve::{
     ServerConfig,
 };
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 static SOCKET_SEQ: AtomicUsize = AtomicUsize::new(0);
+
+/// How long a window's readers may run past its end to serve their first
+/// query: on a loaded host the writer can finish before a starved reader
+/// is scheduled at all.
+const FIRST_QUERY_DEADLINE: Duration = Duration::from_secs(10);
 
 /// A fresh `unix:` socket address, unique across runs and processes.
 fn socket_addr() -> String {
@@ -59,15 +64,12 @@ fn batch_version(resps: &[QueryResponse]) -> u64 {
 }
 
 /// Spawns `readers` client threads issuing 3-request batches until
-/// `stop` flips; returns total requests answered.
-fn read_load(readers: usize, addr: &str, n: usize, stop: &Arc<AtomicBool>) -> u64 {
-    let handles: Vec<_> = (0..readers)
-        .map(|r| {
-            let addr = addr.to_string();
-            let stop = Arc::clone(stop);
-            thread::spawn(move || {
-                let mut client = QueryClient::connect(&addr).expect("reader connects");
-                let mut answered = 0u64;
+/// `stop` flips, counting the requests answered into `answered`.
+fn read_load(readers: usize, addr: &str, n: usize, stop: &AtomicBool, answered: &AtomicU64) {
+    thread::scope(|s| {
+        for r in 0..readers {
+            s.spawn(move || {
+                let mut client = QueryClient::connect(addr).expect("reader connects");
                 let mut last_version = 0u64;
                 let mut i = r as u32;
                 while !stop.load(Ordering::Relaxed) {
@@ -80,18 +82,23 @@ fn read_load(readers: usize, addr: &str, n: usize, stop: &Arc<AtomicBool>) -> u6
                     let v = batch_version(&resps);
                     assert!(v >= last_version, "snapshot version moved backwards");
                     last_version = v;
-                    answered += resps.len() as u64;
+                    answered.fetch_add(resps.len() as u64, Ordering::Relaxed);
                     i = i.wrapping_add(1);
                 }
                 client.close();
-                answered
-            })
-        })
-        .collect();
-    handles
-        .into_iter()
-        .map(|h| h.join().expect("reader thread"))
-        .sum()
+            });
+        }
+    });
+}
+
+/// Ends a window: flips `stop` once the readers have answered a query,
+/// or at [`FIRST_QUERY_DEADLINE`], after which the window reports 0.
+fn stop_after_first_query(answered: &AtomicU64, stop: &AtomicBool) {
+    let deadline = Instant::now() + FIRST_QUERY_DEADLINE;
+    while answered.load(Ordering::Relaxed) == 0 && Instant::now() < deadline {
+        thread::sleep(Duration::from_millis(1));
+    }
+    stop.store(true, Ordering::Relaxed);
 }
 
 /// Runs E20: serving throughput under concurrent recompute, with its
@@ -180,13 +187,12 @@ pub fn run(quick: bool) -> ExperimentReport {
     // Phase 2 — churn: same read load while a writer cycles the edge
     // {u,v} in and out, flushing after every mutation so each cycle
     // publishes two snapshot versions.
-    let stop = Arc::new(AtomicBool::new(false));
-    let (queries, elapsed, swaps) = thread::scope(|s| {
-        let stop_readers = Arc::clone(&stop);
-        let dial_ref = &dial;
-        let pool = s.spawn(move || read_load(readers, dial_ref, n, &stop_readers));
+    let (stop, answered) = (AtomicBool::new(false), AtomicU64::new(0));
+    let (elapsed, swaps) = thread::scope(|s| {
+        let (stop, answered, dial) = (&stop, &answered, &dial);
+        s.spawn(move || read_load(readers, dial, n, stop, answered));
         let start = Instant::now();
-        let mut writer = QueryClient::connect(&dial).expect("writer connects");
+        let mut writer = QueryClient::connect(dial).expect("writer connects");
         let mut swaps = Vec::with_capacity(2 * cycles);
         for _ in 0..cycles {
             for m in [
@@ -209,11 +215,10 @@ pub fn run(quick: bool) -> ExperimentReport {
             }
         }
         writer.close();
-        let elapsed = start.elapsed();
-        stop.store(true, Ordering::Relaxed);
-        (pool.join().expect("reader pool"), elapsed, swaps)
+        stop_after_first_query(answered, stop);
+        (start.elapsed(), swaps)
     });
-    emit("churn", queries, elapsed, &swaps);
+    emit("churn", answered.into_inner(), elapsed, &swaps);
 
     shutdown.store(true, Ordering::SeqCst);
     let stats = server.join().expect("server thread");
@@ -248,16 +253,15 @@ pub fn run(quick: bool) -> ExperimentReport {
 
 /// Readers-only measured window.
 fn timed_read_window(readers: usize, addr: &str, n: usize, w: Duration) -> (u64, Duration) {
-    let stop = Arc::new(AtomicBool::new(false));
+    let (stop, answered) = (AtomicBool::new(false), AtomicU64::new(0));
     let start = Instant::now();
-    let queries = thread::scope(|s| {
-        let stop_readers = Arc::clone(&stop);
-        let pool = s.spawn(move || read_load(readers, addr, n, &stop_readers));
+    thread::scope(|s| {
+        let (stop, answered) = (&stop, &answered);
+        s.spawn(move || read_load(readers, addr, n, stop, answered));
         thread::sleep(w);
-        stop.store(true, Ordering::Relaxed);
-        pool.join().expect("reader pool")
+        stop_after_first_query(answered, stop);
     });
-    (queries, start.elapsed())
+    (answered.into_inner(), start.elapsed())
 }
 
 /// First node pair the generator left unconnected.

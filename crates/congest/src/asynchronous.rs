@@ -24,12 +24,21 @@
 //!
 //! Two entry points: [`run_synchronized`] for a bare run, and
 //! [`run_synchronized_with`], whose [`SyncOptions`] attach a fault plan,
-//! telemetry, a trace sink and a profiler in any combination.
+//! telemetry and a trace sink in any combination.
+//!
+//! Every run counts its pulse-skew and queue statistics into the
+//! [`AsyncReport`]; they are plain integers, so they cost nothing worth
+//! switching off. A profile of a synchronized run comes from a telemetry
+//! registry with its clock on ([`crate::Telemetry::set_clock`]): each
+//! pulse's node compute is timed into it, and each pulse is committed,
+//! and its wall time stamped, when the first node enters the next pulse.
+//! Pulses interleave across nodes, so a committed pulse's record holds
+//! the compute of every node step since the previous commit.
 
 use crate::faults::{self, FaultPlan};
 use crate::message::Message;
 use crate::network::{Protocol, RoundCtx};
-use crate::profile::Profiler;
+use crate::profile::SyncStats;
 use crate::telemetry::{Counter, HistogramId, Telemetry};
 use crate::trace::{ProtocolDetail, TraceEvent, TraceSink};
 use bc_graph::{Graph, NodeId};
@@ -70,6 +79,8 @@ pub struct AsyncReport {
     pub payload_messages: u64,
     /// Synchronizer control messages (acks + safes).
     pub control_messages: u64,
+    /// Payload deliveries, pulse skew and event-queue depth.
+    pub sync: SyncStats,
 }
 
 /// Synchronizer wire format.
@@ -111,8 +122,8 @@ struct Engine<'g, P> {
     pulse_limit: u64,
     payload_messages: u64,
     control_messages: u64,
+    sync: SyncStats,
     sink: Option<Box<dyn TraceSink>>,
-    profiler: Option<Profiler>,
     /// Telemetry registry (single shard: the engine is single-threaded).
     /// Writes counters only — never protocol state — so a telemetry-on run
     /// is bit-identical to a telemetry-off run.
@@ -156,10 +167,17 @@ impl<P: Protocol> Engine<'_, P> {
         self.seq += 1;
         self.payloads.insert((at, self.seq), msg);
         self.queue.push(Reverse((at, self.seq, to, back_port)));
-        if let Some(p) = self.profiler.as_mut() {
-            let depth = self.queue.len();
-            let sync = p.sync_counters();
-            sync.max_queue_depth = sync.max_queue_depth.max(depth);
+        self.sync.max_queue_depth = self.sync.max_queue_depth.max(self.queue.len());
+    }
+
+    /// Commits every pulse before `end` not yet committed: the first node
+    /// to *enter* pulse `p + 1` commits pulse `p`, mirroring the
+    /// `RoundStart` trace events, and the run's end commits the rest.
+    fn commit_until(&self, end: u64) {
+        if let Some(t) = &self.telemetry {
+            for round in self.rounds_announced.saturating_sub(1)..end {
+                t.commit_round(round);
+            }
         }
     }
 
@@ -187,16 +205,7 @@ impl<P: Protocol> Engine<'_, P> {
                     s.event(&TraceEvent::RoundStart { round });
                 }
             }
-            if let Some(t) = &self.telemetry {
-                // Pulses overlap across nodes; the first node to *enter*
-                // pulse p+1 marks pulse p as committed for the flight
-                // recorder, mirroring the RoundStart trace events.
-                for round in self.rounds_announced..=pulse {
-                    if round > 0 {
-                        t.finish_round(round - 1);
-                    }
-                }
-            }
+            self.commit_until(pulse);
             self.rounds_announced = pulse + 1;
         }
         if self.faults.as_ref().is_some_and(|p| p.crashed(v, pulse)) {
@@ -225,15 +234,11 @@ impl<P: Protocol> Engine<'_, P> {
             std::mem::take(&mut self.stage_sends),
             std::mem::take(&mut self.stage_events),
         );
-        if self.profiler.is_some() {
-            let t = Instant::now();
-            node.inner.round(&mut ctx, &inbox);
-            let ns = t.elapsed().as_nanos() as u64;
-            if let Some(p) = self.profiler.as_mut() {
-                p.add_pulse_compute(pulse, ns);
-            }
-        } else {
-            node.inner.round(&mut ctx, &inbox);
+        let clock = self.telemetry.as_ref().filter(|t| t.clocked());
+        let t0 = clock.map(|_| Instant::now());
+        node.inner.round(&mut ctx, &inbox);
+        if let (Some(t), Some(t0)) = (clock, t0) {
+            t.add(0, Counter::ComputeNs, t0.elapsed().as_nanos() as u64);
         }
         let mut events = ctx.take_events();
         if let Some(s) = self.sink.as_deref_mut() {
@@ -323,15 +328,10 @@ impl<P: Protocol> Engine<'_, P> {
                         || pulse == self.nodes[to as usize].pulse + 1,
                     "synchronizer pulse skew"
                 );
-                if let Some(p) = self.profiler.as_mut() {
-                    let skew = pulse.abs_diff(self.nodes[to as usize].pulse);
-                    let sync = p.sync_counters();
-                    sync.deliveries += 1;
-                    if skew > 0 {
-                        sync.skewed_deliveries += 1;
-                    }
-                    sync.max_pulse_skew = sync.max_pulse_skew.max(skew);
-                }
+                let skew = pulse.abs_diff(self.nodes[to as usize].pulse);
+                self.sync.deliveries += 1;
+                self.sync.skewed_deliveries += u64::from(skew > 0);
+                self.sync.max_pulse_skew = self.sync.max_pulse_skew.max(skew);
                 // The synchronizer acks every physical arrival: the sender's
                 // safety bookkeeping counts one ack per send regardless of
                 // what the fault layer then does to the payload.
@@ -394,8 +394,9 @@ pub struct SyncOptions {
     /// the synchronous engines which only carry application messages.
     pub faults: Option<FaultPlan>,
     /// Receives payload/control message counts, nodes stepped, and inbox
-    /// depths as pulses execute; a flight-recorder round is committed each
-    /// time the first node enters the next pulse.
+    /// depths as pulses execute; a round is committed each time the first
+    /// node enters the next pulse. With the registry's clock on, node
+    /// compute and each pulse's wall time are timed into it too.
     pub telemetry: Option<Arc<Telemetry>>,
     /// Receives one `RoundStart` when the first node enters each pulse,
     /// and each node's protocol events and payload `MessageSent`s as its
@@ -403,12 +404,6 @@ pub struct SyncOptions {
     /// schedule (not node-id order), but every event carries its pulse, so
     /// [`crate::trace::check`] applies unchanged.
     pub sink: Option<Box<dyn TraceSink>>,
-    /// Records per-pulse node-compute spans (pulses execute out of node
-    /// order, so only compute time is attributed — there is no meaningful
-    /// per-pulse engine span), plus synchronizer counters (payload
-    /// deliveries, pulse-skewed deliveries, maximum pulse skew, event-queue
-    /// high-water mark).
-    pub profiler: Option<Profiler>,
 }
 
 /// Runs `pulses` synchronous rounds of protocol `P` on an asynchronous
@@ -435,8 +430,7 @@ where
 }
 
 /// [`run_synchronized`] with the attachments in `options`, which come
-/// back with the run: the sink for flushing or draining, the profiler
-/// holding the recording.
+/// back with the run: the sink for flushing or draining.
 ///
 /// # Panics
 ///
@@ -477,17 +471,14 @@ where
         pulse_limit: pulses,
         payload_messages: 0,
         control_messages: 0,
+        sync: SyncStats::default(),
         sink: options.sink,
-        profiler: options.profiler,
         telemetry: options.telemetry,
         faults: options.faults,
         rounds_announced: 0,
         stage_sends: Vec::new(),
         stage_events: Vec::new(),
     };
-    if let Some(p) = engine.profiler.as_mut() {
-        p.start_run();
-    }
     if pulses > 0 {
         for v in 0..graph.n() as NodeId {
             engine.execute_pulse(v);
@@ -496,26 +487,19 @@ where
     while let Some(Reverse((at, seq, to, port))) = engine.queue.pop() {
         engine.deliver(at, seq, to, port);
     }
-    if let Some(p) = engine.profiler.as_mut() {
-        p.finish_run();
-    }
-    if let Some(t) = &engine.telemetry {
-        // The last pulse has no successor to commit it; flush the tail.
-        for round in engine.rounds_announced.saturating_sub(1)..pulses {
-            t.finish_round(round);
-        }
-    }
+    // The last pulse has no successor to commit it; flush the tail.
+    engine.commit_until(pulses);
     let report = AsyncReport {
         virtual_time: engine.now,
         pulses,
         payload_messages: engine.payload_messages,
         control_messages: engine.control_messages,
+        sync: engine.sync,
     };
     let options = SyncOptions {
         faults: engine.faults.take(),
         telemetry: engine.telemetry.take(),
         sink: engine.sink.take(),
-        profiler: engine.profiler.take(),
     };
     (
         engine.nodes.into_iter().map(|n| n.inner).collect(),

@@ -88,11 +88,10 @@ pub use network::{
     RunReport,
 };
 pub use partition::{Partition, ShardMap, ShardSkew};
-pub use profile::{
-    PhaseSpan, ProfRow, ProfileReport, Profiler, RoundSpan, Straggler, SyncStats, WorkerStats,
-};
+pub use profile::{PhaseSpan, ProfileReport, Straggler, SyncStats, WorkerStats};
 pub use telemetry::{
-    Counter, Postmortem, StragglerBaseline, Telemetry, TelemetryHandle, SCHEMA_VERSION,
+    Counter, Postmortem, ProfRow, RoundRecord, StragglerBaseline, Telemetry, TelemetryHandle,
+    SCHEMA_VERSION,
 };
 
 #[cfg(test)]
@@ -406,7 +405,6 @@ mod tests {
             strict: true,
             skip_idle: true,
             max_rounds,
-            profiling: false,
         };
         let shard = |me: usize, peer: WireStream| {
             let mut peers = [None, None];

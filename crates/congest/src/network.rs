@@ -46,8 +46,7 @@ use crate::faults::{self, FaultPlan};
 use crate::message::Message;
 use crate::metrics::{EdgeCut, NetMetrics, SendTally};
 use crate::partition::{Partition, ShardMap};
-use crate::profile::{ProfRow, Profiler, RoundSpan};
-use crate::telemetry::{Telemetry, TelemetryHandle};
+use crate::telemetry::{ProfRow, Telemetry, TelemetryHandle};
 use crate::trace::{ProtocolDetail, TraceEvent, TraceSink, ViolationKind};
 use crate::wake::WakeSet;
 use crate::wire::{VERDICT_ABORT, VERDICT_CONTINUE, VERDICT_QUIESCENT, VERDICT_ROUND_LIMIT};
@@ -429,7 +428,6 @@ pub struct Network<P> {
     metrics: NetMetrics,
     round: u64,
     sink: Option<Box<dyn TraceSink>>,
-    profiler: Option<Profiler>,
     telemetry: Option<TelemetryHandle>,
 }
 
@@ -471,7 +469,6 @@ impl<P: Protocol> Network<P> {
             metrics: NetMetrics::default(),
             round: 0,
             sink: None,
-            profiler: None,
             telemetry: None,
         }
     }
@@ -492,27 +489,13 @@ impl<P: Protocol> Network<P> {
         self.sink.take()
     }
 
-    /// Installs a wall-clock profiler; subsequent rounds record
-    /// [`RoundSpan`]s into it. Strictly opt-in, like tracing: without a
-    /// profiler each round pays a single branch, and a profiled run
-    /// produces bit-identical node states and metrics. Returns any
-    /// previously installed profiler.
-    pub fn set_profiler(&mut self, profiler: Profiler) -> Option<Profiler> {
-        self.profiler.replace(profiler)
-    }
-
-    /// Removes and returns the profiler, stopping recording.
-    pub fn take_profiler(&mut self) -> Option<Profiler> {
-        self.profiler.take()
-    }
-
     /// Attaches a shared telemetry registry; subsequent rounds batch
     /// counter/histogram updates into it (one update per worker per
-    /// round) and commit each round into its flight recorder. Carries
-    /// the same observational-freeness guarantee as the profiler:
-    /// results, metrics, and traces are bit-identical with telemetry on
-    /// or off, on every engine. Returns the previously attached
-    /// registry.
+    /// round) and commit each round into its recorder. With the
+    /// registry's clock on ([`Telemetry::set_clock`]) the rounds are timed
+    /// too, which is how a run is profiled. Results, metrics, and traces
+    /// are bit-identical with telemetry on or off, clock or no clock, on
+    /// every engine. Returns the previously attached registry.
     pub fn set_telemetry(
         &mut self,
         telemetry: std::sync::Arc<Telemetry>,
@@ -625,9 +608,10 @@ impl<P: Protocol> Network<P> {
             s.event(&TraceEvent::RoundStart { round });
         }
         let tracing = sink.is_some();
-        let profiling = self.profiler.is_some();
-        let counting_inboxes = profiling || self.telemetry.is_some();
-        let round_start = profiling.then(Instant::now);
+        let clock = self
+            .telemetry
+            .as_ref()
+            .is_some_and(|h| h.registry().clocked());
         let mut compute_ns = 0u64;
         let mut inbox_messages = 0u64;
         let mut nodes_stepped = 0u64;
@@ -656,10 +640,8 @@ impl<P: Protocol> Network<P> {
                 std::mem::take(&mut self.stage_sends),
                 std::mem::take(&mut self.stage_events),
             );
-            if counting_inboxes {
-                inbox_messages += inbox.len() as u64;
-            }
-            let t = profiling.then(Instant::now);
+            inbox_messages += inbox.len() as u64;
+            let t = clock.then(Instant::now);
             let outcome = catch_unwind(AssertUnwindSafe(|| node.round(&mut ctx, inbox)));
             if let Some(t) = t {
                 compute_ns += t.elapsed().as_nanos() as u64;
@@ -743,19 +725,15 @@ impl<P: Protocol> Network<P> {
         std::mem::swap(&mut self.inboxes, &mut self.spare);
         self.round += 1;
         self.metrics.rounds = self.round;
-        if let (Some(t0), Some(p)) = (round_start, self.profiler.as_mut()) {
-            p.record_round(RoundSpan {
-                round,
-                total_ns: t0.elapsed().as_nanos() as u64,
+        if let Some(h) = self.telemetry.as_mut() {
+            let row = ProfRow {
                 compute_ns,
                 inbox_messages,
                 nodes_stepped,
-                ..RoundSpan::default()
-            });
-        }
-        if let Some(h) = self.telemetry.as_mut() {
-            h.on_round(&self.metrics, nodes_stepped, inbox_messages, 0, 0);
-            h.registry().finish_round(round);
+                ..ProfRow::default()
+            };
+            h.on_round(&self.metrics, &row);
+            h.registry().commit_round(round);
         }
         Ok(())
     }
@@ -801,8 +779,6 @@ pub(crate) struct WorkerReply {
     pub(crate) panic: Option<(NodeId, String)>,
     /// Messages this shard routed for the next round (intra + cross).
     pub(crate) routed: u64,
-    /// The round's timings (zero unless profiling) and tallies.
-    pub(crate) prof: ProfRow,
     /// Every node of the shard has halted.
     pub(crate) all_halted: bool,
 }
@@ -1006,7 +982,6 @@ pub(crate) struct ShardEnv<'a> {
     /// Violations abort the run ([`Enforcement::Strict`]).
     pub(crate) strict: bool,
     pub(crate) tracing: bool,
-    pub(crate) profiling: bool,
 }
 
 /// Appends a delivered entry to its inbox, noting in `touched` each inbox
@@ -1149,11 +1124,13 @@ impl<'a, P: Protocol> ShardWorker<'a, P> {
             faults,
             skip_idle,
             tracing,
-            profiling,
             ..
         } = self.env;
-        let busy_start = profiling.then(Instant::now);
-        let counting_inboxes = profiling || self.telemetry.is_some();
+        let clock = self
+            .telemetry
+            .as_ref()
+            .is_some_and(|h| h.registry().clocked());
+        let busy_start = clock.then(Instant::now);
         self.metrics.begin_round(round);
         let mut route_ns = 0u64;
         let WorkerReply {
@@ -1168,7 +1145,7 @@ impl<'a, P: Protocol> ShardWorker<'a, P> {
         // whose fault delay ends now (in that order — the serial engine
         // also appends delayed messages after normal ones), then sort
         // each touched inbox stably by port.
-        let t = profiling.then(Instant::now);
+        let t = clock.then(Instant::now);
         if self.lanes_live {
             self.drain_lanes(lanes);
         }
@@ -1222,9 +1199,7 @@ impl<'a, P: Protocol> ShardWorker<'a, P> {
                 continue;
             }
             nodes_stepped += 1;
-            if counting_inboxes {
-                inbox_messages += inbox.len() as u64;
-            }
+            inbox_messages += inbox.len() as u64;
             let mut ctx = RoundCtx::with_buffers(
                 v,
                 round,
@@ -1233,7 +1208,7 @@ impl<'a, P: Protocol> ShardWorker<'a, P> {
                 std::mem::take(stage_sends),
                 std::mem::take(stage_events),
             );
-            let t = profiling.then(Instant::now);
+            let t = clock.then(Instant::now);
             let outcome = catch_unwind(AssertUnwindSafe(|| node.round(&mut ctx, inbox)));
             if let Some(t) = t {
                 compute_ns += t.elapsed().as_nanos() as u64;
@@ -1241,7 +1216,7 @@ impl<'a, P: Protocol> ShardWorker<'a, P> {
             let (mut node_sends, mut node_events) = (ctx.sends, ctx.events);
             match outcome {
                 Ok(()) => {
-                    let t = profiling.then(Instant::now);
+                    let t = clock.then(Instant::now);
                     let events_before = sink.0.len();
                     if tracing {
                         for detail in node_events.drain(..) {
@@ -1301,7 +1276,7 @@ impl<'a, P: Protocol> ShardWorker<'a, P> {
             }
             self.wake.settle(i, round, &self.nodes[i], true);
         }
-        let mut reply = WorkerReply {
+        let reply = WorkerReply {
             index,
             events: sink.0,
             delayed,
@@ -1309,13 +1284,12 @@ impl<'a, P: Protocol> ShardWorker<'a, P> {
             first_error: first_error.filter(|_| self.env.strict),
             panic,
             routed,
-            prof: ProfRow::default(),
             all_halted: self.wake.all_halted(),
         };
 
         // Publish this round's batches — exactly one per peer, empty or
         // not, which is what gives the next round's drain its barrier.
-        let t = profiling.then(Instant::now);
+        let t = clock.then(Instant::now);
         for (d, batch) in self.out.iter_mut().enumerate() {
             if d != me {
                 lanes.send(d, batch, round, &reply)?;
@@ -1327,17 +1301,17 @@ impl<'a, P: Protocol> ShardWorker<'a, P> {
         }
 
         if let Some(h) = self.telemetry.as_mut() {
-            h.on_round(&self.metrics, nodes_stepped, inbox_messages, intra, cross);
+            let row = ProfRow {
+                busy_ns: busy_start.map_or(0, |t| t.elapsed().as_nanos() as u64),
+                compute_ns,
+                route_ns,
+                inbox_messages,
+                nodes_stepped,
+                intra,
+                cross,
+            };
+            h.on_round(&self.metrics, &row);
         }
-        reply.prof = ProfRow {
-            busy_ns: busy_start.map_or(0, |t| t.elapsed().as_nanos() as u64),
-            compute_ns,
-            route_ns,
-            inbox_messages,
-            nodes_stepped,
-            intra,
-            cross,
-        };
         Ok(reply)
     }
 }
@@ -1431,8 +1405,8 @@ impl Lanes for MeshLanes<'_> {
 /// Worker 0's lanes. Between the barrier's two crossings, with every
 /// worker's reply in, it does the run-level work of a round: canonical
 /// abort attribution, the ascending-id merges of trace events and
-/// fault-delayed sends, the verdict, the round's commit into telemetry and
-/// profiler, and the next round's fault-delayed injections. Worker 0 runs
+/// fault-delayed sends, the verdict, the round's commit into telemetry,
+/// and the next round's fault-delayed injections. Worker 0 runs
 /// on the calling thread, so it can hold the trace sink, which need not be
 /// `Send`.
 struct Coordinator<'s, 'n> {
@@ -1443,10 +1417,7 @@ struct Coordinator<'s, 'n> {
     /// The network's fault-delayed messages in flight, bucketed by
     /// delivery round.
     delayed: &'n mut BTreeMap<u64, Vec<(NodeId, usize, Message)>>,
-    profiler: Option<&'n mut Profiler>,
     telemetry: Option<&'n Telemetry>,
-    /// When the round being settled started (profiling only).
-    round_start: Option<Instant>,
     /// The round's replies, in worker order.
     replies: Vec<WorkerReply>,
     committed: u64,
@@ -1510,14 +1481,7 @@ impl Coordinator<'_, '_> {
         }
         self.committed += 1;
         if let Some(t) = self.telemetry {
-            t.finish_round(round);
-        }
-        if let (Some(p), Some(t0)) = (self.profiler.as_deref_mut(), self.round_start) {
-            p.record_round(RoundSpan::fold(
-                round,
-                t0.elapsed().as_nanos() as u64,
-                replies.iter().map(|r| r.prof),
-            ));
+            t.commit_round(round);
         }
         if verdict == VERDICT_CONTINUE {
             for (target, port, msg) in self.delayed.remove(&(round + 1)).unwrap_or_default() {
@@ -1566,7 +1530,6 @@ impl Lanes for Coordinator<'_, '_> {
         }
         sync.verdict.store(verdict, Ordering::Release);
         sync.barrier.wait();
-        self.round_start = self.round_start.map(|_| Instant::now());
         Ok(verdict)
     }
 }
@@ -1655,7 +1618,6 @@ impl<P: Protocol + Send> Network<P> {
             skip_idle: self.config.skip_idle,
             strict: matches!(self.config.enforcement, Enforcement::Strict),
             tracing: self.sink.is_some(),
-            profiling: self.profiler.is_some(),
         };
         let telemetry = self.telemetry.as_ref().map(|h| h.registry().clone());
         let pool: Vec<ShardWorker<'_, P>> = shards
@@ -1681,9 +1643,7 @@ impl<P: Protocol + Send> Network<P> {
                 max_rounds,
                 sink: &mut self.sink,
                 delayed: &mut self.delayed,
-                profiler: self.profiler.as_mut(),
                 telemetry: telemetry.as_deref(),
-                round_start: env.profiling.then(Instant::now),
                 replies: Vec::with_capacity(workers),
                 committed: 0,
                 abort: Ok(()),

@@ -1,116 +1,41 @@
-//! Wall-clock profiling of CONGEST executions.
+//! Wall-clock profiles of CONGEST executions: a view over telemetry.
 //!
 //! The simulator's *logical* cost model (rounds, messages, bits) is
-//! covered by [`crate::NetMetrics`]; this module measures the *physical*
-//! cost of simulating it — where the host's wall-clock time goes. Every
-//! engine in this crate (serial, parallel, α-synchronizer) accepts an
-//! optional [`Profiler`] and, when one is installed, records per-round
-//! spans split into
+//! covered by [`crate::NetMetrics`]; a profile describes the *physical*
+//! cost of simulating it — where the host's wall-clock time goes. It has
+//! no recorder of its own: every engine (serial, pooled, socket shard,
+//! α-synchronizer) reports each round into the [`crate::Telemetry`]
+//! registry, and with the registry's clock on ([`Telemetry::set_clock`])
+//! the registry keeps a [`RoundRecord`] of every round. Each record
+//! splits the round into
 //!
 //! * **node compute** — time spent inside the protocol state machines'
 //!   `round()` calls (the part a real deployment would parallelize across
 //!   machines), and
 //! * **engine overhead** — everything else in the round: message routing,
-//!   collision accounting, inbox management, worker scheduling.
+//!   collision accounting, inbox management, worker scheduling,
 //!
-//! The parallel engine additionally records per-worker busy times, from
-//! which [`WorkerStats`] derives utilization and imbalance; the
-//! α-synchronizer records pulse-skew and event-queue-depth counters
-//! ([`SyncStats`]).
+//! and, for pooled and socket runs, carries each shard's busy and routing
+//! time. [`ProfileReport::from_rounds`] folds that round log into phase
+//! spans, [`WorkerStats`] (utilization and imbalance), stragglers and the
+//! Perfetto timeline. The α-synchronizer's pulse-skew and queue counters
+//! ([`SyncStats`]) come from its `AsyncReport`.
 //!
-//! Profiling is strictly opt-in, exactly like tracing: without a profiler
-//! the engines pay one branch per round and allocate nothing, and a
-//! profiled run produces bit-identical results to an unprofiled one
-//! (asserted by the integration tests for all three engines). Wall-clock
-//! numbers themselves are of course not deterministic — they describe the
-//! host, not the algorithm — which is why they live here and never in
-//! [`crate::NetMetrics`].
+//! Profiling is observationally free, like telemetry: a profiled run
+//! produces bit-identical results to an unprofiled one (asserted by the
+//! integration tests for all engines). Wall-clock numbers themselves are
+//! of course not deterministic — they describe the host, not the
+//! algorithm — which is why they never enter [`crate::NetMetrics`].
+//!
+//! [`Telemetry::set_clock`]: crate::Telemetry::set_clock
 
 use crate::json;
-use crate::telemetry::{StragglerBaseline, SCHEMA_VERSION};
+use crate::telemetry::{RoundRecord, StragglerBaseline, SCHEMA_VERSION};
 use std::fmt;
-use std::time::Instant;
 
-/// Per-round span recorded by an engine.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RoundSpan {
-    /// Round (or synchronizer pulse) number.
-    pub round: u64,
-    /// Wall-clock nanoseconds for the whole round step. For the
-    /// α-synchronizer, whose pulses interleave, this equals `compute_ns`
-    /// (the per-pulse overhead is only meaningful run-wide).
-    pub total_ns: u64,
-    /// Nanoseconds inside protocol `round()` calls.
-    pub compute_ns: u64,
-    /// Messages delivered into this round's inboxes (queue depth at the
-    /// round boundary).
-    pub inbox_messages: u64,
-    /// Nodes actually stepped this round (idle-node skipping removes the
-    /// rest; 0 for α-synchronizer pulses, which track deliveries instead).
-    pub nodes_stepped: u64,
-    /// Per-worker busy nanoseconds (parallel engine only; empty
-    /// otherwise). Worker `i` owns the same node shard for the whole run,
-    /// so the vector is comparable across rounds.
-    pub worker_busy_ns: Vec<u64>,
-    /// Per-worker nanoseconds spent in the message data plane — draining
-    /// peer lane batches and validating/routing staged sends (parallel
-    /// engine only; empty otherwise). A subset of the worker's busy time.
-    pub worker_route_ns: Vec<u64>,
-    /// Messages routed to a node owned by a *different* worker (parallel
-    /// engine only). Cross-shard traffic is what the partition strategy
-    /// tries to keep cheap relative to `intra_shard_messages`.
-    pub cross_shard_messages: u64,
-    /// Messages routed within the sending worker's own shard (parallel
-    /// engine only).
-    pub intra_shard_messages: u64,
-}
-
-impl RoundSpan {
-    /// Joins one [`ProfRow`] per shard, in shard order, into the span of
-    /// `round`, which took `total_ns` of wall time — the one fold the
-    /// in-process pool and the socket leader both apply.
-    pub fn fold(round: u64, total_ns: u64, rows: impl IntoIterator<Item = ProfRow>) -> RoundSpan {
-        let mut span = RoundSpan {
-            round,
-            total_ns,
-            ..RoundSpan::default()
-        };
-        for row in rows {
-            span.worker_busy_ns.push(row.busy_ns);
-            span.worker_route_ns.push(row.route_ns);
-            span.compute_ns += row.compute_ns;
-            span.inbox_messages += row.inbox_messages;
-            span.nodes_stepped += row.nodes_stepped;
-            span.cross_shard_messages += row.cross;
-            span.intra_shard_messages += row.intra;
-        }
-        span
-    }
-}
-
-/// One committed round's timings and tallies from one shard: a worker of
-/// the in-process pool or a socket shard process.
+/// Pulse-skew and queue counters of one α-synchronizer run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProfRow {
-    /// Wall time this shard spent inside the round (ns).
-    pub busy_ns: u64,
-    /// Time inside `Protocol::round` calls (ns).
-    pub compute_ns: u64,
-    /// Time delivering, routing, and publishing messages (ns).
-    pub route_ns: u64,
-    /// Messages delivered to this shard's nodes this round.
-    pub inbox_messages: u64,
-    /// Nodes actually stepped (idle-skipped nodes excluded).
-    pub nodes_stepped: u64,
-    /// Messages routed shard-locally.
-    pub intra: u64,
-    /// Messages routed to peer shards.
-    pub cross: u64,
-}
-
-/// Pulse-skew and queue counters specific to the α-synchronizer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SyncCounters {
+pub struct SyncStats {
     /// Payload deliveries observed.
     pub deliveries: u64,
     /// Payload deliveries whose sender pulse differed from the receiver's
@@ -123,191 +48,62 @@ pub struct SyncCounters {
     pub max_queue_depth: usize,
 }
 
-/// A wall-clock profiler one engine run writes into.
-///
-/// Install with `Network::set_profiler` (round engines) or
-/// `asynchronous::SyncOptions::profiler`, then turn the recording into
-/// a [`ProfileReport`] with [`Profiler::report`].
-#[derive(Debug, Default)]
-pub struct Profiler {
-    spans: Vec<RoundSpan>,
-    /// Wall-clock of the whole engine run (α-synchronizer: measured around
-    /// the event loop; round engines: the sum of round spans is used when
-    /// this is 0).
-    run_wall_ns: u64,
-    sync: SyncCounters,
-    run_start: Option<Instant>,
+/// Summarizes the round window `[start, end)` of `rounds` (the driver
+/// slices at its phase boundaries, mirroring `NetMetrics::phase_window`).
+fn phase_span(rounds: &[RoundRecord], name: &str, start: u64, end: u64) -> PhaseSpan {
+    let start = start.min(end);
+    let clip = |v: u64| (v as usize).min(rounds.len());
+    let window = &rounds[clip(start)..clip(end)];
+    let total: u64 = window.iter().map(|r| r.total_ns).sum();
+    let compute: u64 = window.iter().map(|r| r.compute_ns).sum();
+    PhaseSpan {
+        name: name.to_string(),
+        start,
+        end,
+        rounds: end - start,
+        wall_ns: total,
+        compute_ns: compute,
+        overhead_ns: total.saturating_sub(compute),
+        inbox_messages: window.iter().map(|r| r.inbox_messages).sum(),
+    }
 }
 
-impl Profiler {
-    /// Creates an empty profiler.
-    pub fn new() -> Self {
-        Profiler::default()
+/// Utilization/imbalance of the pool's or the socket run's workers, or
+/// `None` for single-worker recordings.
+fn worker_stats(rounds: &[RoundRecord]) -> Option<WorkerStats> {
+    let workers = rounds
+        .iter()
+        .map(|r| r.worker_busy_ns.len())
+        .max()
+        .filter(|&w| w > 1)?;
+    let mut busy_total = 0u64;
+    let mut critical_total = 0u64;
+    let mut route_total = 0u64;
+    for r in rounds {
+        busy_total += r.worker_busy_ns.iter().sum::<u64>();
+        critical_total += r.worker_busy_ns.iter().copied().max().unwrap_or(0);
+        route_total += r.worker_route_ns.iter().sum::<u64>();
     }
-
-    /// The recorded per-round spans, in round order.
-    pub fn spans(&self) -> &[RoundSpan] {
-        &self.spans
-    }
-
-    /// Engine-side: records one completed round. Public so out-of-crate
-    /// orchestrators (the socket leader) can fold per-shard round rows
-    /// into the same report shape the in-process engines produce.
-    pub fn record_round(&mut self, span: RoundSpan) {
-        self.spans.push(span);
-    }
-
-    /// Engine-side: accumulates compute time into the span for `round`,
-    /// creating intermediate spans as needed (the α-synchronizer visits
-    /// pulses out of order and one pulse at a time per node).
-    pub(crate) fn add_pulse_compute(&mut self, pulse: u64, ns: u64) {
-        let idx = pulse as usize;
-        if self.spans.len() <= idx {
-            let from = self.spans.len() as u64;
-            self.spans.extend((from..=pulse).map(|round| RoundSpan {
-                round,
-                ..RoundSpan::default()
-            }));
-        }
-        self.spans[idx].compute_ns += ns;
-        self.spans[idx].total_ns += ns;
-    }
-
-    /// Engine-side: marks the start of the whole run (α-synchronizer).
-    pub(crate) fn start_run(&mut self) {
-        self.run_start = Some(Instant::now());
-    }
-
-    /// Engine-side: closes the run wall-clock opened by `start_run`.
-    pub(crate) fn finish_run(&mut self) {
-        if let Some(t0) = self.run_start.take() {
-            self.run_wall_ns += t0.elapsed().as_nanos() as u64;
-        }
-    }
-
-    /// Engine-side: mutable access to the synchronizer counters.
-    pub(crate) fn sync_counters(&mut self) -> &mut SyncCounters {
-        &mut self.sync
-    }
-
-    /// Total wall-clock nanoseconds of the run.
-    pub fn wall_ns(&self) -> u64 {
-        if self.run_wall_ns > 0 {
-            self.run_wall_ns
-        } else {
-            self.spans.iter().map(|s| s.total_ns).sum()
-        }
-    }
-
-    /// Total nanoseconds inside protocol `round()` calls.
-    pub fn compute_ns(&self) -> u64 {
-        self.spans.iter().map(|s| s.compute_ns).sum()
-    }
-
-    /// Summarizes the round window `[start, end)` (the driver slices at
-    /// its phase boundaries, mirroring `NetMetrics::phase_window`).
-    pub fn phase_span(&self, name: impl Into<String>, start: u64, end: u64) -> PhaseSpan {
-        let (start, end) = (start.min(end), end);
-        let clip = |v: u64| (v as usize).min(self.spans.len());
-        let (lo, hi) = (clip(start), clip(end));
-        let window = &self.spans[lo..hi];
-        let total: u64 = window.iter().map(|s| s.total_ns).sum();
-        let compute: u64 = window.iter().map(|s| s.compute_ns).sum();
-        PhaseSpan {
-            name: name.into(),
-            start,
-            end,
-            rounds: end - start,
-            wall_ns: total,
-            compute_ns: compute,
-            overhead_ns: total.saturating_sub(compute),
-            inbox_messages: window.iter().map(|s| s.inbox_messages).sum(),
-        }
-    }
-
-    /// Utilization/imbalance of the parallel engine's workers, or `None`
-    /// for single-threaded recordings.
-    pub fn worker_stats(&self) -> Option<WorkerStats> {
-        let workers = self
-            .spans
-            .iter()
-            .map(|s| s.worker_busy_ns.len())
-            .max()
-            .filter(|&w| w > 1)?;
-        let mut busy_total = 0u64;
-        let mut critical_total = 0u64;
-        let mut route_total = 0u64;
-        for span in &self.spans {
-            if span.worker_busy_ns.is_empty() {
-                continue;
-            }
-            busy_total += span.worker_busy_ns.iter().sum::<u64>();
-            critical_total += span.worker_busy_ns.iter().copied().max().unwrap_or(0);
-            route_total += span.worker_route_ns.iter().sum::<u64>();
-        }
-        let ideal = critical_total.saturating_mul(workers as u64);
-        let utilization = if ideal == 0 {
-            1.0
-        } else {
-            busy_total as f64 / ideal as f64
-        };
-        let mean_total = busy_total as f64 / workers as f64;
-        let imbalance = if mean_total == 0.0 {
-            1.0
-        } else {
-            critical_total as f64 / mean_total
-        };
-        Some(WorkerStats {
-            workers,
-            busy_ns: busy_total,
-            critical_path_ns: critical_total,
-            route_ns: route_total,
-            utilization,
-            imbalance,
-        })
-    }
-
-    /// Builds the final report. `engine` labels the run (`"serial"`,
-    /// `"parallel(4)"`, `"alpha-sync"`); `phases` are the driver's
-    /// `(name, start, end)` round windows (empty when boundaries are
-    /// unknown).
-    pub fn report(
-        &self,
-        engine: impl Into<String>,
-        phases: &[(String, u64, u64)],
-    ) -> ProfileReport {
-        let wall = self.wall_ns();
-        let compute = self.compute_ns();
-        ProfileReport {
-            engine: engine.into(),
-            rounds: self.spans.len() as u64,
-            wall_ns: wall,
-            compute_ns: compute,
-            overhead_ns: wall.saturating_sub(compute),
-            max_inbox_depth: self
-                .spans
-                .iter()
-                .map(|s| s.inbox_messages)
-                .max()
-                .unwrap_or(0),
-            nodes_stepped: self.spans.iter().map(|s| s.nodes_stepped).sum(),
-            cross_shard_messages: self.spans.iter().map(|s| s.cross_shard_messages).sum(),
-            intra_shard_messages: self.spans.iter().map(|s| s.intra_shard_messages).sum(),
-            phases: phases
-                .iter()
-                .map(|(name, start, end)| self.phase_span(name.clone(), *start, *end))
-                .collect(),
-            workers: self.worker_stats(),
-            sync: (self.sync.deliveries > 0).then_some(self.sync),
-            messages_retransmitted: 0,
-            messages_deduped: 0,
-            faults_injected: 0,
-            state_bytes_total: 0,
-            state_bytes_peak: 0,
-            stragglers: detect_stragglers(&self.spans),
-            round_spans: self.spans.clone(),
-        }
-    }
+    let ideal = critical_total.saturating_mul(workers as u64);
+    let utilization = if ideal == 0 {
+        1.0
+    } else {
+        busy_total as f64 / ideal as f64
+    };
+    let mean_total = busy_total as f64 / workers as f64;
+    let imbalance = if mean_total == 0.0 {
+        1.0
+    } else {
+        critical_total as f64 / mean_total
+    };
+    Some(WorkerStats {
+        workers,
+        busy_ns: busy_total,
+        critical_path_ns: critical_total,
+        route_ns: route_total,
+        utilization,
+        imbalance,
+    })
 }
 
 /// Flags rounds whose worker busy time or inbox depth exceeds a robust
@@ -319,7 +115,7 @@ impl Profiler {
 /// when its delivered-message count exceeds the run's median × k (over at
 /// least 8 rounds). Absolute floors (200 µs busy, 32 messages) keep noise
 /// on tiny rounds from being flagged.
-fn detect_stragglers(spans: &[RoundSpan]) -> Vec<Straggler> {
+fn detect_stragglers(spans: &[RoundRecord]) -> Vec<Straggler> {
     const BUSY_FLOOR_NS: u64 = 200_000;
     const INBOX_FLOOR: u64 = 32;
     let mut out = Vec::new();
@@ -384,8 +180,7 @@ pub struct Straggler {
     pub baseline: u64,
 }
 
-/// Wall-clock summary of one phase window, produced by
-/// [`Profiler::phase_span`].
+/// Wall-clock summary of one phase window of a [`ProfileReport`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseSpan {
     /// Phase label (`"B:counting"` etc.).
@@ -406,7 +201,8 @@ pub struct PhaseSpan {
     pub inbox_messages: u64,
 }
 
-/// Parallel-worker summary derived from per-round busy times.
+/// Worker summary derived from per-round busy times (pooled and socket
+/// runs).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkerStats {
     /// Worker threads used.
@@ -428,11 +224,8 @@ pub struct WorkerStats {
     pub imbalance: f64,
 }
 
-/// α-synchronizer counters surfaced in the report.
-pub type SyncStats = SyncCounters;
-
-/// The profiler's final output: run totals, per-phase spans, and
-/// engine-specific statistics.
+/// A profile: run totals, per-phase spans, and engine-specific
+/// statistics, derived from a round log by [`ProfileReport::from_rounds`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProfileReport {
     /// Engine label (`"serial"`, `"parallel(4)"`, `"alpha-sync"`).
@@ -458,7 +251,7 @@ pub struct ProfileReport {
     pub intra_shard_messages: u64,
     /// Per-phase spans (empty when phase boundaries are unknown).
     pub phases: Vec<PhaseSpan>,
-    /// Parallel-worker statistics (parallel engine only).
+    /// Worker statistics (pooled and socket runs only).
     pub workers: Option<WorkerStats>,
     /// Synchronizer counters (α-synchronizer only).
     pub sync: Option<SyncStats>,
@@ -478,11 +271,11 @@ pub struct ProfileReport {
     /// Rounds/workers whose busy time or inbox depth exceeded the robust
     /// baseline (median × k), worst first, capped at 16.
     pub stragglers: Vec<Straggler>,
-    /// The raw per-round spans the report was built from; feeds the
-    /// Perfetto exporter and is *not* serialized by [`to_json`].
+    /// The round log the report was built from; feeds the Perfetto
+    /// exporter and is *not* serialized by [`to_json`].
     ///
     /// [`to_json`]: ProfileReport::to_json
-    pub round_spans: Vec<RoundSpan>,
+    pub round_log: Vec<RoundRecord>,
 }
 
 fn ms(ns: u64) -> f64 {
@@ -490,6 +283,40 @@ fn ms(ns: u64) -> f64 {
 }
 
 impl ProfileReport {
+    /// Derives a profile from a clocked registry's round log
+    /// ([`crate::Telemetry::round_log`]). `engine` labels the run
+    /// (`"serial"`, `"parallel(4)"`, `"alpha-sync"`); `phases` are the
+    /// driver's `(name, start, end)` round windows (empty when boundaries
+    /// are unknown). The transport, fault and state fields start at 0 and
+    /// `sync` at `None`; the caller fills in what it knows.
+    pub fn from_rounds(
+        engine: impl Into<String>,
+        rounds: Vec<RoundRecord>,
+        phases: &[(String, u64, u64)],
+    ) -> ProfileReport {
+        let wall: u64 = rounds.iter().map(|r| r.total_ns).sum();
+        let compute: u64 = rounds.iter().map(|r| r.compute_ns).sum();
+        ProfileReport {
+            engine: engine.into(),
+            rounds: rounds.len() as u64,
+            wall_ns: wall,
+            compute_ns: compute,
+            overhead_ns: wall.saturating_sub(compute),
+            max_inbox_depth: rounds.iter().map(|r| r.inbox_messages).max().unwrap_or(0),
+            nodes_stepped: rounds.iter().map(|r| r.nodes_stepped).sum(),
+            cross_shard_messages: rounds.iter().map(|r| r.cross_shard_messages).sum(),
+            intra_shard_messages: rounds.iter().map(|r| r.intra_shard_messages).sum(),
+            phases: phases
+                .iter()
+                .map(|(name, start, end)| phase_span(&rounds, name, *start, *end))
+                .collect(),
+            workers: worker_stats(&rounds),
+            stragglers: detect_stragglers(&rounds),
+            round_log: rounds,
+            ..ProfileReport::default()
+        }
+    }
+
     /// Fraction of the wall-clock spent in node compute.
     pub fn compute_fraction(&self) -> f64 {
         if self.wall_ns == 0 {
@@ -614,7 +441,7 @@ impl ProfileReport {
              \"args\":{{\"name\":\"rounds\"}}}}"
         );
         let n_workers = self
-            .round_spans
+            .round_log
             .iter()
             .map(|s| s.worker_busy_ns.len())
             .max()
@@ -633,7 +460,7 @@ impl ProfileReport {
         // contained in its phase event.
         let starts: Vec<u64> = {
             let mut acc = 0u64;
-            self.round_spans
+            self.round_log
                 .iter()
                 .map(|s| {
                     let t = acc;
@@ -642,7 +469,7 @@ impl ProfileReport {
                 })
                 .collect()
         };
-        let total_ns: u64 = self.round_spans.iter().map(|s| s.total_ns).sum();
+        let total_ns: u64 = self.round_log.iter().map(|s| s.total_ns).sum();
         for p in &self.phases {
             let lo = starts.get(p.start as usize).copied().unwrap_or(total_ns);
             let hi = starts.get(p.end as usize).copied().unwrap_or(total_ns);
@@ -656,7 +483,7 @@ impl ProfileReport {
                 p.rounds
             );
         }
-        for (span, &t0) in self.round_spans.iter().zip(&starts) {
+        for (span, &t0) in self.round_log.iter().zip(&starts) {
             let _ = write!(
                 out,
                 ",{{\"ph\":\"X\",\"pid\":0,\"tid\":0,\"cat\":\"round\",\"name\":\"round {}\",\
@@ -812,82 +639,77 @@ impl fmt::Display for ProfileReport {
 mod tests {
     use super::*;
 
-    fn span(round: u64, total: u64, compute: u64, inbox: u64, workers: &[u64]) -> RoundSpan {
-        RoundSpan {
+    fn span(round: u64, total: u64, compute: u64, inbox: u64, workers: &[u64]) -> RoundRecord {
+        RoundRecord {
             round,
             total_ns: total,
             compute_ns: compute,
             inbox_messages: inbox,
             worker_busy_ns: workers.to_vec(),
-            ..RoundSpan::default()
+            ..RoundRecord::default()
         }
+    }
+
+    fn phases() -> Vec<(String, u64, u64)> {
+        vec![
+            ("A:tree".to_string(), 0, 1),
+            ("B:counting".to_string(), 1, 2),
+        ]
     }
 
     #[test]
     fn totals_and_phase_slicing() {
-        let mut p = Profiler::new();
-        p.record_round(span(0, 100, 60, 2, &[]));
-        p.record_round(span(1, 200, 150, 5, &[]));
-        p.record_round(span(2, 50, 10, 1, &[]));
-        assert_eq!(p.wall_ns(), 350);
-        assert_eq!(p.compute_ns(), 220);
-        let ph = p.phase_span("B", 1, 3);
+        let rounds = vec![
+            span(0, 100, 60, 2, &[]),
+            span(1, 200, 150, 5, &[]),
+            span(2, 50, 10, 1, &[]),
+        ];
+        let windows = [("B".to_string(), 1, 3), ("D".to_string(), 2, 10)];
+        let rep = ProfileReport::from_rounds("serial", rounds, &windows);
+        assert_eq!(rep.wall_ns, 350);
+        assert_eq!(rep.compute_ns, 220);
+        let ph = &rep.phases[0];
         assert_eq!(ph.rounds, 2);
         assert_eq!(ph.wall_ns, 250);
         assert_eq!(ph.compute_ns, 160);
         assert_eq!(ph.overhead_ns, 90);
         assert_eq!(ph.inbox_messages, 6);
         // Windows past the recording are silent.
-        let tail = p.phase_span("D", 2, 10);
+        let tail = &rep.phases[1];
         assert_eq!(tail.rounds, 8);
         assert_eq!(tail.wall_ns, 50);
     }
 
     #[test]
     fn worker_stats_balanced_vs_skewed() {
-        let mut balanced = Profiler::new();
-        balanced.record_round(span(0, 100, 80, 0, &[40, 40]));
-        let w = balanced.worker_stats().unwrap();
+        let stats = |workers: &[u64]| {
+            ProfileReport::from_rounds("x", vec![span(0, 100, 80, 0, workers)], &[]).workers
+        };
+        let w = stats(&[40, 40]).unwrap();
         assert_eq!(w.workers, 2);
         assert!((w.utilization - 1.0).abs() < 1e-9);
         assert!((w.imbalance - 1.0).abs() < 1e-9);
 
-        let mut skewed = Profiler::new();
-        skewed.record_round(span(0, 100, 80, 0, &[60, 20]));
-        let w = skewed.worker_stats().unwrap();
+        let w = stats(&[60, 20]).unwrap();
         assert!((w.utilization - 80.0 / 120.0).abs() < 1e-9);
         assert!((w.imbalance - 1.5).abs() < 1e-9);
 
         // Serial recordings have no worker stats.
-        let mut serial = Profiler::new();
-        serial.record_round(span(0, 100, 80, 0, &[]));
-        assert!(serial.worker_stats().is_none());
-    }
-
-    #[test]
-    fn pulse_compute_accumulates_sparsely() {
-        let mut p = Profiler::new();
-        p.add_pulse_compute(2, 10);
-        p.add_pulse_compute(0, 5);
-        p.add_pulse_compute(2, 7);
-        assert_eq!(p.spans().len(), 3);
-        assert_eq!(p.spans()[0].compute_ns, 5);
-        assert_eq!(p.spans()[1].compute_ns, 0);
-        assert_eq!(p.spans()[2].compute_ns, 17);
+        assert!(stats(&[]).is_none());
     }
 
     #[test]
     fn report_renders_and_encodes() {
-        let mut p = Profiler::new();
-        p.record_round(span(0, 100, 60, 3, &[30, 30]));
-        p.record_round(span(1, 100, 80, 4, &[50, 30]));
-        p.sync_counters().deliveries = 10;
-        p.sync_counters().max_pulse_skew = 1;
-        let phases = vec![
-            ("A:tree".to_string(), 0, 1),
-            ("B:counting".to_string(), 1, 2),
+        let rounds = vec![
+            span(0, 100, 60, 3, &[30, 30]),
+            span(1, 100, 80, 4, &[50, 30]),
         ];
-        let rep = p.report("parallel(2)", &phases);
+        let mut rep = ProfileReport::from_rounds("parallel(2)", rounds, &phases());
+        rep.sync = Some(SyncStats {
+            deliveries: 10,
+            max_pulse_skew: 1,
+            ..SyncStats::default()
+        });
         assert_eq!(rep.rounds, 2);
         assert_eq!(rep.wall_ns, 200);
         assert_eq!(rep.compute_ns, 140);
@@ -895,7 +717,6 @@ mod tests {
         assert_eq!(rep.max_inbox_depth, 4);
         assert_eq!(rep.phases.len(), 2);
         assert!(rep.workers.is_some());
-        assert!(rep.sync.is_some());
         let text = rep.to_string();
         assert!(text.contains("parallel(2)"));
         assert!(text.contains("B:counting"));
@@ -912,22 +733,21 @@ mod tests {
 
     #[test]
     fn straggler_detector_flags_busy_worker_and_deep_inbox() {
-        let mut p = Profiler::new();
         // One worker 10x the round's median busy time, over the floor.
-        p.record_round(span(
+        let mut rounds = vec![span(
             0,
             3_000_000,
             0,
             4,
             &[250_000, 2_500_000, 260_000, 240_000],
-        ));
+        )];
         // Enough quiet rounds to establish an inbox-depth baseline…
         for r in 1..9 {
-            p.record_round(span(r, 100_000, 0, 4, &[90_000, 90_000, 90_000, 90_000]));
+            rounds.push(span(r, 100_000, 0, 4, &[90_000, 90_000, 90_000, 90_000]));
         }
         // …then one round with a 25x inbox spike.
-        p.record_round(span(9, 100_000, 0, 100, &[90_000, 90_000, 90_000, 90_000]));
-        let rep = p.report("parallel(4)", &[]);
+        rounds.push(span(9, 100_000, 0, 100, &[90_000, 90_000, 90_000, 90_000]));
+        let rep = ProfileReport::from_rounds("parallel(4)", rounds, &[]);
         assert!(
             rep.stragglers
                 .iter()
@@ -949,46 +769,36 @@ mod tests {
 
     #[test]
     fn straggler_detector_stays_quiet_on_balanced_runs() {
-        let mut p = Profiler::new();
-        for r in 0..10 {
-            p.record_round(span(
-                r,
-                1_000_000,
-                0,
-                40,
-                &[450_000, 460_000, 440_000, 455_000],
-            ));
-        }
-        let rep = p.report("parallel(4)", &[]);
+        let rounds = (0..10)
+            .map(|r| span(r, 1_000_000, 0, 40, &[450_000, 460_000, 440_000, 455_000]))
+            .collect();
+        let rep = ProfileReport::from_rounds("parallel(4)", rounds, &[]);
         assert!(rep.stragglers.is_empty(), "{:?}", rep.stragglers);
     }
 
     #[test]
     fn perfetto_export_nests_rounds_inside_phases() {
-        let mut p = Profiler::new();
-        p.record_round(RoundSpan {
-            round: 0,
-            total_ns: 2_000,
-            compute_ns: 1_500,
-            inbox_messages: 3,
-            worker_busy_ns: vec![1_800, 900],
-            worker_route_ns: vec![200, 100],
-            ..RoundSpan::default()
-        });
-        p.record_round(RoundSpan {
-            round: 1,
-            total_ns: 3_000,
-            compute_ns: 2_000,
-            inbox_messages: 5,
-            worker_busy_ns: vec![2_500, 2_400],
-            worker_route_ns: vec![0, 300],
-            ..RoundSpan::default()
-        });
-        let phases = vec![
-            ("A:tree".to_string(), 0, 1),
-            ("B:counting".to_string(), 1, 2),
+        let rounds = vec![
+            RoundRecord {
+                round: 0,
+                total_ns: 2_000,
+                compute_ns: 1_500,
+                inbox_messages: 3,
+                worker_busy_ns: vec![1_800, 900],
+                worker_route_ns: vec![200, 100],
+                ..RoundRecord::default()
+            },
+            RoundRecord {
+                round: 1,
+                total_ns: 3_000,
+                compute_ns: 2_000,
+                inbox_messages: 5,
+                worker_busy_ns: vec![2_500, 2_400],
+                worker_route_ns: vec![0, 300],
+                ..RoundRecord::default()
+            },
         ];
-        let rep = p.report("parallel(2)", &phases);
+        let rep = ProfileReport::from_rounds("parallel(2)", rounds, &phases());
         let json = rep.to_perfetto_json();
         assert!(json.starts_with("{\"schema_version\":1,"));
         assert!(json.contains("\"traceEvents\":["));
@@ -1013,28 +823,18 @@ mod tests {
 
     #[test]
     fn route_and_shard_counters_flow_into_report() {
-        let mut p = Profiler::new();
-        p.record_round(RoundSpan {
-            round: 0,
+        let round = |round, route: Vec<u64>, cross, intra| RoundRecord {
+            round,
             total_ns: 100,
             compute_ns: 60,
             worker_busy_ns: vec![40, 40],
-            worker_route_ns: vec![10, 5],
-            cross_shard_messages: 3,
-            intra_shard_messages: 7,
-            ..RoundSpan::default()
-        });
-        p.record_round(RoundSpan {
-            round: 1,
-            total_ns: 100,
-            compute_ns: 60,
-            worker_busy_ns: vec![40, 40],
-            worker_route_ns: vec![2, 3],
-            cross_shard_messages: 1,
-            intra_shard_messages: 9,
-            ..RoundSpan::default()
-        });
-        let rep = p.report("parallel(2)", &[]);
+            worker_route_ns: route,
+            cross_shard_messages: cross,
+            intra_shard_messages: intra,
+            ..RoundRecord::default()
+        };
+        let rounds = vec![round(0, vec![10, 5], 3, 7), round(1, vec![2, 3], 1, 9)];
+        let rep = ProfileReport::from_rounds("parallel(2)", rounds, &[]);
         assert_eq!(rep.cross_shard_messages, 4);
         assert_eq!(rep.intra_shard_messages, 16);
         assert_eq!(rep.workers.unwrap().route_ns, 20);
@@ -1048,8 +848,8 @@ mod tests {
     }
 
     #[test]
-    fn empty_profiler_reports_zeroes() {
-        let rep = Profiler::new().report("serial", &[]);
+    fn empty_round_log_reports_zeroes() {
+        let rep = ProfileReport::from_rounds("serial", Vec::new(), &[]);
         assert_eq!(rep.wall_ns, 0);
         assert_eq!(rep.compute_fraction(), 0.0);
         assert!(rep.workers.is_none());

@@ -1,35 +1,47 @@
 //! Always-on run telemetry: a lock-free registry of typed counters and
-//! log-bucketed histograms, a per-round flight recorder, and crash
-//! postmortems.
+//! log-bucketed histograms, a per-round recorder, and crash postmortems.
 //!
-//! Every engine (serial, pooled-parallel, α-synchronizer), the reliable
-//! transport, and the fault injector can share one [`Telemetry`] registry
-//! through an `Arc`. Writers never lock: counters and histogram buckets
-//! are per-shard relaxed atomics (one shard per pool worker, shard 0 for
-//! the serial engine and the synchronizer, `node % shards` for transport
-//! ports), aggregated only when a reader calls [`Telemetry::snapshot`].
-//! The engines batch their updates to *one* [`TelemetryHandle::on_round`]
-//! call per worker per round — deltas are computed against the metrics
-//! the engines already maintain — so steady-state overhead is a handful
-//! of relaxed atomic adds per round, cheap enough to leave on by default.
+//! Every engine (serial, pooled-parallel, socket shard, α-synchronizer),
+//! the reliable transport, and the fault injector can share one
+//! [`Telemetry`] registry through an `Arc`. Writers never lock: counters
+//! and histogram buckets are per-shard relaxed atomics (one shard per pool
+//! worker, shard 0 for the serial engine and the synchronizer,
+//! `node % shards` for transport ports), aggregated only when a reader
+//! calls [`Telemetry::snapshot`]. The engines batch their updates to *one*
+//! [`TelemetryHandle::on_round`] call per worker per round — deltas are
+//! computed against the metrics the engines already maintain — so
+//! steady-state overhead is a handful of relaxed atomic adds per round,
+//! cheap enough to leave on by default.
 //!
-//! Telemetry carries the same observational-freeness guarantee as the
-//! profiler: attaching it changes no protocol-visible output (results,
-//! rounds, metrics, traces) on any engine. `tests/telemetry.rs` asserts
-//! this bit for bit, including faulty + reliable runs.
+//! Telemetry is observationally free: attaching it changes no
+//! protocol-visible output (results, rounds, metrics, traces) on any
+//! engine. `tests/telemetry.rs` asserts this bit for bit, including faulty
+//! + reliable runs.
 //!
-//! The flight recorder ([`Telemetry::finish_round`]) keeps the last
-//! [`Telemetry::ring_capacity`] rounds of per-round deltas in a ring.
+//! The recorder ([`Telemetry::finish_round`]) turns each committed round
+//! into a [`RoundRecord`] of counter deltas. Normally it keeps the last
+//! [`Telemetry::ring_capacity`] of them in a ring (the flight recorder).
 //! On `NodePanic`, `RoundLimit`, or abort the CLI dumps the ring plus a
 //! full counter snapshot as `postmortem.json`
 //! ([`Telemetry::postmortem_json`] / [`Postmortem::parse`]); the watch
 //! thread persists the same snapshot periodically so even a `SIGKILL`/
 //! Ctrl-C leaves the last few seconds of evidence on disk.
+//!
+//! The registry's one clock switch ([`Telemetry::set_clock`]) turns it
+//! into the profiler as well. With the clock on, the engines time their
+//! rounds into four more counters (round, busy, compute and route
+//! nanoseconds; every `Instant::now` of the per-round path is behind the
+//! switch), and the recorder keeps every round from then on, with each
+//! shard's busy and route times, as the round log
+//! ([`Telemetry::round_log`]) that [`crate::ProfileReport::from_rounds`]
+//! reads. With the clock off the per-round path reads no clock and the
+//! recorder stays a bounded ring.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::time::Instant;
 
 use crate::json;
 use crate::metrics::NetMetrics;
@@ -48,7 +60,7 @@ pub const STRAGGLER_FACTOR: u64 = 4;
 /// of per-round or per-worker quantities, against which a value is
 /// flagged when it exceeds median × [`STRAGGLER_FACTOR`] and reaches an
 /// absolute floor (so noise on tiny rounds is never flagged). The live
-/// flight-recorder check, the profiler's worker-busy and inbox-depth
+/// flight-recorder check, the profile's worker-busy and inbox-depth
 /// checks and the trace statistics all judge through it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StragglerBaseline {
@@ -139,10 +151,20 @@ pub enum Counter {
     /// Total per-node protocol-state bytes at the end of a run (recorded
     /// once per run by the driver/leader, not per round).
     StateBytes,
+    /// Clock on: wall time of committed rounds (ns), stamped by whichever
+    /// thread commits them ([`Telemetry::stamp_round`]).
+    RoundNs,
+    /// Clock on: time pool workers and socket shards spent inside their
+    /// rounds (ns).
+    BusyNs,
+    /// Clock on: time inside `Protocol::round` calls (ns).
+    ComputeNs,
+    /// Clock on: time delivering, routing and publishing messages (ns).
+    RouteNs,
 }
 
 /// All counters, in label order. Keep in sync with [`Counter`].
-pub const COUNTERS: [(Counter, &str); 25] = [
+pub const COUNTERS: [(Counter, &str); 29] = [
     (Counter::Rounds, "rounds"),
     (Counter::Messages, "messages"),
     (Counter::MessageBits, "message_bits"),
@@ -168,6 +190,10 @@ pub const COUNTERS: [(Counter, &str); 25] = [
     (Counter::SourceCacheMisses, "source_cache_misses"),
     (Counter::MalformedFrames, "malformed_frames"),
     (Counter::StateBytes, "state_bytes"),
+    (Counter::RoundNs, "round_ns"),
+    (Counter::BusyNs, "busy_ns"),
+    (Counter::ComputeNs, "compute_ns"),
+    (Counter::RouteNs, "route_ns"),
 ];
 
 const NUM_COUNTERS: usize = COUNTERS.len();
@@ -211,10 +237,33 @@ impl Shard {
     }
 }
 
-/// One round's worth of flight-recorder deltas.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One shard's tallies of one round, the argument of
+/// [`TelemetryHandle::on_round`]: a pool worker's, a socket shard's, or
+/// the serial engine's. The timings are 0 unless the clock is on.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ProfRow {
+    /// Wall time the shard spent inside the round (ns; pooled and socket
+    /// shards only).
+    pub busy_ns: u64,
+    /// Time inside `Protocol::round` calls (ns).
+    pub compute_ns: u64,
+    /// Time delivering, routing and publishing messages (ns).
+    pub route_ns: u64,
+    /// Messages delivered to the shard's nodes this round.
+    pub inbox_messages: u64,
+    /// Nodes actually stepped (idle-skipped nodes excluded).
+    pub nodes_stepped: u64,
+    /// Messages routed shard-locally.
+    pub intra: u64,
+    /// Messages routed to peer shards.
+    pub cross: u64,
+}
+
+/// One committed round as the recorder saw it: counter deltas, and, with
+/// the clock on, the profile's view of the round.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoundRecord {
-    /// Round number.
+    /// Round (or synchronizer pulse) number.
     pub round: u64,
     /// Messages staged in this round.
     pub messages: u64,
@@ -229,13 +278,34 @@ pub struct RoundRecord {
     /// True when the round's message load exceeded the robust baseline
     /// (median × [`STRAGGLER_FACTOR`]) over the recorder window.
     pub straggler: bool,
+    /// Clock on: messages delivered into this round's inboxes.
+    pub inbox_messages: u64,
+    /// Clock on: messages routed within the sending shard.
+    pub intra_shard_messages: u64,
+    /// Clock on: messages routed to another shard.
+    pub cross_shard_messages: u64,
+    /// Clock on: wall time of the round (ns).
+    pub total_ns: u64,
+    /// Clock on: time inside `Protocol::round` calls (ns).
+    pub compute_ns: u64,
+    /// Clock on: busy time of each shard that reported one this round, in
+    /// shard order (empty for the serial engine and the synchronizer).
+    pub worker_busy_ns: Vec<u64>,
+    /// Clock on: routing time of the same shards (a subset of their busy
+    /// time).
+    pub worker_route_ns: Vec<u64>,
 }
 
-/// Flight-recorder state behind one per-round mutex acquisition.
+/// Recorder state behind one per-round mutex acquisition.
 struct Recorder {
     last: [u64; NUM_COUNTERS],
+    /// Each shard's cumulative `[busy, route]` ns at the last commit
+    /// (clock on only).
+    last_worker: Vec<[u64; 2]>,
     records: VecDeque<RoundRecord>,
     capacity: usize,
+    /// Rounds committed since the clock was switched on (all kept).
+    logged: usize,
 }
 
 /// Aggregated point-in-time view of every counter.
@@ -269,6 +339,12 @@ pub struct Telemetry {
     /// `u64::MAX` while unset.
     schedule: [AtomicU64; 4],
     recorder: Mutex<Recorder>,
+    /// The clock switch ([`Telemetry::set_clock`]).
+    clock: AtomicBool,
+    /// Origin of `tick_ns`.
+    epoch: Instant,
+    /// When the last round was stamped, in ns since `epoch`.
+    tick_ns: AtomicU64,
 }
 
 impl std::fmt::Debug for Telemetry {
@@ -288,18 +364,76 @@ impl Telemetry {
         Telemetry {
             shards: (0..shards).map(|_| Shard::new()).collect(),
             round_gauge: AtomicU64::new(0),
-            schedule: [
-                AtomicU64::new(u64::MAX),
-                AtomicU64::new(u64::MAX),
-                AtomicU64::new(u64::MAX),
-                AtomicU64::new(u64::MAX),
-            ],
+            schedule: [const { AtomicU64::new(u64::MAX) }; 4],
             recorder: Mutex::new(Recorder {
                 last: [0; NUM_COUNTERS],
+                last_worker: vec![[0; 2]; shards],
                 records: VecDeque::new(),
                 capacity: ring.max(1),
+                logged: 0,
             }),
+            clock: AtomicBool::new(false),
+            epoch: Instant::now(),
+            tick_ns: AtomicU64::new(0),
         }
+    }
+
+    /// The clock switch. On: the engines time their rounds into
+    /// [`Counter::RoundNs`], [`Counter::BusyNs`], [`Counter::ComputeNs`]
+    /// and [`Counter::RouteNs`], and the recorder keeps every round
+    /// committed from now on ([`Telemetry::round_log`]). Off (the
+    /// default): no clock is read per round and the recorder keeps the
+    /// last [`Telemetry::ring_capacity`] rounds.
+    pub fn set_clock(&self, on: bool) {
+        let Ok(mut rec) = self.recorder.lock() else {
+            return;
+        };
+        if on {
+            rec.last_worker = self.worker_clocks();
+            self.tick_ns.store(self.elapsed_ns(), Ordering::Relaxed);
+        } else {
+            let excess = rec.records.len().saturating_sub(rec.capacity);
+            rec.records.drain(..excess);
+        }
+        rec.logged = 0;
+        self.clock.store(on, Ordering::Relaxed);
+    }
+
+    /// Whether the clock is on.
+    #[inline]
+    pub fn clocked(&self) -> bool {
+        self.clock.load(Ordering::Relaxed)
+    }
+
+    fn elapsed_ns(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
+
+    /// Each shard's cumulative `[busy, route]` ns.
+    fn worker_clocks(&self) -> Vec<[u64; 2]> {
+        let load = |s: &Shard, c: Counter| s.counters[c as usize].load(Ordering::Relaxed);
+        self.shards
+            .iter()
+            .map(|s| [load(s, Counter::BusyNs), load(s, Counter::RouteNs)])
+            .collect()
+    }
+
+    /// Clock on: adds the wall time since the last stamp (or since the
+    /// clock was switched on) to [`Counter::RoundNs`]. Called by whichever
+    /// thread commits a round; a no-op with the clock off.
+    pub fn stamp_round(&self) {
+        if self.clocked() {
+            let now = self.elapsed_ns();
+            let last = self.tick_ns.swap(now, Ordering::Relaxed);
+            self.add(0, Counter::RoundNs, now.saturating_sub(last));
+        }
+    }
+
+    /// Commits a round the calling thread coordinated:
+    /// [`Telemetry::stamp_round`], then [`Telemetry::finish_round`].
+    pub fn commit_round(&self, round: u64) {
+        self.stamp_round();
+        self.finish_round(round);
     }
 
     /// Number of writer shards.
@@ -355,11 +489,7 @@ impl Telemetry {
     /// The phase label for `round` under the published schedule, or `"-"`
     /// when none was published.
     pub fn phase_label(&self, round: u64) -> &'static str {
-        let bounds: Vec<u64> = self
-            .schedule
-            .iter()
-            .map(|s| s.load(Ordering::Relaxed))
-            .collect();
+        let bounds = self.schedule.each_ref().map(|s| s.load(Ordering::Relaxed));
         if bounds[0] == u64::MAX {
             return "-";
         }
@@ -395,13 +525,14 @@ impl Telemetry {
         out
     }
 
-    /// Commits one round into the flight recorder: snapshots the
-    /// counters, derives the round's deltas, runs the live straggler
-    /// check (message load vs median × k over the window), and advances
-    /// the round gauge. Called exactly once per committed round by
-    /// whichever thread coordinates the round: the serial loop, worker 0
-    /// of the pool, the socket leader replaying its shards' deltas, or the
-    /// synchronizer's pulse loop.
+    /// Commits one round into the recorder: snapshots the counters,
+    /// derives the round's deltas, runs the live straggler check (message
+    /// load vs median × k over the last [`Telemetry::ring_capacity`]
+    /// rounds), and advances the round gauge. Called exactly once per
+    /// committed round by whichever thread coordinates the round: the
+    /// serial loop, worker 0 of the pool, the synchronizer's pulse loop
+    /// (all through [`Telemetry::commit_round`]), or the socket leader
+    /// replaying its shards' deltas.
     pub fn finish_round(&self, round: u64) {
         self.add(0, Counter::Rounds, 1);
         let snap = self.snapshot();
@@ -416,9 +547,15 @@ impl Telemetry {
             + delta(Counter::FaultsDelayed);
         // Robust baseline over the recorder window: the recent per-round
         // message loads.
-        let mut loads: Vec<u64> = rec.records.iter().map(|r| r.messages).collect();
+        let mut loads: Vec<u64> = rec
+            .records
+            .iter()
+            .rev()
+            .take(rec.capacity)
+            .map(|r| r.messages)
+            .collect();
         let straggler = StragglerBaseline::of(&mut loads, 8, 0).is_some_and(|b| b.flags(messages));
-        let record = RoundRecord {
+        let mut record = RoundRecord {
             round,
             messages,
             bits: delta(Counter::MessageBits),
@@ -426,11 +563,33 @@ impl Telemetry {
             retransmits: delta(Counter::Retransmits),
             faults,
             straggler,
+            ..RoundRecord::default()
         };
-        rec.last = snap.values;
-        if rec.records.len() == rec.capacity {
+        if self.clocked() {
+            record.inbox_messages = delta(Counter::InboxMessages);
+            record.intra_shard_messages = delta(Counter::IntraShardMessages);
+            record.cross_shard_messages = delta(Counter::CrossShardMessages);
+            record.total_ns = delta(Counter::RoundNs);
+            record.compute_ns = delta(Counter::ComputeNs);
+            let now = self.worker_clocks();
+            for (at, last) in now.iter().zip(&rec.last_worker) {
+                record.worker_busy_ns.push(at[0].saturating_sub(last[0]));
+                record.worker_route_ns.push(at[1].saturating_sub(last[1]));
+            }
+            // Only the shards that worked this round are workers.
+            let workers = record
+                .worker_busy_ns
+                .iter()
+                .rposition(|&b| b > 0)
+                .map_or(0, |w| w + 1);
+            record.worker_busy_ns.truncate(workers);
+            record.worker_route_ns.truncate(workers);
+            rec.last_worker = now;
+            rec.logged += 1;
+        } else if rec.records.len() == rec.capacity {
             rec.records.pop_front();
         }
+        rec.last = snap.values;
         rec.records.push_back(record);
         drop(rec);
         if straggler {
@@ -444,11 +603,24 @@ impl Telemetry {
         self.round_gauge.store(round + 1, Ordering::Relaxed);
     }
 
-    /// The flight recorder's retained rounds, oldest first.
+    /// The flight recorder's window: the last
+    /// [`Telemetry::ring_capacity`] rounds, oldest first.
     pub fn recent_rounds(&self) -> Vec<RoundRecord> {
-        self.recorder
-            .lock()
-            .map_or(Vec::new(), |r| r.records.iter().cloned().collect())
+        self.recorder.lock().map_or(Vec::new(), |r| {
+            let skip = r.records.len().saturating_sub(r.capacity);
+            r.records.iter().skip(skip).cloned().collect()
+        })
+    }
+
+    /// Every round committed since the clock was switched on, oldest
+    /// first; empty with the clock off.
+    pub fn round_log(&self) -> Vec<RoundRecord> {
+        self.recorder.lock().map_or(Vec::new(), |r| {
+            r.records
+                .range(r.records.len() - r.logged..)
+                .cloned()
+                .collect()
+        })
     }
 
     /// Renders the full postmortem JSON document: reason, round gauge,
@@ -516,16 +688,8 @@ impl TelemetryHandle {
 
     /// Reports one round of this writer's activity: message/bit/fault
     /// deltas are derived from the cumulative `metrics` the engine
-    /// already maintains; per-round quantities are passed directly.
-    #[allow(clippy::too_many_arguments)]
-    pub fn on_round(
-        &mut self,
-        metrics: &NetMetrics,
-        nodes_stepped: u64,
-        inbox_messages: u64,
-        intra: u64,
-        cross: u64,
-    ) {
+    /// already maintains; the round's tallies and timings come in `row`.
+    pub fn on_round(&mut self, metrics: &NetMetrics, row: &ProfRow) {
         let t = &self.tel;
         let s = self.shard;
         let messages = metrics.total_messages.saturating_sub(self.last_messages);
@@ -534,10 +698,13 @@ impl TelemetryHandle {
         self.last_bits = metrics.total_bits;
         t.add(s, Counter::Messages, messages);
         t.add(s, Counter::MessageBits, bits);
-        t.add(s, Counter::NodesStepped, nodes_stepped);
-        t.add(s, Counter::InboxMessages, inbox_messages);
-        t.add(s, Counter::IntraShardMessages, intra);
-        t.add(s, Counter::CrossShardMessages, cross);
+        t.add(s, Counter::NodesStepped, row.nodes_stepped);
+        t.add(s, Counter::InboxMessages, row.inbox_messages);
+        t.add(s, Counter::IntraShardMessages, row.intra);
+        t.add(s, Counter::CrossShardMessages, row.cross);
+        t.add(s, Counter::BusyNs, row.busy_ns);
+        t.add(s, Counter::ComputeNs, row.compute_ns);
+        t.add(s, Counter::RouteNs, row.route_ns);
         let faults = [
             metrics.faults_dropped,
             metrics.faults_corrupted,
@@ -557,7 +724,7 @@ impl TelemetryHandle {
             t.add(s, c, now.saturating_sub(self.last_faults[i]));
             self.last_faults[i] = now;
         }
-        t.record(s, HistogramId::InboxDepth, inbox_messages);
+        t.record(s, HistogramId::InboxDepth, row.inbox_messages);
         t.record(s, HistogramId::RoundMessages, messages);
     }
 }
@@ -616,6 +783,7 @@ impl Postmortem {
                     retransmits: r.u64("retransmits")?,
                     faults: r.u64("faults")?,
                     straggler: r.get("straggler")?.as_bool()?,
+                    ..RoundRecord::default()
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
@@ -707,7 +875,14 @@ mod tests {
         for round in 0..9u64 {
             metrics.total_messages += 5 + round;
             metrics.total_bits += 160;
-            h.on_round(&metrics, 4, 3, 2, 1);
+            let row = ProfRow {
+                nodes_stepped: 4,
+                inbox_messages: 3,
+                intra: 2,
+                cross: 1,
+                ..ProfRow::default()
+            };
+            h.on_round(&metrics, &row);
             t.finish_round(round);
         }
         let text = t.postmortem_json("it broke: \"node 3\"\npanicked");
@@ -737,6 +912,73 @@ mod tests {
             .replace("\"schema_version\":1", "\"schema_version\":999");
         let err = Postmortem::parse(&text).unwrap_err();
         assert!(err.contains("schema_version"), "{err}");
+    }
+
+    #[test]
+    fn clock_logs_every_round_with_per_shard_times() {
+        let t = Arc::new(Telemetry::new(3, 2));
+        let mut handles: Vec<_> = (0..3).map(|s| TelemetryHandle::new(t.clone(), s)).collect();
+        let metrics = NetMetrics::default();
+        let round = |handles: &mut [TelemetryHandle], r: u64| {
+            // Shards 0 and 1 work; shard 2 is a spare.
+            for (s, h) in handles.iter_mut().enumerate().take(2) {
+                let row = ProfRow {
+                    busy_ns: 10 * (s as u64 + 1) + r,
+                    route_ns: s as u64 + 1,
+                    compute_ns: 5,
+                    inbox_messages: 2,
+                    ..ProfRow::default()
+                };
+                h.on_round(&metrics, &row);
+            }
+            t.commit_round(r);
+        };
+        // Clock off: a bounded ring, no timings, no log.
+        for r in 0..4 {
+            round(&mut handles, r);
+        }
+        assert!(!t.clocked());
+        assert!(t.round_log().is_empty());
+        assert_eq!(t.recent_rounds().len(), 2);
+        assert!(t.recent_rounds().iter().all(|r| r.total_ns == 0));
+        assert_eq!(t.snapshot().get(Counter::RoundNs), 0);
+
+        t.set_clock(true);
+        for r in 4..9 {
+            round(&mut handles, r);
+        }
+        let log = t.round_log();
+        assert_eq!(
+            log.iter().map(|r| r.round).collect::<Vec<_>>(),
+            [4, 5, 6, 7, 8]
+        );
+        for rec in &log {
+            assert_eq!(rec.worker_busy_ns, [10 + rec.round, 20 + rec.round]);
+            assert_eq!(rec.worker_route_ns, [1, 2]);
+            assert_eq!(rec.compute_ns, 10);
+            assert_eq!(rec.inbox_messages, 4);
+        }
+        let stamped: u64 = log.iter().map(|r| r.total_ns).sum();
+        assert_eq!(stamped, t.snapshot().get(Counter::RoundNs));
+        // The flight recorder's window stays the last K rounds.
+        assert_eq!(
+            t.recent_rounds()
+                .iter()
+                .map(|r| r.round)
+                .collect::<Vec<_>>(),
+            [7, 8]
+        );
+
+        t.set_clock(false);
+        assert!(t.round_log().is_empty());
+        round(&mut handles, 9);
+        assert_eq!(
+            t.recent_rounds()
+                .iter()
+                .map(|r| r.round)
+                .collect::<Vec<_>>(),
+            [8, 9]
+        );
     }
 
     #[test]

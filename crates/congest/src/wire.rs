@@ -55,7 +55,6 @@ use crate::network::{
     WorkerReply,
 };
 use crate::partition::ShardMap;
-use crate::profile::ProfRow;
 use crate::telemetry::{Telemetry, TelemetryHandle, TelemetrySnapshot, COUNTERS, SCHEMA_VERSION};
 use bc_graph::{Graph, NodeId, ReversePorts};
 use bc_numeric::bits::BitWriter;
@@ -73,7 +72,7 @@ use std::time::{Duration, Instant};
 pub const MAGIC: u64 = u64::from_le_bytes(*b"bcwire01");
 
 /// Version of the frame layout; bumped on any incompatible change.
-pub const WIRE_VERSION: u32 = 1;
+pub const WIRE_VERSION: u32 = 2;
 
 /// Hard upper bound on a single frame's payload (1 GiB); a length prefix
 /// beyond this is treated as a protocol error, not an allocation request.
@@ -660,8 +659,6 @@ pub struct ShardEngineConfig {
     pub skip_idle: bool,
     /// Round limit guarding non-termination.
     pub max_rounds: u64,
-    /// Collect per-round wall/compute/route timings.
-    pub profiling: bool,
 }
 
 /// Number of telemetry counters in a per-round delta row.
@@ -686,13 +683,10 @@ pub struct ShardRunOutcome<P> {
     pub first_error: Option<CongestError>,
     /// Per-executed-round telemetry counter deltas (one row per round the
     /// shard stepped, including an uncommitted aborted round); empty when
-    /// telemetry is off.
+    /// telemetry is off. With the registry's clock on the rows carry the
+    /// shard's timings too, and shard 0's the committed rounds' wall
+    /// times, as worker 0 stamps them in the in-process pool.
     pub telemetry_deltas: Vec<[u64; COUNTER_COUNT]>,
-    /// Per-committed-round profile rows (empty unless profiling).
-    pub prof: Vec<ProfRow>,
-    /// Per-committed-round wall times; only shard 0 measures them, as
-    /// worker 0 does in the in-process pool.
-    pub round_wall_ns: Vec<u64>,
 }
 
 /// Runs one shard's slice of the synchronous round loop over socket
@@ -706,8 +700,8 @@ pub struct ShardRunOutcome<P> {
 /// at `me`. `telemetry`, when present, is a *local* registry: the engine
 /// streams counters into it but never calls `finish_round` — committed
 /// rounds are replayed into the leader's registry from the returned
-/// deltas, which keeps straggler detection and the flight recorder a
-/// run-level (not shard-level) judgement.
+/// deltas, which keeps straggler detection and the recorder a run-level
+/// (not shard-level) judgement. Its clock times the shard's rounds.
 ///
 /// # Errors
 ///
@@ -750,7 +744,6 @@ pub fn run_shard_engine<P: Protocol>(
         skip_idle: cfg.skip_idle,
         strict: cfg.strict,
         tracing: false,
-        profiling: cfg.profiling,
     };
     let inboxes = (0..nodes.len()).map(|_| Vec::new()).collect();
     let handle = telemetry.map(|t| TelemetryHandle::new(t.clone(), 0));
@@ -761,7 +754,6 @@ pub fn run_shard_engine<P: Protocol>(
         peers,
         staged: (0..k).map(|_| Vec::new()).collect(),
         telemetry: telemetry.map(|t| (t.as_ref(), t.snapshot())),
-        round_start: Instant::now(),
         outcome: ShardRunOutcome {
             nodes: Vec::new(),
             metrics: NetMetrics::default(),
@@ -770,8 +762,6 @@ pub fn run_shard_engine<P: Protocol>(
             panic: None,
             first_error: None,
             telemetry_deltas: Vec::new(),
-            prof: Vec::new(),
-            round_wall_ns: Vec::new(),
         },
     };
     let ((nodes, _, metrics), verdict) = worker.run(&mut lanes, 0)?;
@@ -796,7 +786,6 @@ struct SocketLanes<'p, P> {
     /// The shard-local registry and its snapshot at the end of the last
     /// round, for the per-round deltas.
     telemetry: Option<(&'p Telemetry, TelemetrySnapshot)>,
-    round_start: Instant,
     /// The per-round records, filled in as rounds settle.
     outcome: ShardRunOutcome<P>,
 }
@@ -830,15 +819,6 @@ impl<P> Lanes for SocketLanes<'_, P> {
     }
 
     fn settle(&mut self, round: u64, reply: &mut WorkerReply) -> Result<u8, WireError> {
-        if let Some((t, prev)) = self.telemetry.as_mut() {
-            let now = t.snapshot();
-            let mut delta = [0u64; COUNTER_COUNT];
-            for (i, (c, _)) in COUNTERS.iter().enumerate() {
-                delta[i] = now.get(*c).saturating_sub(prev.get(*c));
-            }
-            self.outcome.telemetry_deltas.push(delta);
-            *prev = now;
-        }
         let mut routed = reply.routed;
         let mut all_halted = reply.all_halted;
         let mut fatal = reply.fatal();
@@ -874,15 +854,19 @@ impl<P> Lanes for SocketLanes<'_, P> {
             out.first_error = reply.first_error.take();
         } else {
             out.committed += 1;
-            if self.cfg.profiling {
-                out.prof.push(reply.prof);
-                if self.me == 0 {
-                    out.round_wall_ns
-                        .push(self.round_start.elapsed().as_nanos() as u64);
-                }
-            }
         }
-        self.round_start = Instant::now();
+        if let Some((t, prev)) = self.telemetry.as_mut() {
+            if verdict != VERDICT_ABORT && self.me == 0 {
+                t.stamp_round();
+            }
+            let now = t.snapshot();
+            let mut delta = [0u64; COUNTER_COUNT];
+            for (i, (c, _)) in COUNTERS.iter().enumerate() {
+                delta[i] = now.get(*c).saturating_sub(prev.get(*c));
+            }
+            out.telemetry_deltas.push(delta);
+            *prev = now;
+        }
         Ok(verdict)
     }
 }

@@ -12,7 +12,7 @@ use bc_congest::trace::{TraceEvent, TraceSink};
 use bc_congest::wire::{fnv1a64, put_str, put_u32, put_u64, put_u8};
 use bc_congest::{
     Budget, Config, CongestError, EdgeCut, Enforcement, FaultPlan, NetMetrics, Network, Partition,
-    ProfileReport, Profiler, Protocol, Telemetry,
+    ProfileReport, Protocol, RoundRecord, Telemetry,
 };
 use bc_graph::{algo, Graph, NodeId};
 use bc_numeric::FpParams;
@@ -353,9 +353,12 @@ pub struct Instruments {
     /// windows. The recorded stream satisfies the invariants validated by
     /// [`bc_congest::trace::check::check`].
     pub trace: Option<Box<dyn TraceSink>>,
-    /// Attach the wall-clock profiler: per-round spans split into node
-    /// compute vs engine overhead, inbox depths, and (for `threads > 1`)
-    /// per-worker busy times, sliced at the run's phase windows.
+    /// Profile the run: switch the telemetry registry's clock on
+    /// ([`Telemetry::set_clock`]) — a private registry when
+    /// [`DistBcConfig::telemetry`] is `None` — and derive the profile from
+    /// its round log: per-round wall time split into node compute vs
+    /// engine overhead, inbox depths, and (for `threads > 1`) per-worker
+    /// busy times, sliced at the run's phase windows.
     pub profile: bool,
 }
 
@@ -428,13 +431,20 @@ fn run_engine<P: RunNode>(
     instruments: Instruments,
     factory: impl FnMut(NodeId, &Graph) -> P,
 ) -> Result<Run, DistBcError> {
+    let partition = config.partition.to_engine(g, &plan.sched, &config.sources);
+    let workers = if instruments.profile && config.threads > 1 {
+        partition.shard_map(g, config.threads).len()
+    } else {
+        1
+    };
+    let clock = Plan::profile_registry(config, workers, instruments.profile)?;
     let engine_cfg = Config {
         budget: plan.budget,
         enforcement: config.enforcement,
         cut: config.cut.clone(),
         skip_idle: config.skip_idle,
         faults: config.faults.clone(),
-        partition: config.partition.to_engine(g, &plan.sched, &config.sources),
+        partition,
     };
     let mut net = Network::new(g, engine_cfg, factory);
     if let Some(mut s) = instruments.trace {
@@ -456,22 +466,20 @@ fn run_engine<P: RunNode>(
         }
         net.set_trace_sink(s);
     }
-    if instruments.profile {
-        net.set_profiler(Profiler::new());
+    if let Some(t) = &clock {
+        t.set_clock(true);
     }
-    if let Some(t) = &config.telemetry {
+    if let Some(t) = clock.as_ref().or(config.telemetry.as_ref()) {
         net.set_telemetry(t.clone());
     }
     let report = if config.threads > 1 {
-        net.run_parallel(plan.max_rounds, config.threads)?
+        net.run_parallel(plan.max_rounds, config.threads)
     } else {
-        net.run(plan.max_rounds)?
+        net.run(plan.max_rounds)
     };
-    let (trace, profiler, metrics) = (
-        net.take_trace_sink(),
-        net.take_profiler(),
-        net.metrics().clone(),
-    );
+    let rounds = clock.map(|t| Plan::stop_clock(&t));
+    let report = report?;
+    let (trace, metrics) = (net.take_trace_sink(), net.metrics().clone());
     let mut transport = TransportStats::default();
     let nodes: Vec<DistBcNode> = net
         .into_nodes()
@@ -491,7 +499,7 @@ fn run_engine<P: RunNode>(
         root: summarize_root(&nodes[0]),
     };
     let sharded = (config.threads > 1).then(|| format!("parallel({})", config.threads));
-    let (result, profile) = plan.finish(config, harvest, profiler, sharded);
+    let (result, profile) = plan.finish(config, harvest, rounds, sharded);
     Ok(Run {
         result,
         trace,
@@ -577,23 +585,61 @@ impl Plan {
         })
     }
 
-    /// Turns a harvest into the result and, given the run's profiler,
-    /// the profile: records the state footprint into telemetry, and the
-    /// transport's repair counts and the engine label into the profile.
-    /// `sharded` names a sharded engine (`parallel(4)`, `wire(2)`); `None`
-    /// is the serial one.
+    /// The registry a profiled run times itself into: the configured one,
+    /// or a private one with a shard per worker when telemetry is off;
+    /// `None` without `profile`. The caller switches its clock on.
+    ///
+    /// # Errors
+    ///
+    /// [`DistBcError::BadConfig`] when the configured registry has fewer
+    /// shards than the run has workers: the workers' busy times would
+    /// share shards and the per-worker statistics would be wrong.
+    pub(crate) fn profile_registry(
+        config: &DistBcConfig,
+        workers: usize,
+        profile: bool,
+    ) -> Result<Option<Arc<Telemetry>>, DistBcError> {
+        if !profile {
+            return Ok(None);
+        }
+        let t = match &config.telemetry {
+            Some(t) if workers > 1 && t.shards() < workers => {
+                return Err(DistBcError::BadConfig(format!(
+                    "profiling {workers} workers needs a telemetry registry with at least \
+                     {workers} shards, not {}",
+                    t.shards()
+                )))
+            }
+            Some(t) => t.clone(),
+            None => Arc::new(Telemetry::new(workers, 1)),
+        };
+        Ok(Some(t))
+    }
+
+    /// Switches `t`'s clock off and returns the rounds it logged.
+    pub(crate) fn stop_clock(t: &Telemetry) -> Vec<RoundRecord> {
+        let rounds = t.round_log();
+        t.set_clock(false);
+        rounds
+    }
+
+    /// Turns a harvest into the result and, given the profiled run's
+    /// round log, the profile: records the state footprint into
+    /// telemetry, and the transport's repair counts and the engine label
+    /// into the profile. `sharded` names a sharded engine (`parallel(4)`,
+    /// `wire(2)`); `None` is the serial one.
     pub(crate) fn finish(
         &self,
         config: &DistBcConfig,
         harvest: Harvest,
-        profiler: Option<Profiler>,
+        rounds: Option<Vec<RoundRecord>>,
         sharded: Option<String>,
     ) -> (DistBcResult, Option<ProfileReport>) {
         let result = assemble_result(config, self.sched, self.opts.fp, harvest);
         if let Some(t) = &config.telemetry {
             t.add(0, bc_congest::Counter::StateBytes, result.state_bytes_total);
         }
-        let profile = profiler.map(|p| {
+        let profile = rounds.map(|rounds| {
             let mut engine = match sharded {
                 None => "serial".to_string(),
                 Some(mut engine) => {
@@ -608,7 +654,8 @@ impl Plan {
                 engine.push_str("+reliable");
             }
             let m = &result.metrics;
-            let mut rep = p.report(&engine, &phase_windows(&self.sched, result.rounds));
+            let windows = phase_windows(&self.sched, result.rounds);
+            let mut rep = ProfileReport::from_rounds(engine, rounds, &windows);
             rep.messages_retransmitted = m.messages_retransmitted;
             rep.messages_deduped = m.messages_deduped;
             rep.faults_injected =

@@ -45,8 +45,8 @@
 //! # Entry points
 //!
 //! Every in-process run goes through [`run`], which takes the graph, a
-//! [`DistBcConfig`] and the [`Instruments`] to attach (a trace sink, the
-//! profiler) and returns a [`Run`]: the result, the sink and the profile.
+//! [`DistBcConfig`] and the [`Instruments`] to attach (a trace sink, a
+//! profile) and returns a [`Run`]: the result, the sink and the profile.
 //! [`run_distributed_bc`] is its uninstrumented shorthand and
 //! [`run_distributed_bc_weighted`] the weighted extension on top of it.
 //! Multi-process runs go through [`wire::run_leader`] and

@@ -33,8 +33,7 @@ use bc_congest::wire::{
     VERDICT_QUIESCENT, VERDICT_ROUND_LIMIT,
 };
 use bc_congest::{
-    canonical_abort, Budget, CongestError, Enforcement, NetMetrics, ProfRow, ProfileReport,
-    Profiler, RoundSpan, Telemetry,
+    canonical_abort, Budget, CongestError, Enforcement, NetMetrics, ProfileReport, Telemetry,
 };
 use bc_graph::{Graph, NodeId};
 use bc_numeric::{FpParams, Rounding};
@@ -93,7 +92,8 @@ fn shard_error(i: usize, payload: &[u8]) -> WireRunError {
 /// the shard addresses and the run's configuration, from which every
 /// process builds the same [`Plan`]. The configuration's attachments
 /// (telemetry registry, fault plan, cut, thread count) stay with the
-/// leader; only whether telemetry and profiling rows are wanted crosses.
+/// leader; only whether telemetry deltas are wanted, and whether their
+/// clock runs, crosses.
 #[derive(Debug, Clone)]
 struct Setup {
     n: usize,
@@ -315,8 +315,6 @@ struct ShardDone {
     /// Present only from the shard owning global node 0 (quiescent runs).
     root: Option<RootSummary>,
     telemetry_deltas: Vec<[u64; COUNTER_COUNT]>,
-    prof: Vec<ProfRow>,
-    round_wall_ns: Vec<u64>,
 }
 
 fn put_congest_error(buf: &mut Vec<u8>, e: &CongestError) {
@@ -516,17 +514,6 @@ impl ShardDone {
                 put_u64(&mut buf, x);
             }
         }
-        put_u32(&mut buf, self.prof.len() as u32);
-        for row in &self.prof {
-            put_u64(&mut buf, row.busy_ns);
-            put_u64(&mut buf, row.compute_ns);
-            put_u64(&mut buf, row.route_ns);
-            put_u64(&mut buf, row.inbox_messages);
-            put_u64(&mut buf, row.nodes_stepped);
-            put_u64(&mut buf, row.intra);
-            put_u64(&mut buf, row.cross);
-        }
-        put_u64_vec(&mut buf, &self.round_wall_ns);
         buf
     }
 
@@ -594,20 +581,6 @@ impl ShardDone {
             }
             telemetry_deltas.push(delta);
         }
-        let count = r.u32()? as usize;
-        let mut prof = Vec::with_capacity(count.min(1 << 20));
-        for _ in 0..count {
-            prof.push(ProfRow {
-                busy_ns: r.u64()?,
-                compute_ns: r.u64()?,
-                route_ns: r.u64()?,
-                inbox_messages: r.u64()?,
-                nodes_stepped: r.u64()?,
-                intra: r.u64()?,
-                cross: r.u64()?,
-            });
-        }
-        let round_wall_ns = get_u64_vec(&mut r)?;
         r.finish()?;
         Ok(ShardDone {
             shard_id,
@@ -620,8 +593,6 @@ impl ShardDone {
             summaries,
             root,
             telemetry_deltas,
-            prof,
-            round_wall_ns,
         })
     }
 }
@@ -639,7 +610,6 @@ impl Setup {
             strict: matches!(self.config.enforcement, Enforcement::Strict),
             skip_idle: self.config.skip_idle,
             max_rounds: plan.max_rounds,
-            profiling: self.profiling,
         }
     }
 }
@@ -797,10 +767,15 @@ fn shard_run(
 
     // Node construction mirrors the in-process reliable driver; the
     // telemetry registry is shard-local (1 shard, minimal ring) and only
-    // feeds the per-round deltas the leader replays.
+    // feeds the per-round deltas the leader replays, timed when the leader
+    // profiles.
     let opts = &plan.opts;
     let rcfg = ReliableConfig { rto: WIRE_RTO };
-    let telemetry = setup.telemetry.then(|| Arc::new(Telemetry::new(1, 1)));
+    let telemetry = setup.telemetry.then(|| {
+        let t = Telemetry::new(1, 1);
+        t.set_clock(setup.profiling);
+        Arc::new(t)
+    });
     let n = graph.n();
     let nodes: Vec<Reliable<DistBcNode>> = map.shards()[me]
         .iter()
@@ -855,8 +830,6 @@ fn shard_run(
         summaries,
         root,
         telemetry_deltas: outcome.telemetry_deltas,
-        prof: outcome.prof,
-        round_wall_ns: outcome.round_wall_ns,
     };
     Ok(done.encode())
 }
@@ -868,7 +841,8 @@ fn shard_run(
 /// Replays one shard's one-round telemetry delta into the leader's
 /// registry — the adds `TelemetryHandle::on_round` performed remotely,
 /// re-performed against shard slot `shard` so per-shard load attribution
-/// (and thus straggler detection) survives the wire.
+/// (and thus straggler detection and per-worker busy times) survives the
+/// wire.
 fn replay_delta(t: &Telemetry, shard: usize, delta: &[u64; COUNTER_COUNT]) {
     // Delta rows follow `COUNTERS`, which is in `Counter` order.
     let at = |c: Counter| delta[c as usize];
@@ -887,7 +861,10 @@ fn replay_delta(t: &Telemetry, shard: usize, delta: &[u64; COUNTER_COUNT]) {
 ///
 /// `config.threads` is ignored (the shard count is `addrs.len()`);
 /// `config.faults`, `config.cut`, and trace sinks are unsupported on the
-/// wire and rejected. `config.reliable` is implied.
+/// wire and rejected. `config.reliable` is implied. With `profile`, the
+/// shards time their rounds and the profile is derived from the replayed
+/// deltas, exactly as [`crate::run`] derives it in process (a private
+/// registry stands in when `config.telemetry` is `None`).
 ///
 /// # Errors
 ///
@@ -922,11 +899,13 @@ pub fn run_leader(
              engine takes real faults via the network itself",
         ));
     }
+    let clock = Plan::profile_registry(&config, k, profile)?;
+    let telemetry = clock.clone().or_else(|| config.telemetry.clone());
     let setup = Setup {
         n,
         edges: g.edges().collect(),
         addrs: addrs.to_vec(),
-        telemetry: config.telemetry.is_some(),
+        telemetry: telemetry.is_some(),
         profiling: profile,
         config,
     };
@@ -1031,8 +1010,11 @@ pub fn run_leader(
     // the flight recorder up to the failure. Committed rounds replay
     // with a finish_round commit; an aborted round's trailing deltas
     // land in the counters only — the same visibility an in-process
-    // abort leaves behind.
-    if let Some(t) = &config.telemetry {
+    // abort leaves behind. A profiled run logs the replayed rounds.
+    if let Some(t) = &clock {
+        t.set_clock(true);
+    }
+    if let Some(t) = &telemetry {
         for r in 0..committed as usize {
             for (i, d) in dones.iter().enumerate() {
                 if let Some(delta) = d.telemetry_deltas.get(r) {
@@ -1047,6 +1029,8 @@ pub fn run_leader(
             }
         }
     }
+
+    let rounds = clock.map(|t| Plan::stop_clock(&t));
 
     canonical_abort(
         dones.iter().map(|d| (&d.panic, d.first_error.as_ref())),
@@ -1090,19 +1074,6 @@ pub fn run_leader(
         .ok_or_else(|| proto("incomplete node coverage across shards"))?;
     let root = root.ok_or_else(|| proto("no shard reported the root summary"))?;
 
-    let profiler = profile.then(|| {
-        let mut profiler = Profiler::new();
-        for r in 0..committed as usize {
-            profiler.record_round(RoundSpan::fold(
-                r as u64,
-                dones[0].round_wall_ns.get(r).copied().unwrap_or(0),
-                dones
-                    .iter()
-                    .map(|d| d.prof.get(r).copied().unwrap_or_default()),
-            ));
-        }
-        profiler
-    });
     let harvest = Harvest {
         rounds: committed,
         metrics,
@@ -1110,7 +1081,7 @@ pub fn run_leader(
         summaries,
         root,
     };
-    Ok(plan.finish(config, harvest, profiler, Some(format!("wire({k})"))))
+    Ok(plan.finish(config, harvest, rounds, Some(format!("wire({k})"))))
 }
 
 #[cfg(test)]
@@ -1264,16 +1235,6 @@ mod tests {
                 dfs_done_round: Some(44),
             }),
             telemetry_deltas: vec![[1u64; COUNTER_COUNT], [2u64; COUNTER_COUNT]],
-            prof: vec![ProfRow {
-                busy_ns: 1,
-                compute_ns: 2,
-                route_ns: 3,
-                inbox_messages: 4,
-                nodes_stepped: 5,
-                intra: 6,
-                cross: 7,
-            }],
-            round_wall_ns: vec![11, 22],
         };
         assert_eq!(ShardDone::decode(&done.encode()).unwrap(), done);
     }

@@ -1002,8 +1002,8 @@ fn cmd_centrality(
                 Some(path) => Some(Box::new(JsonlSink::create(path)?)),
                 None => None,
             };
-            // --perfetto renders from the profiler's round spans, so it
-            // turns profiling on internally even without --profile.
+            // --perfetto renders the profile's round log, so it turns
+            // profiling on internally even without --profile.
             let want_profile = profile || perfetto.is_some();
             let watcher = match (&telemetry, watch) {
                 (Some(t), true) => Some(WatchThread::spawn(t.clone(), postmortem_path.to_string())),
@@ -2086,8 +2086,8 @@ mod tests {
             "pm.json",
         ])
         .is_err());
-        // --no-telemetry alone (and with --perfetto, which reads the
-        // profiler, not the registry) is fine.
+        // --no-telemetry alone (and with --perfetto, which profiles
+        // through a private registry) is fine.
         assert!(p(&["centrality", "--generate", "path:8", "--no-telemetry"]).is_ok());
         assert!(p(&[
             "centrality",

@@ -16,6 +16,9 @@
 //! The `socket2` column runs the four small graphs through two
 //! `serve-shard` processes and a `--connect` leader and records the CSV
 //! and the profile the same way (`--trace` is an in-process feature).
+//! The serial, `threads2` and `socket2` cases record their profile a
+//! second time with `--no-telemetry`, where the run profiles through a
+//! private registry; both recordings must match the one file.
 //! Some cases record the CSV and the profile without a trace, because
 //! analysing their trace in a debug build would take most of the test's
 //! time budget: `ba:512:2:7` (a 111 MB trace) and the reliable runs over
@@ -139,6 +142,8 @@ struct Case {
     /// `centrality --generate <graph>` plus the variant's flags.
     args: Vec<String>,
     mode: Mode,
+    /// Also record the profile with `--no-telemetry`.
+    untelemetered: bool,
 }
 
 fn cases() -> Vec<Case> {
@@ -147,7 +152,13 @@ fn cases() -> Vec<Case> {
         let stem = format!("{}-{variant}", graph.replace(['.', ':'], "_"));
         let mut args: Vec<String> = vec!["centrality".into(), "--generate".into(), graph.into()];
         args.extend(extra.iter().map(|s| s.to_string()));
-        out.push(Case { stem, args, mode });
+        let untelemetered = matches!(variant, "serial" | "threads2" | "socket2");
+        out.push(Case {
+            stem,
+            args,
+            mode,
+            untelemetered,
+        });
     };
     for graph in GRAPHS {
         for (variant, extra) in VARIANTS {
@@ -238,7 +249,9 @@ fn run_socket(tag: &str, args: &[String], extra: &[&str]) -> String {
 
 /// The case's `<stem>.csv`.
 fn record_csv(case: &Case) -> Vec<(String, String)> {
-    let Case { stem, args, mode } = case;
+    let Case {
+        stem, args, mode, ..
+    } = case;
     let csv = match mode {
         Mode::Socket => run_socket(&format!("{stem}-csv"), args, &["--csv"]),
         Mode::Local { .. } => run(args, &["--csv"]),
@@ -247,27 +260,42 @@ fn record_csv(case: &Case) -> Vec<(String, String)> {
 }
 
 /// The case's `<stem>.profile.txt` and, when traced,
-/// `<stem>.trace-stats.json`.
+/// `<stem>.trace-stats.json`; the profile twice when the case is also
+/// recorded with `--no-telemetry`.
 fn record_observed(case: &Case) -> Vec<(String, String)> {
-    let Case { stem, args, mode } = case;
+    let Case {
+        stem,
+        args,
+        mode,
+        untelemetered,
+    } = case;
     let profile = |out: String| (format!("{stem}.profile.txt"), deterministic(&out));
-    match mode {
-        Mode::Socket => vec![profile(run_socket(&format!("{stem}-obs"), args, &OBSERVED))],
-        Mode::Local { trace: false } => vec![profile(run(args, &OBSERVED))],
-        Mode::Local { trace: true } => {
-            let trace_file = tmp(&format!("{stem}.jsonl"));
-            let path = trace_file.to_str().expect("utf-8 temp path");
-            let mut flags = vec!["--trace", path];
-            flags.extend_from_slice(&OBSERVED);
-            let observed = profile(run(args, &flags));
-            let stats = run(&["trace-stats".into(), path.into(), "--json".into()], &[]);
-            std::fs::remove_file(&trace_file).ok();
-            vec![
-                observed,
-                (format!("{stem}.trace-stats.json"), deterministic(&stats)),
-            ]
+    let mut files = Vec::new();
+    for quiet in [false, true].into_iter().take(1 + *untelemetered as usize) {
+        let mut flags = OBSERVED.to_vec();
+        if quiet {
+            flags.push("--no-telemetry");
+        }
+        match mode {
+            Mode::Socket => {
+                let tag = format!("{stem}-obs{}", quiet as u8);
+                files.push(profile(run_socket(&tag, args, &flags)));
+            }
+            Mode::Local { trace: false } => files.push(profile(run(args, &flags))),
+            Mode::Local { trace: true } => {
+                let trace_file = tmp(&format!("{stem}-{}.jsonl", quiet as u8));
+                let path = trace_file.to_str().expect("utf-8 temp path");
+                flags.extend_from_slice(&["--trace", path]);
+                files.push(profile(run(args, &flags)));
+                if !quiet {
+                    let stats = run(&["trace-stats".into(), path.into(), "--json".into()], &[]);
+                    files.push((format!("{stem}.trace-stats.json"), deterministic(&stats)));
+                }
+                std::fs::remove_file(&trace_file).ok();
+            }
         }
     }
+    files
 }
 
 type Recorder = fn(&Case) -> Vec<(String, String)>;
@@ -336,14 +364,18 @@ fn deterministic_drops_only_clock_keys() {
     );
 }
 
-/// Rewrites the corpus from the current binary. Run only on purpose.
+/// Rewrites the corpus from the current binary (the first recording of
+/// each file). Run only on purpose.
 #[test]
 #[ignore = "regenerates tests/golden/; run explicitly to bless new output"]
 fn bless() {
     std::fs::create_dir_all(golden_dir()).unwrap();
+    let mut written = std::collections::HashSet::new();
     for recorder in [record_csv as Recorder, record_observed] {
         for (name, got) in record_all(recorder, 2) {
-            std::fs::write(golden_dir().join(name), got).unwrap();
+            if written.insert(name.clone()) {
+                std::fs::write(golden_dir().join(name), got).unwrap();
+            }
         }
     }
 }

@@ -1,4 +1,4 @@
-//! The profiler must be observationally free: turning it on changes *no*
+//! Profiling must be observationally free: turning it on changes *no*
 //! protocol-visible output — betweenness values, round counts, message
 //! metrics, and phase stats are bit-identical with and without it, on
 //! every engine (serial, parallel, α-synchronizer) and both kinds of phase
@@ -7,12 +7,13 @@
 use distbc::congest::asynchronous::{
     run_synchronized, run_synchronized_with, AsyncConfig, SyncOptions,
 };
-use distbc::congest::{ProfileReport, Profiler};
+use distbc::congest::{ProfileReport, Telemetry};
 use distbc::core::{
-    run, run_distributed_bc, AlgoOptions, DistBcConfig, DistBcNode, DistBcResult, Instruments,
-    PhaseSchedule, Scheduling,
+    run, run_distributed_bc, AlgoOptions, DistBcConfig, DistBcError, DistBcNode, DistBcResult,
+    Instruments, PhaseSchedule, Scheduling,
 };
 use distbc::graph::{generators, Graph};
+use std::sync::Arc;
 
 fn profiled(g: &Graph, cfg: DistBcConfig) -> (DistBcResult, ProfileReport) {
     let instruments = Instruments {
@@ -105,13 +106,15 @@ fn profiling_is_free_on_synchronizer() {
         let cfg = AsyncConfig { max_delay, seed };
         let (plain_nodes, plain_report) =
             run_synchronized(&g, cfg, pulses, |v, _| DistBcNode::new(n, v, opts.clone()));
-        let (prof_nodes, prof_report, options) = run_synchronized_with(
+        let telemetry = Arc::new(Telemetry::new(1, 1));
+        telemetry.set_clock(true);
+        let (prof_nodes, prof_report, _) = run_synchronized_with(
             &g,
             cfg,
             pulses,
             |v, _| DistBcNode::new(n, v, opts.clone()),
             SyncOptions {
-                profiler: Some(Profiler::new()),
+                telemetry: Some(telemetry.clone()),
                 ..SyncOptions::default()
             },
         );
@@ -122,12 +125,52 @@ fn profiling_is_free_on_synchronizer() {
                 "delay={max_delay}: profiling changed the synchronizer's output"
             );
         }
-        assert_eq!(plain_report.virtual_time, prof_report.virtual_time);
-        assert_eq!(plain_report.control_messages, prof_report.control_messages);
-        assert_eq!(plain_report.payload_messages, prof_report.payload_messages);
-        let report = options.profiler.unwrap().report("alpha-sync", &[]);
-        let s = report.sync.expect("synchronizer reports pulse counters");
-        assert!(s.deliveries > 0);
-        assert!(s.max_queue_depth > 0);
+        assert_eq!(plain_report, prof_report);
+        // The synchronizer's promise: a payload arrives at most one pulse
+        // away from its receiver.
+        for s in [plain_report.sync, prof_report.sync] {
+            assert!(s.deliveries > 0);
+            assert!(s.skewed_deliveries <= s.deliveries);
+            assert!(s.max_pulse_skew <= 1, "delay={max_delay}: skew {s:?}");
+            assert!(s.max_queue_depth > 0);
+        }
+        let mut report = ProfileReport::from_rounds("alpha-sync", telemetry.round_log(), &[]);
+        report.sync = Some(prof_report.sync);
+        assert_eq!(report.rounds, pulses);
+        assert!(report.compute_ns > 0);
+        assert!(report.wall_ns >= report.compute_ns);
+        assert!(report.to_json().contains("\"sync\":{"));
+    }
+}
+
+/// A profiled pooled run times each worker into its own registry shard,
+/// so a caller-supplied registry with fewer shards than workers is a
+/// configuration error, not a silent merge of busy times; one with a
+/// shard per worker reports every worker.
+#[test]
+fn profiling_a_pool_needs_a_shard_per_worker() {
+    let g = generators::erdos_renyi_connected(36, 0.12, 17);
+    let profiled_with = |shards: usize| {
+        let cfg = DistBcConfig {
+            threads: 4,
+            telemetry: Some(Arc::new(Telemetry::new(shards, 8))),
+            ..DistBcConfig::default()
+        };
+        let instruments = Instruments {
+            trace: None,
+            profile: true,
+        };
+        run(&g, cfg, instruments).map(|run| run.profile.expect("profile requested"))
+    };
+    match profiled_with(2) {
+        Err(DistBcError::BadConfig(msg)) => assert!(msg.contains("4 workers"), "{msg}"),
+        Err(e) => panic!("expected BadConfig, got {e}"),
+        Ok(_) => panic!("a 2-shard registry cannot time 4 workers"),
+    }
+    // Spare shards are not workers.
+    for shards in [4, 8] {
+        let report = profiled_with(shards).expect("a shard per worker");
+        let w = report.workers.expect("pooled run reports worker stats");
+        assert_eq!(w.workers, 4, "{shards} shards");
     }
 }

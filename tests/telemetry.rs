@@ -7,7 +7,7 @@
 //! pattern to the always-on counter layer.
 
 use distbc::congest::asynchronous::{
-    run_synchronized, run_synchronized_with, AsyncConfig, SyncOptions,
+    run_synchronized, run_synchronized_with, AsyncConfig, AsyncReport, SyncOptions,
 };
 use distbc::congest::telemetry::HistogramId;
 use distbc::congest::{Counter, FaultPlan, Postmortem, Telemetry};
@@ -128,6 +128,7 @@ fn telemetry_is_free_on_synchronizer() {
     assert_eq!(snap.get(Counter::Messages), tel_report.payload_messages);
     assert!(snap.get(Counter::Rounds) > 0);
     assert!(!tel.recent_rounds().is_empty());
+    assert_skew_promise(&[plain_report, tel_report]);
 
     // Faulty: telemetered faulty α-sync vs the untelemetered faulty run.
     let plan = FaultPlan {
@@ -165,6 +166,17 @@ fn telemetry_is_free_on_synchronizer() {
     }
     assert_eq!(faulty_report.virtual_time, tel_report.virtual_time);
     assert_eq!(faulty_report.payload_messages, tel_report.payload_messages);
+    assert_skew_promise(&[faulty_report, tel_report]);
+}
+
+/// Every run keeps the synchronizer's promise: a payload arrives at most
+/// one pulse away from its receiver.
+fn assert_skew_promise(reports: &[AsyncReport]) {
+    for s in reports.iter().map(|r| r.sync) {
+        assert!(s.deliveries > 0, "{s:?}");
+        assert!(s.skewed_deliveries <= s.deliveries, "{s:?}");
+        assert!(s.max_pulse_skew <= 1, "{s:?}");
+    }
 }
 
 proptest! {
