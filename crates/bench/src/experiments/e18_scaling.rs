@@ -1,7 +1,6 @@
 //! E18 — parallel-engine scaling: wall clock of the sharded data plane
 //! across graph sizes (n ∈ {64, 128, 256}) and worker counts
-//! (threads ∈ {1, 2, 4, 8}, where 1 is the serial engine), plus the
-//! partition-strategy comparison at the largest size.
+//! (threads ∈ {1, 2, 4, 8}, where 1 is the serial engine).
 //!
 //! Where E16 asks "how fast is one round?" at a fixed size, E18 asks
 //! "when does parallelism start paying?". Each row reports the wall-clock
@@ -12,9 +11,9 @@
 //! the committed `BENCH_scaling.json`.
 //!
 //! Results are asserted bit-identical (betweenness and CONGEST metrics)
-//! across every engine, thread count, and partition strategy before any
-//! row is emitted. The break-even observed here calibrates
-//! `bc_core::AUTO_THREADS_MIN_NODES` (the `--threads auto` threshold).
+//! across every engine and thread count before any row is emitted. The
+//! break-even observed here calibrates `bc_core::AUTO_THREADS_MIN_NODES`
+//! (the `--threads auto` threshold).
 //!
 //! Whether parallel(4) actually dips below 1.00x depends on the host's
 //! core count, which is therefore recorded as `host_cores` in the
@@ -24,7 +23,7 @@
 use super::e15_profile::profiled;
 use crate::ExperimentReport;
 use bc_congest::SCHEMA_VERSION;
-use bc_core::{DistBcConfig, PartitionStrategy};
+use bc_core::DistBcConfig;
 use bc_graph::{generators, Graph};
 use std::fmt::Write as _;
 
@@ -59,31 +58,16 @@ fn best_wall(
     (out, best)
 }
 
-/// One emitted configuration: engine label + the config that produces it.
-fn configs(quick: bool, n: usize) -> Vec<DistBcConfig> {
+/// The emitted configurations, serial first.
+fn configs(quick: bool) -> Vec<DistBcConfig> {
     let threads: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4, 8] };
-    let mut out: Vec<DistBcConfig> = threads
+    threads
         .iter()
         .map(|&t| DistBcConfig {
             threads: t,
             ..DistBcConfig::default()
         })
-        .collect();
-    // Partition strategies only differ under the parallel engine; compare
-    // them at the largest size, where the shards are big enough to skew.
-    if !quick && n == 256 {
-        for partition in [
-            PartitionStrategy::DegreeBalanced,
-            PartitionStrategy::ScheduleAware,
-        ] {
-            out.push(DistBcConfig {
-                threads: 4,
-                partition,
-                ..DistBcConfig::default()
-            });
-        }
-    }
-    out
+        .collect()
 }
 
 /// Runs E18: the thread/size scaling sweep with the `BENCH_scaling.json`
@@ -109,7 +93,7 @@ pub fn run(quick: bool) -> ExperimentReport {
     for &n in sizes {
         for (family, g) in scaling_families(n) {
             let mut serial: Option<(bc_core::DistBcResult, u64)> = None;
-            for cfg in configs(quick, n) {
+            for cfg in configs(quick) {
                 let (out, profile) = best_wall(&g, &cfg, reps);
                 let serial_wall = match &serial {
                     None => {

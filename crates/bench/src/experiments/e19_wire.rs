@@ -14,7 +14,7 @@
 use super::e15_profile::profiled;
 use crate::ExperimentReport;
 use bc_congest::wire::LossyProxy;
-use bc_congest::{FaultPlan, Partition, SCHEMA_VERSION};
+use bc_congest::{FaultPlan, ShardMap, SCHEMA_VERSION};
 use bc_core::wire::run_leader;
 use bc_core::{DistBcConfig, DistBcResult};
 use bc_graph::{generators, Graph};
@@ -62,7 +62,7 @@ fn run_wire(
         None => shard_addrs,
         Some(plan) => {
             let graph = Arc::new(g.clone());
-            let map = Arc::new(Partition::Contiguous.shard_map(g, k));
+            let map = Arc::new(ShardMap::new(g.n(), k));
             let fronts = socket_addrs(k);
             let mut addrs = Vec::with_capacity(k);
             for (i, front) in fronts.iter().enumerate() {

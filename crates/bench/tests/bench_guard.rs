@@ -15,7 +15,7 @@ const CI_GUARDS: [(&str, &str, &str, usize); 7] = [
         "1.25",
         18,
     ),
-    ("BENCH_scaling.json", "ratio_permille", "1.5", 28),
+    ("BENCH_scaling.json", "ratio_permille", "1.5", 24),
     ("BENCH_sampled.json", "state_bytes_per_node", "1.1", 4),
     ("BENCH_sampled.json", "err_permille_jiyan", "1.1", 4),
     ("BENCH_faults.json", "overhead_permille", "1.25", 12),

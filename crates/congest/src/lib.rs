@@ -87,7 +87,7 @@ pub use network::{
     canonical_abort, Budget, Config, CongestError, Enforcement, Network, Protocol, RoundCtx,
     RunReport,
 };
-pub use partition::{Partition, ShardMap, ShardSkew};
+pub use partition::{ShardMap, ShardSkew};
 pub use profile::{PhaseSpan, ProfileReport, Straggler, SyncStats, WorkerStats};
 pub use telemetry::{
     Counter, Postmortem, ProfRow, RoundRecord, StragglerBaseline, Telemetry, TelemetryHandle,
@@ -399,7 +399,7 @@ mod tests {
             std::env::temp_dir().join(format!("bc-congest-lib-{}-{run}.sock", std::process::id()));
         let addr = format!("unix:{}", path.display());
         let listener = WireListener::bind(&addr).unwrap();
-        let map = Partition::Contiguous.shard_map(g, 2);
+        let map = ShardMap::new(g.n(), 2);
         let cfg = ShardEngineConfig {
             budget_bits: Budget::Auto.resolve(g.n()),
             strict: true,

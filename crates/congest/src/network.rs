@@ -29,7 +29,7 @@
 //!   node;
 //! - **a sharded data plane** — [`Network::run_parallel`] runs a pool of
 //!   workers, each *owning* one shard of node states and inboxes for the
-//!   whole run (assignment chosen by [`Config::partition`]). Every worker
+//!   whole run (contiguous, equal-count id ranges: [`ShardMap`]). Every worker
 //!   runs the one shard round loop (`ShardWorker::run`), which socket
 //!   shards run too; only the lanes under it differ (the `Lanes` trait:
 //!   channels and a barrier here, `BATCH` frames in [`crate::wire`]).
@@ -39,13 +39,12 @@
 //!   fault-delayed sends, error/panic attribution) reach worker 0, which
 //!   merges them in ascending node-id order between the round
 //!   barrier's two crossings — keeping parallel traces and metrics
-//!   byte-identical to serial for every worker count and every partition
-//!   strategy.
+//!   byte-identical to serial for every worker count.
 
 use crate::faults::{self, FaultPlan};
 use crate::message::Message;
 use crate::metrics::{EdgeCut, NetMetrics, SendTally};
-use crate::partition::{Partition, ShardMap};
+use crate::partition::ShardMap;
 use crate::telemetry::{ProfRow, Telemetry, TelemetryHandle};
 use crate::trace::{ProtocolDetail, TraceEvent, TraceSink, ViolationKind};
 use crate::wake::WakeSet;
@@ -114,11 +113,6 @@ pub struct Config {
     /// delay, plus node crash windows (see [`crate::faults`]). `None`
     /// (the default) is the ideal fault-free network.
     pub faults: Option<FaultPlan>,
-    /// Node→worker assignment strategy for [`Network::run_parallel`].
-    /// Observable output (states, metrics, traces) is identical for every
-    /// strategy; only how evenly the per-round work spreads across the
-    /// pool changes. Ignored by the serial engine.
-    pub partition: Partition,
 }
 
 impl Default for Config {
@@ -129,7 +123,6 @@ impl Default for Config {
             cut: None,
             skip_idle: true,
             faults: None,
-            partition: Partition::default(),
         }
     }
 }
@@ -1536,9 +1529,8 @@ impl Lanes for Coordinator<'_, '_> {
 
 impl<P: Protocol + Send> Network<P> {
     /// Runs like [`Network::run`] but steps each round's nodes on a pool of
-    /// up to `threads` shard workers (one per shard of
-    /// [`Config::partition`]; never more than one per node), each running
-    /// the shard round loop that socket shards run too.
+    /// `min(n, threads)` shard workers (one per [`ShardMap`] shard), each
+    /// running the shard round loop that socket shards run too.
     ///
     /// Workers own their shards for the whole run, exchange message
     /// payloads directly over a worker→worker lane mesh, validate their
@@ -1547,8 +1539,8 @@ impl<P: Protocol + Send> Network<P> {
     /// merges the workers' trace events and fault-delayed sends in
     /// ascending node-id order and decides whether the run goes on. The
     /// result — node states, metrics, message order, traces — is identical
-    /// to the serial engine for every `threads` value and every partition
-    /// strategy, and a run may switch between the engines at any round.
+    /// to the serial engine for every `threads` value, and a run may switch
+    /// between the engines at any round.
     ///
     /// # Errors
     ///
@@ -1574,7 +1566,7 @@ impl<P: Protocol + Send> Network<P> {
         }
 
         let n = self.graph.n();
-        let map = self.config.partition.shard_map(&self.graph, threads);
+        let map = ShardMap::new(n, threads);
         let workers = map.len();
         let start = self.round;
 

@@ -1,93 +1,23 @@
-//! Node→worker partitioning for the parallel engine.
+//! Node→shard assignment for the pooled and socket engines.
 //!
-//! [`crate::Network::run_parallel`] splits the node set into one shard per
-//! worker. The shard assignment is *fixed for the whole run*, which is what
-//! makes message routing a table lookup ([`ShardMap::shard_of`]) and keeps
-//! every worker's step order (ascending node id within its shard)
-//! deterministic. Partitioning never changes observable output — node
-//! states, metrics, and traces are bit-identical for every strategy and
-//! worker count — it only changes how evenly the per-round work spreads
-//! across the pool.
-//!
-//! Three strategies are provided:
-//!
-//! * [`Partition::Contiguous`] — equal-*count* chunks of consecutive ids
-//!   (the historical default). Cache-friendly, but blind to load: the
-//!   DFS-token holder and the BFS frontier do nearly all of a round's work,
-//!   and consecutive ids often sit in the same region of the graph.
-//! * [`Partition::DegreeBalanced`] — equal-*degree* shards via LPT
-//!   (longest-processing-time) greedy assignment. A node's per-round send
-//!   and inbox work is bounded by its degree, so degree is the natural
-//!   static proxy for its load.
-//! * [`Partition::ScheduleAware`] — shards balanced by caller-provided
-//!   per-node weights. `bc-core` derives them from the provisioned
-//!   `T_s(u)` schedule density (see `PhaseSchedule::partition_weights`):
-//!   degree-proportional wave/aggregation traffic plus the per-source
-//!   bookkeeping every node performs regardless of degree. Carrying the
-//!   weights in the variant keeps this crate free of any dependency on the
-//!   protocol layer above it.
+//! [`crate::Network::run_parallel`] and the socket shards of
+//! [`crate::wire`] split the node set into `min(n, k)` contiguous,
+//! equal-count shards of ascending ids ([`ShardMap::new`]). The
+//! assignment is *fixed for the whole run*, which is what makes message
+//! routing a table lookup ([`ShardMap::shard_of`]) and keeps every
+//! worker's step order (ascending node id within its shard)
+//! deterministic. The assignment never changes observable output — node
+//! states, metrics, and traces are bit-identical for every shard count —
+//! it only changes how the per-round work spreads across the workers.
 
-use bc_graph::{Graph, NodeId};
-use std::sync::Arc;
+use bc_graph::NodeId;
 
-/// Strategy for assigning nodes to parallel-engine workers.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub enum Partition {
-    /// Contiguous equal-count chunks of node ids.
-    #[default]
-    Contiguous,
-    /// Degree-balanced shards (LPT greedy over `degree(v) + 1`).
-    DegreeBalanced,
-    /// Shards balanced by external per-node weights (one per node, in id
-    /// order; zero weights are clamped to 1). The weights typically come
-    /// from the protocol's provisioned schedule.
-    ScheduleAware(Arc<[u64]>),
-}
-
-impl Partition {
-    /// Short label for logs and reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Partition::Contiguous => "contiguous",
-            Partition::DegreeBalanced => "degree",
-            Partition::ScheduleAware(_) => "schedule",
-        }
-    }
-
-    /// Builds the shard map for `threads` workers over `graph`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a [`Partition::ScheduleAware`] weight vector does not have
-    /// exactly one entry per node.
-    pub fn shard_map(&self, graph: &Graph, threads: usize) -> ShardMap {
-        let n = graph.n();
-        let threads = threads.max(1);
-        match self {
-            Partition::Contiguous => ShardMap::contiguous(n, threads),
-            Partition::DegreeBalanced => {
-                let weights: Vec<u64> = (0..n)
-                    .map(|v| graph.degree(v as NodeId) as u64 + 1)
-                    .collect();
-                ShardMap::balanced(&weights, threads)
-            }
-            Partition::ScheduleAware(weights) => {
-                assert_eq!(
-                    weights.len(),
-                    n,
-                    "ScheduleAware weights must have one entry per node"
-                );
-                ShardMap::balanced(weights, threads)
-            }
-        }
-    }
-}
-
-/// Fixed node→shard assignment for one parallel run.
+/// Fixed node→shard assignment for one sharded run.
 ///
-/// Invariants: every node appears in exactly one shard; shard node lists
-/// are ascending; no shard is empty (shard count shrinks below the
-/// requested worker count when there are fewer nodes than workers).
+/// Invariants: shard `s` holds the ids `start(s)..start(s + 1)` with
+/// `start(s) = s·⌊n/k⌋ + min(s, n mod k)`, so the first `n mod k` shards
+/// hold one node more than the rest; there are exactly `min(n, k)` shards
+/// and none is empty.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardMap {
     /// `shard_of[v]` — the worker owning node `v`.
@@ -99,47 +29,21 @@ pub struct ShardMap {
 }
 
 impl ShardMap {
-    /// Contiguous equal-count chunks: node `v` belongs to shard
-    /// `v / ceil(n / threads)` — exactly the parallel engine's historical
-    /// chunking.
-    fn contiguous(n: usize, threads: usize) -> ShardMap {
-        let chunk = n.div_ceil(threads).max(1);
-        let shards: Vec<Vec<NodeId>> = (0..n)
-            .step_by(chunk)
-            .map(|base| (base..(base + chunk).min(n)).map(|v| v as NodeId).collect())
-            .collect();
-        ShardMap::from_shards(n, shards)
-    }
-
-    /// LPT greedy: place nodes heaviest-first onto the currently lightest
-    /// shard (ties: lower weight index → lower node id → lower shard id),
-    /// a classic 4/3-approximation of makespan that is fully deterministic.
-    fn balanced(weights: &[u64], threads: usize) -> ShardMap {
-        let n = weights.len();
-        let k = threads.min(n).max(1);
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&v| (std::cmp::Reverse(weights[v].max(1)), v));
-        let mut loads = vec![0u64; k];
-        let mut shards: Vec<Vec<NodeId>> = vec![Vec::new(); k];
-        for v in order {
-            let lightest = (0..k).min_by_key(|&s| (loads[s], s)).expect("k >= 1");
-            loads[lightest] += weights[v].max(1);
-            shards[lightest].push(v as NodeId);
-        }
-        for shard in &mut shards {
-            shard.sort_unstable();
-        }
-        ShardMap::from_shards(n, shards)
-    }
-
-    fn from_shards(n: usize, shards: Vec<Vec<NodeId>>) -> ShardMap {
-        let mut shard_of = vec![0u32; n];
-        let mut local_of = vec![0u32; n];
-        for (s, shard) in shards.iter().enumerate() {
-            for (i, &v) in shard.iter().enumerate() {
-                shard_of[v as usize] = s as u32;
-                local_of[v as usize] = i as u32;
-            }
+    /// Splits `n` node ids into `min(n, k)` contiguous shards whose sizes
+    /// differ by at most one (`k = 0` counts as 1).
+    pub fn new(n: usize, k: usize) -> ShardMap {
+        let k = k.clamp(1, n.max(1));
+        let (base, extra) = (n / k, n % k);
+        let mut shard_of = Vec::with_capacity(n);
+        let mut local_of = Vec::with_capacity(n);
+        let mut shards = Vec::with_capacity(k);
+        let mut next = 0;
+        for s in 0..k.min(n) {
+            let len = base + usize::from(s < extra);
+            shard_of.extend(std::iter::repeat_n(s as u32, len));
+            local_of.extend(0..len as u32);
+            shards.push((next..next + len).map(|v| v as NodeId).collect());
+            next += len;
         }
         ShardMap {
             shard_of,
@@ -148,7 +52,7 @@ impl ShardMap {
         }
     }
 
-    /// Number of shards (= workers the parallel engine will spawn).
+    /// Number of shards (= workers the sharded engine runs).
     pub fn len(&self) -> usize {
         self.shards.len()
     }
@@ -177,8 +81,8 @@ impl ShardMap {
 
     /// Load skew of this map under per-node loads: `max / mean` of the
     /// per-shard load sums (1.0 = perfectly balanced). Used by
-    /// `trace::stats` to report how each strategy would have spread an
-    /// observed run.
+    /// `trace::stats` to report how the engine's shards would have spread
+    /// an observed run.
     pub fn skew(&self, node_load: &[u64]) -> ShardSkew {
         let per_shard: Vec<u64> = self
             .shards
@@ -223,95 +127,49 @@ pub struct ShardSkew {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bc_graph::generators;
-
-    fn check_invariants(map: &ShardMap, n: usize) {
-        let mut seen = vec![false; n];
-        for (s, shard) in map.shards().iter().enumerate() {
-            assert!(!shard.is_empty(), "empty shard {s}");
-            assert!(shard.windows(2).all(|w| w[0] < w[1]), "shard not ascending");
-            for (i, &v) in shard.iter().enumerate() {
-                assert!(!seen[v as usize], "node {v} in two shards");
-                seen[v as usize] = true;
-                assert_eq!(map.shard_of(v), s);
-                assert_eq!(map.local_of(v), i);
-            }
-        }
-        assert!(seen.into_iter().all(|s| s), "node missing from all shards");
-    }
 
     #[test]
-    fn contiguous_matches_historical_chunking() {
-        let g = generators::path(10);
-        let map = Partition::Contiguous.shard_map(&g, 4);
-        // ceil(10/4) = 3 ⇒ chunks [0..3), [3..6), [6..9), [9..10).
-        assert_eq!(map.len(), 4);
-        assert_eq!(map.shards()[0], vec![0, 1, 2]);
-        assert_eq!(map.shards()[3], vec![9]);
-        check_invariants(&map, 10);
-    }
-
-    #[test]
-    fn all_strategies_cover_every_node_once() {
-        let g = generators::barabasi_albert(33, 2, 7);
-        let weights: Arc<[u64]> = (0..33u64).map(|v| v * 3 + 1).collect();
-        for partition in [
-            Partition::Contiguous,
-            Partition::DegreeBalanced,
-            Partition::ScheduleAware(weights),
-        ] {
-            for threads in [1, 2, 5, 7, 33, 64] {
-                let map = partition.shard_map(&g, threads);
-                assert!(map.len() <= threads.max(1));
-                check_invariants(&map, 33);
+    fn shards_are_contiguous_equal_and_indexed() {
+        for n in 1..=64usize {
+            for k in 1..=9usize {
+                let map = ShardMap::new(n, k);
+                let tag = format!("n={n} k={k}");
+                assert_eq!(map.len(), n.min(k), "{tag}: shard count");
+                let sizes: Vec<usize> = map.shards().iter().map(Vec::len).collect();
+                let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+                assert!(*lo >= 1 && hi - lo <= 1, "{tag}: sizes {sizes:?}");
+                let ids: Vec<NodeId> = map.shards().concat();
+                assert_eq!(ids, (0..n as NodeId).collect::<Vec<_>>(), "{tag}: ids");
+                for (s, shard) in map.shards().iter().enumerate() {
+                    for (i, &v) in shard.iter().enumerate() {
+                        assert_eq!(map.shard_of(v), s, "{tag}: shard_of({v})");
+                        assert_eq!(map.local_of(v), i, "{tag}: local_of({v})");
+                    }
+                }
+                // k = 2, and every k dividing n, is the `ceil(n/k)` chunking
+                // earlier engines used (golden `threads2`/`socket2` runs).
+                if k == 2 || n % k == 0 {
+                    let chunk = n.div_ceil(k);
+                    let ceil: Vec<Vec<NodeId>> = (0..n as NodeId)
+                        .collect::<Vec<_>>()
+                        .chunks(chunk)
+                        .map(<[NodeId]>::to_vec)
+                        .collect();
+                    assert_eq!(map.shards(), &ceil[..], "{tag}: ceil(n/k) split");
+                }
             }
         }
     }
 
     #[test]
-    fn degree_balanced_beats_contiguous_on_a_star() {
-        // Star: node 0 has degree n−1, everyone else degree 1. Contiguous
-        // chunking puts the hub plus the first chunk's leaves on worker 0;
-        // LPT gives the hub its own shard.
-        let g = generators::star(32);
-        let degrees: Vec<u64> = (0..32).map(|v| g.degree(v) as u64 + 1).collect();
-        let contiguous = Partition::Contiguous.shard_map(&g, 4).skew(&degrees);
-        let balanced = Partition::DegreeBalanced.shard_map(&g, 4).skew(&degrees);
-        assert!(
-            balanced.skew < contiguous.skew,
-            "balanced {balanced:?} vs contiguous {contiguous:?}"
-        );
-    }
-
-    #[test]
-    fn lpt_is_deterministic() {
-        let g = generators::erdos_renyi(40, 0.2, 11);
-        let a = Partition::DegreeBalanced.shard_map(&g, 8);
-        let b = Partition::DegreeBalanced.shard_map(&g, 8);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn more_threads_than_nodes_caps_shard_count() {
-        let g = generators::path(3);
-        let map = Partition::DegreeBalanced.shard_map(&g, 16);
-        assert_eq!(map.len(), 3);
-        check_invariants(&map, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "one entry per node")]
-    fn schedule_aware_rejects_wrong_length() {
-        let g = generators::path(5);
-        let weights: Arc<[u64]> = Arc::from(vec![1u64; 4]);
-        let _ = Partition::ScheduleAware(weights).shard_map(&g, 2);
+    fn zero_nodes_make_zero_shards() {
+        assert!(ShardMap::new(0, 4).is_empty());
+        assert_eq!(ShardMap::new(5, 0).len(), 1);
     }
 
     #[test]
     fn skew_of_uniform_load_is_balanced() {
-        let g = generators::cycle(12);
-        let map = Partition::Contiguous.shard_map(&g, 4);
-        let skew = map.skew(&[5u64; 12]);
+        let skew = ShardMap::new(12, 4).skew(&[5u64; 12]);
         assert_eq!(skew.shards, 4);
         assert!((skew.skew - 1.0).abs() < 1e-9);
     }

@@ -48,12 +48,17 @@ pub struct SyncStats {
     pub max_queue_depth: usize,
 }
 
+/// The records of the round window `[start, end)`, clipped to the log.
+fn window(rounds: &[RoundRecord], start: u64, end: u64) -> &[RoundRecord] {
+    let clip = |v: u64| (v as usize).min(rounds.len());
+    &rounds[clip(start.min(end))..clip(end)]
+}
+
 /// Summarizes the round window `[start, end)` of `rounds` (the driver
 /// slices at its phase boundaries, mirroring `NetMetrics::phase_window`).
 fn phase_span(rounds: &[RoundRecord], name: &str, start: u64, end: u64) -> PhaseSpan {
     let start = start.min(end);
-    let clip = |v: u64| (v as usize).min(rounds.len());
-    let window = &rounds[clip(start)..clip(end)];
+    let window = window(rounds, start, end);
     let total: u64 = window.iter().map(|r| r.total_ns).sum();
     let compute: u64 = window.iter().map(|r| r.compute_ns).sum();
     PhaseSpan {
@@ -112,10 +117,13 @@ fn worker_stats(rounds: &[RoundRecord]) -> Option<WorkerStats> {
 /// Two baselines are used: within each round, a worker is a straggler
 /// when its busy time exceeds the round's median worker busy time × k
 /// (load imbalance); across rounds, a round is an inbox-depth anomaly
-/// when its delivered-message count exceeds the run's median × k (over at
-/// least 8 rounds). Absolute floors (200 µs busy, 32 messages) keep noise
-/// on tiny rounds from being flagged.
-fn detect_stragglers(spans: &[RoundRecord]) -> Vec<Straggler> {
+/// when its delivered-message count exceeds the median of its phase
+/// window × k (over at least 8 rounds of that window; without `phases`
+/// the whole run is one window). Phases differ in traffic by orders of
+/// magnitude, so a run-wide median would flag every round of the busiest
+/// phase. Absolute floors (200 µs busy, 32 messages) keep noise on tiny
+/// rounds from being flagged.
+fn detect_stragglers(spans: &[RoundRecord], phases: &[(String, u64, u64)]) -> Vec<Straggler> {
     const BUSY_FLOOR_NS: u64 = 200_000;
     const INBOX_FLOOR: u64 = 32;
     let mut out = Vec::new();
@@ -136,18 +144,21 @@ fn detect_stragglers(spans: &[RoundRecord]) -> Vec<Straggler> {
             }
         }
     }
-    let mut inboxes: Vec<u64> = spans.iter().map(|s| s.inbox_messages).collect();
-    if let Some(b) = StragglerBaseline::of(&mut inboxes, 8, INBOX_FLOOR) {
-        for span in spans {
-            if b.flags(span.inbox_messages) {
-                out.push(Straggler {
-                    kind: "inbox_depth",
-                    round: span.round,
-                    worker: None,
-                    value: span.inbox_messages,
-                    baseline: b.median,
-                });
-            }
+    let run = [(String::new(), 0, spans.len() as u64)];
+    for (_, start, end) in if phases.is_empty() { &run[..] } else { phases } {
+        let phase = window(spans, *start, *end);
+        let mut inboxes: Vec<u64> = phase.iter().map(|s| s.inbox_messages).collect();
+        let Some(b) = StragglerBaseline::of(&mut inboxes, 8, INBOX_FLOOR) else {
+            continue;
+        };
+        for span in phase.iter().filter(|s| b.flags(s.inbox_messages)) {
+            out.push(Straggler {
+                kind: "inbox_depth",
+                round: span.round,
+                worker: None,
+                value: span.inbox_messages,
+                baseline: b.median,
+            });
         }
     }
     // Worst offenders first, bounded so a pathological run cannot bloat
@@ -166,7 +177,7 @@ fn detect_stragglers(spans: &[RoundRecord]) -> Vec<Straggler> {
 pub struct Straggler {
     /// What exceeded its baseline: `"worker_busy"` (one worker's busy
     /// time vs the round's median worker), `"inbox_depth"` (a round's
-    /// delivered messages vs the run's median round), or
+    /// delivered messages vs its phase's median round), or
     /// `"retransmit_rate"` (flagged live by the telemetry flight
     /// recorder).
     pub kind: &'static str,
@@ -311,7 +322,7 @@ impl ProfileReport {
                 .map(|(name, start, end)| phase_span(&rounds, name, *start, *end))
                 .collect(),
             workers: worker_stats(&rounds),
-            stragglers: detect_stragglers(&rounds),
+            stragglers: detect_stragglers(&rounds, phases),
             round_log: rounds,
             ..ProfileReport::default()
         }
@@ -774,6 +785,31 @@ mod tests {
             .collect();
         let rep = ProfileReport::from_rounds("parallel(4)", rounds, &[]);
         assert!(rep.stragglers.is_empty(), "{:?}", rep.stragglers);
+    }
+
+    #[test]
+    fn inbox_baseline_is_taken_per_phase() {
+        // Twenty quiet tree rounds, then ten uniformly busy counting
+        // rounds: against a run-wide median of 4 every counting round
+        // would be flagged; against its own phase none is.
+        let mut rounds: Vec<RoundRecord> = (0..20).map(|r| span(r, 1_000, 0, 4, &[])).collect();
+        rounds.extend((20..30).map(|r| span(r, 1_000, 0, 1_000, &[])));
+        let windows = [
+            ("A:tree".to_string(), 0, 20),
+            ("B:counting".to_string(), 20, 30),
+        ];
+        let rep = ProfileReport::from_rounds("serial", rounds.clone(), &windows);
+        assert!(rep.stragglers.is_empty(), "{:?}", rep.stragglers);
+        // One spike inside the busy phase is still flagged, against that
+        // phase's median.
+        rounds[25].inbox_messages = 10_000;
+        let rep = ProfileReport::from_rounds("serial", rounds, &windows);
+        let flagged: Vec<(u64, u64)> = rep
+            .stragglers
+            .iter()
+            .map(|s| (s.round, s.baseline))
+            .collect();
+        assert_eq!(flagged, [(25, 1_000)]);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 use super::check;
 use super::{ProtocolDetail, TraceEvent};
 use crate::json;
-use crate::partition::Partition;
+use crate::partition::{ShardMap, ShardSkew};
 use crate::telemetry::{StragglerBaseline, SCHEMA_VERSION, STRAGGLER_FACTOR};
 use bc_graph::{algo, Graph, NodeId};
 use std::collections::HashMap;
@@ -78,23 +78,6 @@ pub struct EdgeStat {
     pub utilization: f64,
 }
 
-/// How evenly one partition strategy would have spread the observed
-/// per-node send load over a worker pool.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartitionSkew {
-    /// Strategy label (`"contiguous"` / `"degree"`).
-    pub strategy: &'static str,
-    /// Worker count evaluated.
-    pub threads: usize,
-    /// Heaviest shard's message count.
-    pub max_load: u64,
-    /// Mean shard message count.
-    pub mean_load: f64,
-    /// `max / mean` ≥ 1 — the slowest worker's stretch factor. 1.0 is a
-    /// perfectly balanced assignment.
-    pub skew: f64,
-}
-
 /// Message load of one round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoundLoad {
@@ -131,12 +114,10 @@ pub struct TraceStats {
     /// for well-behaved runs; a populated list pinpoints load anomalies
     /// worth a closer look in the Perfetto timeline.
     pub straggler_rounds: Vec<RoundLoad>,
-    /// Per-shard load skew each partition strategy would have produced
-    /// for the observed per-node send loads, at a few worker counts.
-    /// Empty when the trace carries no topology. Schedule-aware skew is
-    /// not reported here: its weights live in the protocol layer, which
-    /// this crate cannot see.
-    pub shard_skew: Vec<PartitionSkew>,
+    /// Per-shard load skew the engine's contiguous shards ([`ShardMap`])
+    /// would have produced for the observed per-node send loads, at a few
+    /// worker counts (`shards`). Empty when the trace carries no topology.
+    pub shard_skew: Vec<ShardSkew>,
     /// DFS token hops observed (phase B's serial backbone).
     pub token_hops: u64,
     /// First and last round with token activity, when any.
@@ -243,9 +224,9 @@ impl TraceStats {
         json::join(&mut out, &self.shard_skew, |out, s| {
             write!(
                 out,
-                "{{\"strategy\":\"{}\",\"threads\":{},\"max_load\":{},\
+                "{{\"strategy\":\"contiguous\",\"threads\":{},\"max_load\":{},\
                  \"mean_load\":{:.2},\"skew\":{:.4}}}",
-                s.strategy, s.threads, s.max_load, s.mean_load, s.skew
+                s.shards, s.max_load, s.mean_load, s.skew
             )
         });
         out.push_str("]}");
@@ -347,8 +328,8 @@ impl fmt::Display for TraceStats {
             for s in &self.shard_skew {
                 writeln!(
                     f,
-                    "  {:>10} x{:<2} {:>8} max {:>10.1} mean  skew {:.2}",
-                    s.strategy, s.threads, s.max_load, s.mean_load, s.skew
+                    "  contiguous x{:<2} {:>8} max {:>10.1} mean  skew {:.2}",
+                    s.shards, s.max_load, s.mean_load, s.skew
                 )?;
             }
         }
@@ -510,9 +491,8 @@ pub fn analyze(events: &[TraceEvent], top_k: usize) -> TraceStats {
     }
     peak_rounds.truncate(top_k);
 
-    // How each static partition strategy would have spread the observed
-    // per-node send load over a worker pool — the trace-side view of the
-    // parallel engine's sharding choice.
+    // How the engine's shards would have spread the observed per-node send
+    // load over a worker pool.
     let mut shard_skew = Vec::new();
     if let Some(g) = &topology {
         let mut node_sent = vec![0u64; g.n()];
@@ -523,20 +503,8 @@ pub fn analyze(events: &[TraceEvent], top_k: usize) -> TraceStats {
                 }
             }
         }
-        for strategy in [Partition::Contiguous, Partition::DegreeBalanced] {
-            for threads in [2usize, 4, 8] {
-                if threads > g.n() {
-                    continue;
-                }
-                let s = strategy.shard_map(g, threads).skew(&node_sent);
-                shard_skew.push(PartitionSkew {
-                    strategy: strategy.label(),
-                    threads,
-                    max_load: s.max_load,
-                    mean_load: s.mean_load,
-                    skew: s.skew,
-                });
-            }
+        for threads in [2usize, 4, 8].into_iter().filter(|&t| t <= g.n()) {
+            shard_skew.push(ShardMap::new(g.n(), threads).skew(&node_sent));
         }
     }
 
@@ -693,21 +661,16 @@ mod tests {
     #[test]
     fn shard_skew_reported_per_strategy_and_thread_count() {
         // Node 0 does all the sending: contiguous chunking leaves its
-        // whole load on shard 0, so skew = threads; degree balancing
-        // can't fix a single-node hot spot either, but both rows must be
-        // present and well-formed.
+        // whole load on shard 0, so skew = threads.
         let mut events = vec![path5_topology()];
         for r in 0..4 {
             events.push(TraceEvent::RoundStart { round: r });
             events.push(sent(r, 0, 1, 8));
         }
         let stats = analyze(&events, 3);
-        // threads 8 > n=5 is skipped ⇒ 2 strategies × {2, 4}.
-        assert_eq!(stats.shard_skew.len(), 4);
-        assert!(stats
-            .shard_skew
-            .iter()
-            .any(|s| s.strategy == "contiguous" && s.threads == 2));
+        // threads 8 > n=5 is skipped ⇒ {2, 4}.
+        let shards: Vec<usize> = stats.shard_skew.iter().map(|s| s.shards).collect();
+        assert_eq!(shards, [2, 4]);
         assert!(stats.shard_skew.iter().all(|s| s.skew >= 1.0));
         assert!(stats.shard_skew.iter().all(|s| s.max_load == 4));
         let json = stats.to_json();

@@ -72,7 +72,7 @@ use std::time::{Duration, Instant};
 pub const MAGIC: u64 = u64::from_le_bytes(*b"bcwire01");
 
 /// Version of the frame layout; bumped on any incompatible change.
-pub const WIRE_VERSION: u32 = 2;
+pub const WIRE_VERSION: u32 = 3;
 
 /// Hard upper bound on a single frame's payload (1 GiB); a length prefix
 /// beyond this is treated as a protocol error, not an allocation request.

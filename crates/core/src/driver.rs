@@ -5,13 +5,13 @@
 
 use crate::node::{AlgoOptions, DistBcNode};
 use crate::result::{assemble_result, phase_windows, summarize_node, summarize_root, Harvest};
-use crate::sampling::{source_mask, Estimator, SourceIndex, SourceSelection};
+use crate::sampling::{Estimator, SourceIndex, SourceSelection};
 use crate::schedule::{PhaseSchedule, Scheduling};
 use crate::transport::{Reliable, ReliableConfig, TransportStats, HEADER_BITS};
 use bc_congest::trace::{TraceEvent, TraceSink};
 use bc_congest::wire::{fnv1a64, put_str, put_u32, put_u64, put_u8};
 use bc_congest::{
-    Budget, Config, CongestError, EdgeCut, Enforcement, FaultPlan, NetMetrics, Network, Partition,
+    Budget, Config, CongestError, EdgeCut, Enforcement, FaultPlan, NetMetrics, Network,
     ProfileReport, Protocol, RoundRecord, Telemetry,
 };
 use bc_graph::{algo, Graph, NodeId};
@@ -21,89 +21,40 @@ use std::sync::Arc;
 
 pub use crate::result::DistBcResult;
 
-/// Node→worker partitioning strategy for the parallel round engine
-/// (`threads > 1`); maps onto [`bc_congest::Partition`].
-///
-/// Partitioning never changes observable output — results, metrics, and
-/// traces are bit-identical across strategies — only how evenly the
-/// per-round work spreads across the worker pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PartitionStrategy {
-    /// Contiguous equal-count id chunks (the historical default).
-    #[default]
-    Contiguous,
-    /// Degree-balanced shards via LPT greedy packing.
-    DegreeBalanced,
-    /// Shards balanced by each node's provisioned `T_s(u)` schedule
-    /// density ([`PhaseSchedule::partition_weights`]): degree-proportional
-    /// wave/aggregation traffic plus per-source bookkeeping.
-    ScheduleAware,
-}
-
-impl PartitionStrategy {
-    /// Short label for logs and profile headers.
-    pub fn label(self) -> &'static str {
-        match self {
-            PartitionStrategy::Contiguous => "contiguous",
-            PartitionStrategy::DegreeBalanced => "degree",
-            PartitionStrategy::ScheduleAware => "schedule",
-        }
-    }
-
-    /// Parses the CLI spelling (`contiguous` | `degree` | `schedule`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "contiguous" => Some(PartitionStrategy::Contiguous),
-            "degree" => Some(PartitionStrategy::DegreeBalanced),
-            "schedule" => Some(PartitionStrategy::ScheduleAware),
-            _ => None,
-        }
-    }
-
-    /// Resolves to the engine-level [`Partition`], deriving schedule-aware
-    /// weights from the graph, the phase schedule, and the source set.
-    pub(crate) fn to_engine(
-        self,
-        g: &Graph,
-        sched: &PhaseSchedule,
-        sources: &SourceSelection,
-    ) -> Partition {
-        match self {
-            PartitionStrategy::Contiguous => Partition::Contiguous,
-            PartitionStrategy::DegreeBalanced => Partition::DegreeBalanced,
-            PartitionStrategy::ScheduleAware => {
-                let degrees: Vec<usize> = (0..g.n()).map(|v| g.degree(v as NodeId)).collect();
-                let mask = source_mask(sources, g.n());
-                Partition::ScheduleAware(sched.partition_weights(&degrees, &mask).into())
-            }
-        }
-    }
-}
-
 /// Node count at or above which the parallel engine starts paying off
 /// (given enough cores — see [`auto_threads`]).
 ///
-/// E18's scaling sweep shows the sharded data plane losing to serial on
-/// every family at n = 64 and 128 (per-round barrier cost dominates);
-/// n = 256 is where per-round compute grows large enough to amortize the
-/// two barrier crossings. `--threads auto` uses this threshold.
+/// E18's sweep (`repro e18`, release, best of 3 reps per cell) on a
+/// shared 2-core host, `parallel(2)` / serial wall ratio over 10 sweeps
+/// (13 at n = 64): median, and the sweeps the pool won.
+///
+/// | n   | er-n          | ba-n          |
+/// | --- | ------------- | ------------- |
+/// | 64  | 1.01, 5 of 13 | 1.14, 1 of 13 |
+/// | 128 | 0.88, 6 of 10 | 0.98, 6 of 10 |
+/// | 256 | 0.78, 9 of 10 | 0.85, 9 of 10 |
+///
+/// At n = 64 the two barrier crossings per round cost more than the
+/// shards save; n = 128 is a coin toss on a noisy host; from n = 256 the
+/// pool wins on both families. `--threads auto` uses this threshold.
 pub const AUTO_THREADS_MIN_NODES: usize = 192;
 
 /// [`auto_threads`] with the core count passed explicitly (testable
 /// without depending on the host): serial (0) below
 /// [`AUTO_THREADS_MIN_NODES`] or when fewer than two cores are available
 /// — parallel workers cannot beat serial wall-clock without real
-/// parallelism, only pay barrier overhead — otherwise up to four workers
-/// (the sweet spot in E18's thread sweep; 8 workers add barrier cost
-/// faster than useful parallelism at these sizes), capped at the core
-/// count so the pool is never oversubscribed.
+/// parallelism, only pay barrier overhead — otherwise up to four workers,
+/// capped at the core count so the pool is never oversubscribed. On two
+/// cores `parallel(4)` mostly loses to `parallel(2)`, as an oversubscribed
+/// pool should; the cap of four comes from an earlier thread sweep and is
+/// not re-measured on more cores.
 ///
 /// ```
 /// use bc_core::{auto_threads_for, AUTO_THREADS_MIN_NODES};
 /// assert_eq!(auto_threads_for(64, 8), 0); // below the size threshold
 /// assert_eq!(auto_threads_for(AUTO_THREADS_MIN_NODES, 1), 0); // no parallelism
 /// assert_eq!(auto_threads_for(256, 2), 2); // capped at the core count
-/// assert_eq!(auto_threads_for(256, 16), 4); // E18's sweet spot
+/// assert_eq!(auto_threads_for(256, 16), 4); // at most four workers
 /// ```
 pub fn auto_threads_for(n: usize, cores: usize) -> usize {
     if n < AUTO_THREADS_MIN_NODES || cores < 2 {
@@ -135,10 +86,9 @@ pub struct DistBcConfig {
     /// Per-message bit budget (default: `Θ(log N)` auto).
     pub budget: Budget,
     /// Worker threads for the round engine; `0` or `1` runs serially.
+    /// The pool splits the ids into `min(n, threads)` contiguous shards
+    /// ([`bc_congest::ShardMap`]).
     pub threads: usize,
-    /// Node→worker partitioning for the parallel engine (ignored when
-    /// running serially). Never changes observable output.
-    pub partition: PartitionStrategy,
     /// Optional edge cut across which bit flow is measured (experiment E8).
     pub cut: Option<EdgeCut>,
     /// Also compute stress centrality (Eq. 3) in the same pass — the
@@ -190,7 +140,7 @@ impl DistBcConfig {
     /// different configuration.
     ///
     /// Observability attachments (telemetry, tracing, profiling), engine
-    /// placement (`threads`, `partition`, `skip_idle`), and measurement
+    /// placement (`threads`, `skip_idle`), and measurement
     /// taps (`cut`) are deliberately excluded: they never alter results
     /// (the test suite asserts bit-identity across all of them).
     /// Fault plans and enforcement are likewise excluded — a reliable run
@@ -252,7 +202,6 @@ impl Default for DistBcConfig {
             enforcement: Enforcement::default(),
             budget: Budget::default(),
             threads: 0,
-            partition: PartitionStrategy::default(),
             cut: None,
             compute_stress: false,
             sources: SourceSelection::default(),
@@ -431,9 +380,8 @@ fn run_engine<P: RunNode>(
     instruments: Instruments,
     factory: impl FnMut(NodeId, &Graph) -> P,
 ) -> Result<Run, DistBcError> {
-    let partition = config.partition.to_engine(g, &plan.sched, &config.sources);
     let workers = if instruments.profile && config.threads > 1 {
-        partition.shard_map(g, config.threads).len()
+        config.threads.min(g.n())
     } else {
         1
     };
@@ -444,7 +392,6 @@ fn run_engine<P: RunNode>(
         cut: config.cut.clone(),
         skip_idle: config.skip_idle,
         faults: config.faults.clone(),
-        partition,
     };
     let mut net = Network::new(g, engine_cfg, factory);
     if let Some(mut s) = instruments.trace {
@@ -640,16 +587,7 @@ impl Plan {
             t.add(0, bc_congest::Counter::StateBytes, result.state_bytes_total);
         }
         let profile = rounds.map(|rounds| {
-            let mut engine = match sharded {
-                None => "serial".to_string(),
-                Some(mut engine) => {
-                    if config.partition != PartitionStrategy::Contiguous {
-                        engine.push('+');
-                        engine.push_str(config.partition.label());
-                    }
-                    engine
-                }
-            };
+            let mut engine = sharded.unwrap_or_else(|| "serial".to_string());
             if config.reliable {
                 engine.push_str("+reliable");
             }

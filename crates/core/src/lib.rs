@@ -70,8 +70,8 @@ pub mod wire;
 pub use codec::{Codec, DecodeError, ProtocolMsg};
 pub use driver::{
     auto_threads, auto_threads_for, run, run_distributed_bc, run_distributed_bc_weighted,
-    DistBcConfig, DistBcError, DistBcResult, Instruments, PartitionStrategy, Run,
-    WeightedDistBcResult, AUTO_THREADS_MIN_NODES,
+    DistBcConfig, DistBcError, DistBcResult, Instruments, Run, WeightedDistBcResult,
+    AUTO_THREADS_MIN_NODES,
 };
 pub use node::{AggInfo, AlgoOptions, DistBcNode};
 pub use sampling::{source_mask, Estimator, SourceIndex, SourceSelection};

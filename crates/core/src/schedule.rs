@@ -207,34 +207,6 @@ impl PhaseSchedule {
     pub fn max_rounds(&self) -> u64 {
         4 * (self.agg_start + (self.reduce_start - self.counting_start) + self.n) + 64
     }
-
-    /// Per-node partition weights for the parallel engine's
-    /// schedule-aware sharding (`Partition::ScheduleAware`).
-    ///
-    /// The weight estimates how much total work node `u` performs across
-    /// the whole schedule, counted in message-handling units:
-    ///
-    /// * every BFS wave crosses each of `u`'s edges a constant number of
-    ///   times (forward announce + sigma traffic), and the aggregation
-    ///   phase sends `u`'s per-source partial once per tree edge — both
-    ///   proportional to `deg(u) · |S|` for `|S|` sources;
-    /// * `u` performs `|S|` per-source bookkeeping steps (its `T_s(u)`
-    ///   schedule slots) regardless of degree;
-    /// * tree build, reduce, and broadcast contribute a small
-    ///   degree-independent constant.
-    ///
-    /// The absolute scale is irrelevant (only ratios drive the LPT
-    /// packing), so the estimate is deliberately coarse:
-    /// `deg(u) · (2 + |S|) + |S| + 4`, clamping source-count to ≥ 1.
-    /// Nodes excluded from the source set still relay every wave, so the
-    /// same formula applies to them; `sources` only sets `|S|`.
-    pub fn partition_weights(&self, degrees: &[usize], sources: &[bool]) -> Vec<u64> {
-        let s = sources.iter().filter(|&&b| b).count().max(1) as u64;
-        degrees
-            .iter()
-            .map(|&d| d as u64 * (2 + s) + s + 4)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -340,21 +312,5 @@ mod tests {
     #[should_panic(expected = "empty network")]
     fn zero_nodes_panics() {
         let _ = PhaseSchedule::new(0, Scheduling::DfsPipelined);
-    }
-
-    #[test]
-    fn partition_weights_scale_with_degree_and_sources() {
-        let s = PhaseSchedule::new(4, Scheduling::DfsPipelined);
-        // Star: hub degree 3, leaves degree 1; all four nodes source.
-        let w = s.partition_weights(&[3, 1, 1, 1], &[true; 4]);
-        assert_eq!(w.len(), 4);
-        assert!(w[0] > w[1]);
-        assert_eq!(w[1], w[2]);
-        // Halving the source set shrinks every weight.
-        let w2 = s.partition_weights(&[3, 1, 1, 1], &[true, true, false, false]);
-        assert!(w2[0] < w[0] && w2[1] < w[1]);
-        // Degenerate all-false mask clamps |S| to 1 instead of zeroing.
-        let w3 = s.partition_weights(&[3, 1, 1, 1], &[false; 4]);
-        assert!(w3.iter().all(|&x| x > 0));
     }
 }

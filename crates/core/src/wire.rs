@@ -17,7 +17,7 @@
 //! runs do in process, so budgets, round limits, and results line up
 //! with the in-process reliable oracle by construction.
 
-use crate::driver::{DistBcConfig, DistBcError, PartitionStrategy, Plan, RunNode};
+use crate::driver::{DistBcConfig, DistBcError, Plan, RunNode};
 use crate::node::{AggInfo, DistBcNode};
 use crate::result::{
     summarize_node, summarize_root, DistBcResult, Harvest, NodeSummary, RootSummary,
@@ -33,7 +33,8 @@ use bc_congest::wire::{
     VERDICT_QUIESCENT, VERDICT_ROUND_LIMIT,
 };
 use bc_congest::{
-    canonical_abort, Budget, CongestError, Enforcement, NetMetrics, ProfileReport, Telemetry,
+    canonical_abort, Budget, CongestError, Enforcement, NetMetrics, ProfileReport, ShardMap,
+    Telemetry,
 };
 use bc_graph::{Graph, NodeId};
 use bc_numeric::{FpParams, Rounding};
@@ -154,7 +155,6 @@ impl Setup {
             put_str(&mut buf, a);
         }
         let config = &self.config;
-        put_u8(&mut buf, config.partition as u8);
         put_u8(&mut buf, config.scheduling as u8);
         put_u8(&mut buf, config.compute_stress as u8);
         match &config.sources {
@@ -214,12 +214,6 @@ impl Setup {
         for _ in 0..a {
             addrs.push(r.str()?);
         }
-        let partition = match r.u8()? {
-            0 => PartitionStrategy::Contiguous,
-            1 => PartitionStrategy::DegreeBalanced,
-            2 => PartitionStrategy::ScheduleAware,
-            t => return Err(WireError::Protocol(format!("unknown partition tag {t}"))),
-        };
         let scheduling = match r.u8()? {
             0 => Scheduling::DfsPipelined,
             1 => Scheduling::Sequential,
@@ -276,7 +270,6 @@ impl Setup {
             scheduling,
             enforcement,
             budget,
-            partition,
             compute_stress,
             sources,
             targets,
@@ -658,10 +651,11 @@ pub fn serve_shard(listen: &str) -> Result<(), WireRunError> {
             return Err(proto("SETUP payload does not match the HELLO config hash"));
         }
         let setup = Setup::decode(&payload)?;
-        if setup.addrs.len() != k || me >= k {
+        if setup.addrs.len() != k || me >= k || k > setup.n {
             return Err(proto(format!(
-                "inconsistent topology: shard {me} of {k}, {} addresses",
-                setup.addrs.len()
+                "inconsistent topology: shard {me} of {k}, {} addresses, {} nodes",
+                setup.addrs.len(),
+                setup.n
             )));
         }
         let graph = Graph::from_edges(setup.n, setup.edges.iter().copied())
@@ -704,18 +698,7 @@ fn shard_run(
 ) -> Result<Vec<u8>, WireRunError> {
     let plan = Plan::new(graph, &setup.config)?;
     let engine_cfg = setup.engine(&plan);
-    let map = setup
-        .config
-        .partition
-        .to_engine(graph, &plan.sched, &setup.config.sources)
-        .shard_map(graph, k);
-    if map.len() != k {
-        return Err(proto(format!(
-            "partition produced {} shards for requested {k} (n = {})",
-            map.len(),
-            graph.n()
-        )));
-    }
+    let map = ShardMap::new(graph.n(), k);
 
     // Mesh: dial every lower shard (they finished their leader handshake
     // before ours started — the leader is sequential), then accept every
@@ -911,16 +894,7 @@ pub fn run_leader(
     };
     let config = &setup.config;
     let engine_cfg = setup.engine(&plan);
-    let map = config
-        .partition
-        .to_engine(g, &plan.sched, &config.sources)
-        .shard_map(g, k);
-    if map.len() != k {
-        return Err(proto(format!(
-            "partition produced {} shards for {k}",
-            map.len()
-        )));
-    }
+    let map = ShardMap::new(n, k);
 
     let setup_bytes = setup.encode();
     let ghash = graph_hash(g);
@@ -1094,7 +1068,6 @@ mod tests {
             edges: vec![(0, 1), (1, 2), (2, 3)],
             addrs: vec!["tcp:127.0.0.1:4100".into(), "unix:/tmp/s1.sock".into()],
             config: DistBcConfig {
-                partition: PartitionStrategy::DegreeBalanced,
                 scheduling: Scheduling::Sequential,
                 compute_stress: true,
                 sources: SourceSelection::Sample { k: 4, seed: 99 },
@@ -1130,25 +1103,11 @@ mod tests {
         assert_eq!(Setup::decode(&explicit.encode()).unwrap(), explicit);
     }
 
-    #[test]
-    fn unknown_scheduling_byte_is_a_wire_error() {
-        let setup = setup_fixture();
-        let enc = setup.encode();
-        let pipelined = Setup {
-            config: DistBcConfig {
-                scheduling: Scheduling::DfsPipelined,
-                ..setup.config.clone()
-            },
-            ..setup
-        }
-        .encode();
-        // Byte 2 named the removed event-driven mode. A shard handed it
-        // answers the leader with an ERROR frame carrying the reason, and
-        // its own run fails without a panic.
-        let at = (0..enc.len()).find(|&i| enc[i] != pipelined[i]).unwrap();
-        let mut bad = enc;
-        bad[at] = 2;
-        let path = std::env::temp_dir().join(format!("bcw-setup-{}.sock", std::process::id()));
+    /// Hands `setup` to a fresh shard as shard 0 of `shards` and returns
+    /// the reason of the `ERROR` frame it must answer with; its own run
+    /// must fail without a panic.
+    fn shard_rejects(name: &str, setup: &[u8], shards: u32) -> String {
+        let path = std::env::temp_dir().join(format!("bcw-{name}-{}.sock", std::process::id()));
         let addr = format!("unix:{}", path.display());
         let shard = {
             let addr = addr.clone();
@@ -1163,17 +1122,50 @@ mod tests {
         let hello = Hello {
             role: ROLE_LEADER,
             shard_id: 0,
-            shards: 1,
+            shards,
             graph_hash: 0,
-            config_hash: fnv1a64(&bad),
+            config_hash: fnv1a64(setup),
         };
         stream.write_frame(TAG_HELLO, &hello.encode()).unwrap();
-        stream.write_frame(TAG_SETUP, &bad).unwrap();
+        stream.write_frame(TAG_SETUP, setup).unwrap();
         let (tag, reason) = stream.read_frame().unwrap();
         assert_eq!(tag, TAG_ERROR);
-        assert!(String::from_utf8_lossy(&reason).contains("unknown scheduling tag 2"));
         assert!(shard.join().expect("shard does not panic").is_err());
         std::fs::remove_file(&path).ok();
+        String::from_utf8_lossy(&reason).into_owned()
+    }
+
+    #[test]
+    fn unknown_scheduling_byte_is_a_wire_error() {
+        let setup = setup_fixture();
+        let enc = setup.encode();
+        let pipelined = Setup {
+            config: DistBcConfig {
+                scheduling: Scheduling::DfsPipelined,
+                ..setup.config.clone()
+            },
+            ..setup
+        }
+        .encode();
+        // Byte 2 named the removed event-driven mode.
+        let at = (0..enc.len()).find(|&i| enc[i] != pipelined[i]).unwrap();
+        let mut bad = enc;
+        bad[at] = 2;
+        let reason = shard_rejects("scheduling", &bad, 1);
+        assert!(reason.contains("unknown scheduling tag 2"), "{reason}");
+    }
+
+    /// A shard map never holds an empty shard, so a shard handed more
+    /// shards than nodes refuses the run instead of indexing past it.
+    #[test]
+    fn more_shards_than_nodes_is_a_wire_error() {
+        let setup = Setup {
+            n: 1,
+            edges: Vec::new(),
+            ..setup_fixture()
+        };
+        let reason = shard_rejects("oversharded", &setup.encode(), 2);
+        assert!(reason.contains("inconsistent topology"), "{reason}");
     }
 
     #[test]

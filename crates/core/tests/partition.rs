@@ -1,21 +1,16 @@
-//! Partitioning must be observationally free: every `PartitionStrategy`
-//! × worker count must produce bit-identical results *and* bit-identical
-//! trace event streams vs the serial engine — on clean networks and over
-//! a lossy network behind the reliable transport. The sharded data plane
+//! Sharding must be observationally free: every worker count must produce
+//! bit-identical results *and* bit-identical trace event streams vs the
+//! serial engine — on clean networks and over a lossy network behind the
+//! reliable transport. The sharded data plane
 //! (per-destination outboxes, barrier drain, canonical merge order) is
 //! only allowed to change wall-clock, never a single observable bit.
 
 use bc_congest::trace::{RingSink, TraceEvent, TraceSink};
 use bc_congest::FaultPlan;
-use bc_core::{run, run_distributed_bc, DistBcConfig, Instruments, PartitionStrategy};
+use bc_core::{run, run_distributed_bc, DistBcConfig, Instruments};
 use bc_graph::{Graph, GraphBuilder, NodeId};
 use proptest::prelude::*;
 
-const STRATEGIES: [PartitionStrategy; 3] = [
-    PartitionStrategy::Contiguous,
-    PartitionStrategy::DegreeBalanced,
-    PartitionStrategy::ScheduleAware,
-];
 const THREADS: [usize; 3] = [1, 2, 7];
 
 /// Random connected graph: a random recursive tree plus extra edges.
@@ -53,25 +48,23 @@ fn run_traced(g: &Graph, cfg: DistBcConfig) -> (bc_core::DistBcResult, Vec<Trace
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Clean network: every strategy × thread count reproduces the serial
+    /// Clean network: every thread count reproduces the serial
     /// betweenness/closeness/diameter and the serial trace, bit for bit.
     #[test]
     fn partitioning_is_observationally_free(g in arb_connected_graph(22)) {
         let (serial, serial_events) = run_traced(&g, DistBcConfig::default());
-        for partition in STRATEGIES {
-            for threads in THREADS {
-                let (par, par_events) = run_traced(
-                    &g,
-                    DistBcConfig { threads, partition, ..DistBcConfig::default() },
-                );
-                let tag = format!("{}/threads={threads}", partition.label());
-                prop_assert_eq!(&serial.betweenness, &par.betweenness, "{}", &tag);
-                prop_assert_eq!(&serial.closeness, &par.closeness, "{}", &tag);
-                prop_assert_eq!(serial.diameter, par.diameter, "{}", &tag);
-                prop_assert_eq!(serial.rounds, par.rounds, "{}", &tag);
-                prop_assert_eq!(&serial.metrics, &par.metrics, "{}", &tag);
-                prop_assert_eq!(&serial_events, &par_events, "{}", &tag);
-            }
+        for threads in THREADS {
+            let (par, par_events) = run_traced(
+                &g,
+                DistBcConfig { threads, ..DistBcConfig::default() },
+            );
+            let tag = format!("threads={threads}");
+            prop_assert_eq!(&serial.betweenness, &par.betweenness, "{}", &tag);
+            prop_assert_eq!(&serial.closeness, &par.closeness, "{}", &tag);
+            prop_assert_eq!(serial.diameter, par.diameter, "{}", &tag);
+            prop_assert_eq!(serial.rounds, par.rounds, "{}", &tag);
+            prop_assert_eq!(&serial.metrics, &par.metrics, "{}", &tag);
+            prop_assert_eq!(&serial_events, &par_events, "{}", &tag);
         }
     }
 
@@ -91,55 +84,44 @@ proptest! {
             max_delay: 3,
             ..FaultPlan::seeded(seed)
         };
-        let faulty = |threads: usize, partition: PartitionStrategy| DistBcConfig {
+        let faulty = |threads: usize| DistBcConfig {
             faults: Some(plan.clone()),
             reliable: true,
             threads,
-            partition,
             ..DistBcConfig::default()
         };
-        let (serial, serial_events) = run_traced(&g, faulty(0, PartitionStrategy::Contiguous));
+        let (serial, serial_events) = run_traced(&g, faulty(0));
         // The transport must also have recovered the fault-free answer.
         let clean = run_distributed_bc(&g, DistBcConfig::default()).expect("clean run");
         prop_assert_eq!(&clean.betweenness, &serial.betweenness);
-        for partition in STRATEGIES {
-            for threads in THREADS {
-                let (par, par_events) = run_traced(&g, faulty(threads, partition));
-                let tag = format!("{}/threads={threads}", partition.label());
-                prop_assert_eq!(&serial.betweenness, &par.betweenness, "{}", &tag);
-                prop_assert_eq!(&serial.closeness, &par.closeness, "{}", &tag);
-                prop_assert_eq!(serial.diameter, par.diameter, "{}", &tag);
-                prop_assert_eq!(&serial.metrics, &par.metrics, "{}", &tag);
-                prop_assert_eq!(&serial_events, &par_events, "{}", &tag);
-            }
+        for threads in THREADS {
+            let (par, par_events) = run_traced(&g, faulty(threads));
+            let tag = format!("threads={threads}");
+            prop_assert_eq!(&serial.betweenness, &par.betweenness, "{}", &tag);
+            prop_assert_eq!(&serial.closeness, &par.closeness, "{}", &tag);
+            prop_assert_eq!(serial.diameter, par.diameter, "{}", &tag);
+            prop_assert_eq!(&serial.metrics, &par.metrics, "{}", &tag);
+            prop_assert_eq!(&serial_events, &par_events, "{}", &tag);
         }
     }
 }
 
 /// Deterministic spot check at a fixed size large enough for every
-/// thread count to get a populated shard under all three strategies.
+/// thread count to get a populated shard.
 #[test]
-fn strategies_agree_on_fixed_graph() {
+fn thread_counts_agree_on_fixed_graph() {
     let g = bc_graph::generators::barabasi_albert(48, 2, 7);
     let serial = run_distributed_bc(&g, DistBcConfig::default()).expect("serial");
-    for partition in STRATEGIES {
-        for threads in [2usize, 4, 8] {
-            let par = run_distributed_bc(
-                &g,
-                DistBcConfig {
-                    threads,
-                    partition,
-                    ..DistBcConfig::default()
-                },
-            )
-            .expect("parallel");
-            assert_eq!(
-                serial.betweenness,
-                par.betweenness,
-                "{}/threads={threads}",
-                partition.label()
-            );
-            assert_eq!(serial.metrics, par.metrics);
-        }
+    for threads in [2usize, 4, 8] {
+        let par = run_distributed_bc(
+            &g,
+            DistBcConfig {
+                threads,
+                ..DistBcConfig::default()
+            },
+        )
+        .expect("parallel");
+        assert_eq!(serial.betweenness, par.betweenness, "threads={threads}");
+        assert_eq!(serial.metrics, par.metrics);
     }
 }

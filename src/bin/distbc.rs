@@ -20,8 +20,7 @@ use distbc::congest::wire::fnv1a64;
 use distbc::congest::{Counter, Enforcement, FaultPlan, Telemetry};
 use distbc::core::{
     auto_threads, run, run_distributed_bc, run_leader, serve_shard, DistBcConfig, DistBcResult,
-    Estimator, Instruments, PartitionStrategy, Run, Scheduling, SourceSelection,
-    AUTO_THREADS_MIN_NODES,
+    Estimator, Instruments, Run, Scheduling, SourceSelection, AUTO_THREADS_MIN_NODES,
 };
 use distbc::graph::{algo, datasets, generators, io, Graph};
 use distbc::lowerbound::disjoint::{random_instance, universe_size};
@@ -60,7 +59,6 @@ enum Command {
         profile: bool,
         json: bool,
         threads: ThreadSpec,
-        partition: PartitionStrategy,
         skip_idle: bool,
         faults: Option<FaultPlan>,
         reliable: bool,
@@ -154,8 +152,7 @@ const USAGE: &str = "usage:
                      [--algorithm distributed|brandes|exact|naive|sampled:K]
                      [--sample-seed N] [--estimator scaled|jiyan]
                      [--stress] [--top K] [--csv] [--mantissa-bits L]
-                     [--sequential] [--threads N|auto]
-                     [--partition contiguous|degree|schedule] [--no-idle-skip]
+                     [--sequential] [--threads N|auto] [--no-idle-skip]
                      [--trace FILE] [--metrics] [--profile [--json]]
                      [--faults PLAN [--fault-seed N]] [--reliable] [--best-effort]
                      [--perfetto FILE] [--watch] [--postmortem FILE] [--no-telemetry]
@@ -220,7 +217,6 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut profile = false;
     let mut json = false;
     let mut threads = ThreadSpec::Fixed(0);
-    let mut partition = PartitionStrategy::default();
     let mut skip_idle = true;
     let mut faults: Option<FaultPlan> = None;
     let mut fault_seed: Option<u64> = None;
@@ -291,9 +287,11 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                 };
             }
             "--partition" => {
-                let v = value("--partition")?;
-                partition = PartitionStrategy::parse(&v)
-                    .ok_or_else(|| format!("unknown --partition {v:?}"))?;
+                return Err(
+                    "--partition was removed: pooled and socket runs always split \
+                            the ids into contiguous, equal shards"
+                        .into(),
+                )
             }
             "--no-idle-skip" => skip_idle = false,
             "--faults" => {
@@ -526,7 +524,6 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                 profile,
                 json,
                 threads,
-                partition,
                 skip_idle,
                 faults,
                 reliable,
@@ -922,7 +919,6 @@ fn cmd_centrality(
     profile: bool,
     json: bool,
     threads: ThreadSpec,
-    partition: PartitionStrategy,
     skip_idle: bool,
     faults: Option<&FaultPlan>,
     reliable: bool,
@@ -984,7 +980,6 @@ fn cmd_centrality(
                 sources: algorithm.sources(sample_seed),
                 estimator,
                 threads,
-                partition,
                 skip_idle,
                 faults: faults.cloned(),
                 reliable,
@@ -1483,7 +1478,6 @@ fn main() -> ExitCode {
             profile,
             json,
             threads,
-            partition,
             skip_idle,
             faults,
             reliable,
@@ -1508,7 +1502,6 @@ fn main() -> ExitCode {
             *profile,
             *json,
             *threads,
-            *partition,
             *skip_idle,
             faults.as_ref(),
             *reliable,
@@ -1631,7 +1624,6 @@ mod tests {
                 profile: false,
                 json: false,
                 threads: ThreadSpec::Fixed(4),
-                partition: PartitionStrategy::Contiguous,
                 skip_idle: false,
                 faults: None,
                 reliable: false,
@@ -2102,42 +2094,17 @@ mod tests {
     }
 
     #[test]
-    fn parses_threads_auto_and_partition() {
-        let c = p(&[
-            "centrality",
-            "--generate",
-            "path:8",
-            "--threads",
-            "auto",
-            "--partition",
-            "degree",
-        ])
-        .unwrap();
-        match c {
-            Command::Centrality {
-                threads, partition, ..
-            } => {
-                assert_eq!(threads, ThreadSpec::Auto);
-                assert_eq!(partition, PartitionStrategy::DegreeBalanced);
-            }
+    fn parses_threads_auto_and_rejects_partition() {
+        match p(&["centrality", "--generate", "path:8", "--threads", "auto"]).unwrap() {
+            Command::Centrality { threads, .. } => assert_eq!(threads, ThreadSpec::Auto),
             other => panic!("unexpected parse: {other:?}"),
         }
-        let c = p(&[
-            "centrality",
-            "--generate",
-            "path:8",
-            "--partition",
-            "schedule",
-        ])
-        .unwrap();
-        match c {
-            Command::Centrality { partition, .. } => {
-                assert_eq!(partition, PartitionStrategy::ScheduleAware);
-            }
-            other => panic!("unexpected parse: {other:?}"),
-        }
-        assert!(p(&["centrality", "--generate", "path:8", "--partition", "x"]).is_err());
         assert!(p(&["centrality", "--generate", "path:8", "--threads", "soon"]).is_err());
+        // The removed strategy knob is a usage error, whatever its value.
+        for v in ["contiguous", "degree", "schedule"] {
+            let err = p(&["centrality", "--generate", "path:8", "--partition", v]).unwrap_err();
+            assert!(err.contains("--partition was removed"), "{err}");
+        }
     }
 
     #[test]

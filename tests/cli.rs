@@ -642,6 +642,22 @@ fn removed_adaptive_flag_is_a_usage_error() {
     assert!(err.contains("--adaptive was removed"), "{err}");
 }
 
+/// So is the removed `--partition` flag: every pooled and socket run
+/// splits the ids into contiguous, equal shards.
+#[test]
+fn removed_partition_flag_is_a_usage_error() {
+    let run = distbc(&[
+        "centrality",
+        "--generate",
+        "path:8",
+        "--partition",
+        "degree",
+    ]);
+    assert_eq!(run.status.code(), Some(2), "{run:?}");
+    let err = String::from_utf8_lossy(&run.stderr).into_owned();
+    assert!(err.contains("--partition was removed"), "{err}");
+}
+
 /// Sampled runs whose sample leaves out node 0, the root of the DFS, used
 /// to panic ("own wave from a non-source"); the root now relays the token
 /// without a wave, as every sampled-out node does — on both sides of the
