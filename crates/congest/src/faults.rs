@@ -4,8 +4,8 @@
 //! directed edge per round, whether the message crossing it is dropped,
 //! duplicated, bit-corrupted, or delayed — plus which nodes are crashed in
 //! which round windows. Every decision is a **pure function** of
-//! `(seed, from, to, round)`, so the serial, pooled-parallel, and α-sync
-//! engines all see the *same* fault pattern regardless of iteration order
+//! `(seed, from, to, round)`, so the shard round loop at every shard
+//! count and the α-synchronizer all see the *same* fault pattern regardless of iteration order
 //! or thread interleaving: a chaos run is exactly reproducible from its
 //! plan string and seed.
 //!

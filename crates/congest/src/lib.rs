@@ -18,9 +18,11 @@
 //!   bit flow across a declared [`EdgeCut`] (used by the lower-bound
 //!   experiments E8).
 //!
-//! Both a deterministic serial engine ([`Network::run`]) and a
-//! crossbeam-based parallel engine ([`Network::run_parallel`]) are
-//! provided; they produce identical results.
+//! Every run is one deterministic shard round loop: [`Network::run`] is
+//! its one-shard case on the calling thread, [`Network::run_parallel`]
+//! steps the shards on a crossbeam pool, and the socket shards of
+//! [`wire`] run it across processes; every shard count produces
+//! identical results.
 //!
 //! # Example: BFS flooding in the CONGEST model
 //!
@@ -417,7 +419,6 @@ mod tests {
             let first = shard(0, listener.accept().unwrap());
             [first, dialer.join().unwrap()]
         });
-        let _ = std::fs::remove_file(&path);
         let committed = outcomes[0].committed;
         canonical_abort(
             outcomes.iter().map(|o| (&o.panic, o.first_error.as_ref())),
@@ -608,6 +609,106 @@ mod tests {
             assert_eq!(net.metrics(), serial.metrics(), "threads={threads}");
             let events = net.take_trace_sink().unwrap().drain_events();
             assert_eq!(events, serial_events, "threads={threads}");
+        }
+    }
+
+    /// Folds every message it hears, in inbox order, into a running hash
+    /// and broadcasts the hash each round before `stop`.
+    struct Gossip {
+        hash: u64,
+        stop: u64,
+        done: bool,
+    }
+
+    impl Protocol for Gossip {
+        fn round(&mut self, ctx: &mut RoundCtx<'_>, inbox: &[(usize, Message)]) {
+            for (port, m) in inbox {
+                let word = (*port as u64) << 32 | m.payload().reader().read(32);
+                self.hash = self.hash.wrapping_mul(0x100_0000_01b3).wrapping_add(word);
+            }
+            if ctx.round() < self.stop {
+                ctx.broadcast(&msg((self.hash ^ u64::from(ctx.id())) & 0xffff_ffff, 32));
+            }
+            self.done = ctx.round() + 1 >= self.stop;
+        }
+
+        fn is_halted(&self) -> bool {
+            self.done
+        }
+    }
+
+    #[test]
+    fn chunked_runs_end_like_one_run() {
+        // A run stopped by its round limit at random cuts and re-entered,
+        // with fault-delayed mail and pre-filled inboxes in flight at every
+        // cut, must end exactly like one unchunked run: node states,
+        // metrics and trace events, for `run` and `run_parallel`.
+        use rand::{Rng, SeedableRng};
+        const STOP: u64 = 12;
+        for seed in 0..4u64 {
+            let g = generators::erdos_renyi_connected(36, 0.12, seed);
+            let plan =
+                FaultPlan::parse(&format!("seed={seed},drop=0.05,dup=0.2,delay=0.4:3")).unwrap();
+            let cfg = Config {
+                faults: Some(plan.clone()),
+                ..Config::default()
+            };
+            let traced = || {
+                let mut net = Network::new(&g, cfg.clone(), |_, _| Gossip {
+                    hash: 0,
+                    stop: STOP,
+                    done: false,
+                });
+                net.set_trace_sink(Box::new(trace::RingSink::new(1 << 20)));
+                net
+            };
+            let hashes =
+                |net: &Network<Gossip>| g.nodes().map(|v| net.node(v).hash).collect::<Vec<_>>();
+            let mut one = traced();
+            let report = one.run(10_000).unwrap();
+            let events = one.take_trace_sink().unwrap().drain_events();
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let mut cuts: Vec<u64> = (0..3).map(|_| rng.gen_range(1..=STOP)).collect();
+            cuts.sort_unstable();
+            cuts.dedup();
+            for &cut in &cuts {
+                // Sent before the cut, delivered after it: clean messages
+                // of its last round sit in the inboxes, delayed ones wait.
+                let (mut prefilled, mut delayed) = (0, 0);
+                for e in &events {
+                    if let TraceEvent::MessageSent {
+                        round, from, to, ..
+                    } = *e
+                    {
+                        let d = plan.decide(from, to, round);
+                        prefilled += usize::from(round + 1 == cut && d.is_clean());
+                        delayed += usize::from(
+                            d.delay > 0 && !d.drop && round < cut && round + 1 + d.delay >= cut,
+                        );
+                    }
+                }
+                assert!(prefilled > 0 && delayed > 0, "seed {seed} cut {cut}");
+            }
+            for threads in [None, Some(3)] {
+                let tag = format!("seed {seed} cuts {cuts:?} threads {threads:?}");
+                let mut net = traced();
+                let run = |net: &mut Network<Gossip>, limit| match threads {
+                    None => net.run(limit),
+                    Some(t) => net.run_parallel(limit, t),
+                };
+                for &cut in &cuts {
+                    let limit = Err(CongestError::RoundLimit { max_rounds: cut });
+                    assert_eq!(run(&mut net, cut), limit, "{tag}");
+                }
+                assert_eq!(run(&mut net, 10_000), Ok(report), "{tag}");
+                assert_eq!(hashes(&net), hashes(&one), "{tag}");
+                assert_eq!(net.metrics(), one.metrics(), "{tag}");
+                assert_eq!(
+                    net.take_trace_sink().unwrap().drain_events(),
+                    events,
+                    "{tag}"
+                );
+            }
         }
     }
 

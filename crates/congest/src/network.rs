@@ -12,12 +12,20 @@
 //! which turns protocol bugs (schedule collisions, oversized encodings)
 //! into test failures.
 //!
-//! Both engines share three throughput mechanisms, none of which may change
-//! observable output (node states, metrics, traces are bit-identical with
-//! them on or off):
+//! Every run — [`Network::run`], [`Network::run_rounds`] and
+//! [`Network::run_parallel`] — is one shard round loop
+//! (`ShardWorker::run`) over the contiguous, equal-count id ranges of a
+//! [`ShardMap`]: `run` is its one-shard case, stepped on the calling
+//! thread, and socket shards ([`crate::wire`]) run the same loop with
+//! `BATCH` frames for lanes (the `Lanes` trait). Three throughput
+//! mechanisms ride in that loop, none of which may change observable
+//! output (node states, metrics, traces are bit-identical with them on or
+//! off, for every shard count):
 //!
-//! - **double-buffered inboxes** — current and next-round inboxes swap each
-//!   round, so per-node `Vec` allocations are reused instead of reallocated;
+//! - **double-buffered inboxes** — each shard's current and next-round
+//!   inboxes swap each round, so per-node `Vec` allocations are reused
+//!   instead of reallocated, and a send to a node of the sender's own
+//!   shard goes straight into the next-round inbox;
 //! - **a wake calendar** — a round visits only the nodes that received
 //!   mail and those whose timer ([`Protocol::next_wake`]) names this round
 //!   (`crate::wake`), so an idle round costs `O(n/64)`, not `O(n)`. A due
@@ -29,17 +37,13 @@
 //!   node;
 //! - **a sharded data plane** — [`Network::run_parallel`] runs a pool of
 //!   workers, each *owning* one shard of node states and inboxes for the
-//!   whole run (contiguous, equal-count id ranges: [`ShardMap`]). Every worker
-//!   runs the one shard round loop (`ShardWorker::run`), which socket
-//!   shards run too; only the lanes under it differ (the `Lanes` trait:
-//!   channels and a barrier here, `BATCH` frames in [`crate::wire`]).
-//!   Workers validate and route their own sends directly into
+//!   whole run. Workers validate and route their own sends directly into
 //!   per-destination batches, so message payloads never pass through a
 //!   coordinator. Only compact summaries (trace-event buffers,
 //!   fault-delayed sends, error/panic attribution) reach worker 0, which
 //!   merges them in ascending node-id order between the round
-//!   barrier's two crossings — keeping parallel traces and metrics
-//!   byte-identical to serial for every worker count.
+//!   barrier's two crossings — keeping traces and metrics byte-identical
+//!   for every worker count.
 
 use crate::faults::{self, FaultPlan};
 use crate::message::Message;
@@ -56,7 +60,7 @@ use std::convert::Infallible;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
 /// Per-message bit budget.
@@ -156,8 +160,8 @@ pub enum CongestError {
         /// The limit that was hit.
         max_rounds: u64,
     },
-    /// A node's [`Protocol::round`] panicked. Both engines surface the
-    /// lowest-id panicking node of the round rather than aborting the
+    /// A node's [`Protocol::round`] panicked. Every shard count surfaces
+    /// the lowest-id panicking node of the round rather than aborting the
     /// process.
     NodePanic {
         /// The node whose step panicked.
@@ -399,29 +403,18 @@ pub struct Network<P> {
     reverse: ReversePorts,
     config: Config,
     budget_bits: Option<usize>,
+    /// Node states between runs, ascending by id.
     nodes: Vec<P>,
+    /// Inboxes of the next round to run, parallel to `nodes`: a run
+    /// stopped by its round limit leaves its last round's mail here.
     inboxes: Vec<Vec<(usize, Message)>>,
-    /// Next-round inboxes; swapped with `inboxes` each round so the inner
-    /// `Vec` allocations are recycled. Invariant: all entries are empty
-    /// between rounds.
-    spare: Vec<Vec<(usize, Message)>>,
-    /// Recycled staging buffers for the serial engine's `RoundCtx`.
-    stage_sends: Vec<(usize, Message)>,
-    stage_events: Vec<ProtocolDetail>,
-    /// Recycled scratch of `account_sends`.
-    send_scratch: SendScratch,
-    /// Recycled list of next-inbox indices touched in the current round
-    /// (only those get sorted).
-    touched: Vec<NodeId>,
     /// Fault-delayed messages still in flight, bucketed by delivery round:
     /// `(target, port, message)` in injection order.
     delayed: BTreeMap<u64, Vec<(NodeId, usize, Message)>>,
-    /// Which nodes the serial engine's next round visits.
-    wake: WakeSet,
     metrics: NetMetrics,
     round: u64,
     sink: Option<Box<dyn TraceSink>>,
-    telemetry: Option<TelemetryHandle>,
+    telemetry: Option<Arc<Telemetry>>,
 }
 
 impl<P> fmt::Debug for Network<P> {
@@ -434,6 +427,24 @@ impl<P> fmt::Debug for Network<P> {
             self.metrics
         )
     }
+}
+
+/// Workers 1.. of a run with their lanes; worker 0 leads on the calling
+/// thread.
+type Peers<'a, P> = Vec<(ShardWorker<'a, P>, MeshLanes<'a>)>;
+
+/// What a run's workers hand back: worker 0's [`Lead`], then the other
+/// shards in worker order.
+type Pooled<P> = (Lead<P>, Vec<ShardHandoff<P>>);
+
+/// The one-shard pool: worker 0 runs alone on the calling thread.
+fn alone<P: Protocol>(
+    coordinator: Coordinator<'_>,
+    lead: ShardWorker<'_, P>,
+    _: Peers<'_, P>,
+    start: u64,
+) -> Pooled<P> {
+    (coordinator.lead(lead, start), Vec::new())
 }
 
 impl<P: Protocol> Network<P> {
@@ -452,13 +463,7 @@ impl<P: Protocol> Network<P> {
             config,
             nodes,
             inboxes: vec![Vec::new(); n],
-            spare: vec![Vec::new(); n],
-            stage_sends: Vec::new(),
-            stage_events: Vec::new(),
-            send_scratch: SendScratch::default(),
-            touched: Vec::new(),
             delayed: BTreeMap::new(),
-            wake: WakeSet::new(n),
             metrics: NetMetrics::default(),
             round: 0,
             sink: None,
@@ -469,10 +474,10 @@ impl<P: Protocol> Network<P> {
     /// Installs a trace sink; subsequent rounds emit
     /// [`TraceEvent`]s into it. Returns the previously installed sink.
     ///
-    /// Both engines produce the identical, deterministic event stream:
-    /// per round, one `RoundStart`, then each node's protocol events
-    /// followed by its `MessageSent`s, in node-id order (the parallel
-    /// engine merges worker buffers back into this order).
+    /// The event stream is deterministic and the same for every shard
+    /// count: per round, one `RoundStart`, then each node's protocol
+    /// events followed by its `MessageSent`s, in ascending node-id order
+    /// (worker 0 merges the workers' buffers back into this order).
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) -> Option<Box<dyn TraceSink>> {
         self.sink.replace(sink)
     }
@@ -487,20 +492,10 @@ impl<P: Protocol> Network<P> {
     /// round) and commit each round into its recorder. With the
     /// registry's clock on ([`Telemetry::set_clock`]) the rounds are timed
     /// too, which is how a run is profiled. Results, metrics, and traces
-    /// are bit-identical with telemetry on or off, clock or no clock, on
-    /// every engine. Returns the previously attached registry.
-    pub fn set_telemetry(
-        &mut self,
-        telemetry: std::sync::Arc<Telemetry>,
-    ) -> Option<std::sync::Arc<Telemetry>> {
-        self.telemetry
-            .replace(TelemetryHandle::new(telemetry, 0))
-            .map(|h| h.registry().clone())
-    }
-
-    /// Detaches and returns the telemetry registry, stopping recording.
-    pub fn take_telemetry(&mut self) -> Option<std::sync::Arc<Telemetry>> {
-        self.telemetry.take().map(|h| h.registry().clone())
+    /// are bit-identical with telemetry on or off, clock or no clock, for
+    /// every shard count. Returns the previously attached registry.
+    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) -> Option<Arc<Telemetry>> {
+        self.telemetry.replace(telemetry)
     }
 
     /// The simulated graph.
@@ -523,7 +518,11 @@ impl<P: Protocol> Network<P> {
         self.nodes
     }
 
-    /// Runs until every node reports halted and no messages are in flight.
+    /// Runs until every node reports halted and no messages are in flight:
+    /// the one-shard run of the shard round loop, on the calling thread.
+    /// A run stopped by its round limit may be re-entered with a higher
+    /// one (or with [`Network::run_parallel`]) and ends exactly as one
+    /// unchunked run would.
     ///
     /// # Errors
     ///
@@ -532,14 +531,7 @@ impl<P: Protocol> Network<P> {
     /// [`Enforcement::Strict`], or [`CongestError::NodePanic`] if a node's
     /// step panicked.
     pub fn run(&mut self, max_rounds: u64) -> Result<RunReport, CongestError> {
-        self.wake.reset();
-        while !self.quiescent() {
-            if self.round >= max_rounds {
-                return Err(CongestError::RoundLimit { max_rounds });
-            }
-            self.step()?;
-        }
-        Ok(RunReport { rounds: self.round })
+        self.run_shards(max_rounds, 1, true, alone)
     }
 
     /// Runs exactly `rounds` additional rounds (useful for protocols
@@ -549,186 +541,144 @@ impl<P: Protocol> Network<P> {
     ///
     /// Returns a constraint violation under [`Enforcement::Strict`].
     pub fn run_rounds(&mut self, rounds: u64) -> Result<RunReport, CongestError> {
-        self.wake.reset();
-        for _ in 0..rounds {
-            self.step()?;
+        if rounds == 0 || self.graph.n() == 0 {
+            // Nothing to step: an empty network's rounds pass at once.
+            self.round += rounds;
+            self.metrics.rounds = self.round;
+            return Ok(RunReport { rounds: self.round });
         }
-        Ok(RunReport { rounds: self.round })
+        match self.run_shards(self.round + rounds, 1, false, alone) {
+            Err(CongestError::RoundLimit { .. }) => Ok(RunReport { rounds: self.round }),
+            other => other,
+        }
     }
 
-    /// No mail in flight and every node halted: read off the wake
-    /// calendar's counters, or scanned in full before a run's first round.
+    /// No mail in flight and every node halted.
     fn quiescent(&self) -> bool {
         self.delayed.is_empty()
-            && self.wake.quiet().unwrap_or_else(|| {
-                self.inboxes.iter().all(|i| i.is_empty())
-                    && self.nodes.iter().all(|p| p.is_halted())
-            })
+            && self.inboxes.iter().all(Vec::is_empty)
+            && self.nodes.iter().all(P::is_halted)
     }
 
-    /// Executes a single round serially.
-    fn step(&mut self) -> Result<(), CongestError> {
-        let round = self.round;
-        let skip_idle = self.config.skip_idle;
-        let faults = self.config.faults.as_ref();
-        self.wake.begin_round(round, skip_idle && faults.is_none());
-        let mut first_error: Option<CongestError> = None;
-        // `touched` first lists the inboxes this round's delayed mail
-        // reaches, so each is sorted once, then the next round's inboxes.
-        let mut touched = std::mem::take(&mut self.touched);
-        if let Some(due) = self.delayed.remove(&round) {
-            for (target, port, msg) in due {
-                self.inboxes[target as usize].push((port, msg));
-                touched.push(target);
-            }
-            touched.sort_unstable();
-            touched.dedup();
-            for &t in &touched {
-                // Stable: equal-port entries (Record-mode collisions, fault
-                // duplicates) keep arrival order — normal before delayed —
-                // which is the canonical order the parallel engine's shard
-                // drain reproduces.
-                sort_inbox(&mut self.inboxes[t as usize]);
-                self.wake.mark(t as usize);
-            }
-            touched.clear();
+    /// Runs the shard round loop over `min(n, threads)` shards until
+    /// quiescence (or, with `until_quiet` off, until the round limit
+    /// alone ends it). The node states and inboxes are split into the
+    /// contiguous shards, which their workers own for the whole run, and
+    /// concatenated back at the end. Worker 0 leads on the calling thread
+    /// as the coordinator; `pool` runs it and the other workers and
+    /// returns what they hand back.
+    fn run_shards<F>(
+        &mut self,
+        max_rounds: u64,
+        threads: usize,
+        until_quiet: bool,
+        pool: F,
+    ) -> Result<RunReport, CongestError>
+    where
+        F: for<'a> FnOnce(Coordinator<'a>, ShardWorker<'a, P>, Peers<'a, P>, u64) -> Pooled<P>,
+    {
+        if until_quiet && self.quiescent() {
+            return Ok(RunReport { rounds: self.round });
         }
-        self.metrics.begin_round(round);
-        // The sink leaves `self` for the loop so node stepping (which
-        // borrows nodes/graph/metrics) and event emission don't conflict.
-        let mut sink = self.sink.take();
-        if let Some(s) = sink.as_deref_mut() {
-            s.event(&TraceEvent::RoundStart { round });
+        if self.round >= max_rounds {
+            return Err(CongestError::RoundLimit { max_rounds });
         }
-        let tracing = sink.is_some();
-        let clock = self
-            .telemetry
-            .as_ref()
-            .is_some_and(|h| h.registry().clocked());
-        let mut compute_ns = 0u64;
-        let mut inbox_messages = 0u64;
-        let mut nodes_stepped = 0u64;
-        let spare = &mut self.spare;
-        debug_assert!(spare.iter().all(|i| i.is_empty()));
-        while let Some(v) = self.wake.next_due() {
-            // A crashed node is down for the whole round: it neither steps
-            // nor keeps the messages that arrived while it was down.
-            if faults.is_some_and(|p| p.crashed(v as NodeId, round)) {
-                self.inboxes[v].clear();
-                self.wake.settle(v, round, &self.nodes[v], false);
-                continue;
-            }
-            let node = &mut self.nodes[v];
-            let inbox = &self.inboxes[v];
-            if inbox.is_empty() && skip_idle && node.idle_at(round) {
-                self.wake.settle(v, round, node, false);
-                continue;
-            }
-            nodes_stepped += 1;
-            let mut ctx = RoundCtx::with_buffers(
-                v as NodeId,
-                round,
-                &self.graph,
-                tracing,
-                std::mem::take(&mut self.stage_sends),
-                std::mem::take(&mut self.stage_events),
-            );
-            inbox_messages += inbox.len() as u64;
-            let t = clock.then(Instant::now);
-            let outcome = catch_unwind(AssertUnwindSafe(|| node.round(&mut ctx, inbox)));
-            if let Some(t) = t {
-                compute_ns += t.elapsed().as_nanos() as u64;
-            }
-            if let Err(payload) = outcome {
-                // Abandon this round: drop the panicking node's partial
-                // output and any messages already routed, restoring the
-                // all-empty `spare` invariant for later steps.
-                drop(ctx);
-                for &t in &touched {
-                    spare[t as usize].clear();
-                }
-                touched.clear();
-                self.touched = touched;
-                self.sink = sink;
-                return Err(CongestError::NodePanic {
-                    node: v as NodeId,
-                    round,
-                    message: panic_message(payload),
+        let map = ShardMap::new(self.graph.n(), threads);
+        let workers = map.len();
+        let start = self.round;
+
+        // Scatter: split the id-ordered node states and inboxes at the
+        // shard boundaries, last shard first, so shard 0 keeps the
+        // vectors' buffers and the gather appends into them.
+        let (mut nodes, mut inboxes) = (
+            std::mem::take(&mut self.nodes),
+            std::mem::take(&mut self.inboxes),
+        );
+        let mut shards: Vec<_> = map.shards()[1..]
+            .iter()
+            .rev()
+            .map(|shard| {
+                let at = shard[0] as usize;
+                (nodes.split_off(at), inboxes.split_off(at))
+            })
+            .collect();
+        shards.push((nodes, inboxes));
+        shards.reverse();
+        // The fault-delayed messages due this round go with their shards.
+        let mut inject: Vec<LaneBatch> = (0..workers).map(|_| Vec::new()).collect();
+        for (target, port, msg) in self.delayed.remove(&start).unwrap_or_default() {
+            inject[map.shard_of(target)].push((map.local_of(target) as u32, port as u32, msg));
+        }
+
+        let env = ShardEnv {
+            graph: &self.graph,
+            reverse: &self.reverse,
+            map: &map,
+            budget_bits: self.budget_bits,
+            cut: self.config.cut.as_ref(),
+            faults: self.config.faults.as_ref(),
+            skip_idle: self.config.skip_idle,
+            strict: matches!(self.config.enforcement, Enforcement::Strict),
+            tracing: self.sink.is_some(),
+        };
+        let telemetry = self.telemetry.as_ref();
+        let mut pool_workers =
+            shards
+                .into_iter()
+                .zip(inject)
+                .enumerate()
+                .map(|(w, ((nodes, inboxes), inject))| {
+                    let handle = telemetry.map(|t| TelemetryHandle::new(t.clone(), w));
+                    ShardWorker::new(w, env, nodes, inboxes, handle, inject)
                 });
-            }
-            let (mut sends, mut events) = (ctx.sends, ctx.events);
-            if let Some(s) = sink.as_deref_mut() {
-                for detail in events.drain(..) {
-                    s.event(&TraceEvent::Protocol {
-                        round,
-                        node: v as NodeId,
-                        detail,
-                    });
-                }
-            }
-            account_sends(
-                v as NodeId,
-                round,
-                sends.drain(..),
-                &self.graph,
-                &self.reverse,
-                self.budget_bits,
-                self.config.cut.as_ref(),
-                &mut self.metrics,
-                &mut self.send_scratch,
-                |target, reverse_port, msg| {
-                    let inbox = &mut spare[target as usize];
-                    if inbox.is_empty() {
-                        touched.push(target);
-                    }
-                    inbox.push((reverse_port, msg));
-                },
-                &mut first_error,
-                sink.as_deref_mut(),
-                faults,
-                |due, target, port, msg| {
-                    self.delayed
-                        .entry(due)
-                        .or_default()
-                        .push((target, port, msg));
-                },
-            );
-            self.stage_sends = sends;
-            self.stage_events = events;
-            self.inboxes[v].clear();
-            self.wake.settle(v, round, &self.nodes[v], true);
+        let sync = RoundSync {
+            barrier: SpinBarrier::new(workers),
+            slots: (0..workers).map(|_| Mutex::new(None)).collect(),
+            verdict: AtomicU8::new(VERDICT_CONTINUE),
+        };
+        let mut lanes = MeshLanes::mesh(&sync).into_iter();
+        let coordinator = Coordinator {
+            mesh: lanes.next().expect("at least one shard"),
+            map: &map,
+            max_rounds,
+            until_quiet,
+            sink: &mut self.sink,
+            delayed: &mut self.delayed,
+            telemetry: telemetry.map(Arc::as_ref),
+            replies: Vec::with_capacity(workers),
+            committed: 0,
+            abort: Ok(()),
+        };
+        let lead = pool_workers.next().expect("at least one shard");
+        let peers = pool_workers.zip(lanes).collect();
+        let (lead, rest) = pool(coordinator, lead, peers, start);
+        let Lead {
+            shard: (nodes, inboxes, metrics),
+            verdict,
+            committed,
+            abort,
+        } = lead;
+
+        // Gather: concatenate the shards back in id order and fold each
+        // worker's metric partial into the run metrics (merge is
+        // commutative, so gather order does not matter).
+        self.round += committed;
+        if committed > 0 {
+            self.metrics.rounds = self.round;
         }
-        self.sink = sink;
-        if let (Some(err), Enforcement::Strict) = (&first_error, self.config.enforcement) {
-            for &t in &touched {
-                spare[t as usize].clear();
-            }
-            touched.clear();
-            self.touched = touched;
-            return Err(err.clone());
+        (self.nodes, self.inboxes) = (nodes, inboxes);
+        self.metrics.merge(&metrics);
+        for (nodes, inboxes, metrics) in rest {
+            self.nodes.extend(nodes);
+            self.inboxes.extend(inboxes);
+            self.metrics.merge(&metrics);
         }
-        for &t in &touched {
-            // Stable for the same reason as the delayed-message insertion
-            // above: staging order breaks equal-port ties canonically.
-            sort_inbox(&mut spare[t as usize]);
-            self.wake.post(t as usize);
+        debug_assert_eq!(self.nodes.len(), self.graph.n());
+        abort?;
+        match verdict {
+            VERDICT_ROUND_LIMIT => Err(CongestError::RoundLimit { max_rounds }),
+            _ => Ok(RunReport { rounds: self.round }),
         }
-        touched.clear();
-        self.touched = touched;
-        std::mem::swap(&mut self.inboxes, &mut self.spare);
-        self.round += 1;
-        self.metrics.rounds = self.round;
-        if let Some(h) = self.telemetry.as_mut() {
-            let row = ProfRow {
-                compute_ns,
-                inbox_messages,
-                nodes_stepped,
-                ..ProfRow::default()
-            };
-            h.on_round(&self.metrics, &row);
-            h.registry().commit_round(round);
-        }
-        Ok(())
     }
 }
 
@@ -764,8 +714,7 @@ pub(crate) struct WorkerReply {
     inject: LaneBatch,
     /// First constraint violation in this shard's step order (= its
     /// lowest-id violating node), kept only under strict enforcement; the
-    /// run reports the globally lowest, which is the one the serial engine
-    /// reports.
+    /// run reports the globally lowest.
     pub(crate) first_error: Option<CongestError>,
     /// First `round()` panic in the shard; nodes after it were not stepped
     /// and its own output was discarded.
@@ -853,12 +802,14 @@ impl SpinBarrier {
     const SPINS_BEFORE_YIELD: u32 = 4096;
 
     fn new(total: usize) -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        // A lone worker never waits, so a one-shard run skips the core
+        // count (a cgroup read).
+        let cores = || std::thread::available_parallelism().map_or(1, |c| c.get());
         Self {
             count: AtomicUsize::new(0),
             generation: AtomicUsize::new(0),
             total,
-            spins: if total <= cores {
+            spins: if total > 1 && total <= cores() {
                 Self::SPINS_BEFORE_YIELD
             } else {
                 0
@@ -924,10 +875,10 @@ fn error_node(err: &CongestError) -> NodeId {
 }
 
 /// Canonical abort attribution across the shards of one round, the rule
-/// the pooled engine and the socket leader share: the lowest-id panicking
-/// node wins (the serial engine stops there and never observes anything
-/// later nodes did), stamped with `round`; otherwise the lowest-id
-/// violation. Each shard reports its own first panic and violation.
+/// the in-process coordinator and the socket leader share: the lowest-id
+/// panicking node wins (a round stops there, and nothing a higher id did
+/// is observed), stamped with `round`; otherwise the lowest-id violation.
+/// Each shard reports its own first panic and violation.
 ///
 /// # Errors
 ///
@@ -991,17 +942,31 @@ fn deliver(
     inbox.push((port as usize, msg));
 }
 
-/// One shard of the sharded data plane: a worker of the in-process pool
-/// or a socket shard process. Owns its shard's node states and inboxes
-/// for the whole run, trades message batches with its peers over its
-/// [`Lanes`], and reports only a [`WorkerReply`] per round.
+/// One shard of the round loop: the whole network of a [`Network::run`],
+/// a worker of the in-process pool, or a socket shard process. Owns its
+/// shard's node states and inboxes for the whole run, trades message
+/// batches with its peers over its [`Lanes`], and reports only a
+/// [`WorkerReply`] per round.
+///
+/// Inboxes are double-buffered: a send to a node of this shard goes
+/// straight into `spare`, the next round's inboxes, and the round start
+/// swaps the buffers and appends the peers' batches. That interleaving is
+/// safe because every inbox is stably sorted by port before it is read,
+/// and equal-port entries always share a sender, hence a shard.
 pub(crate) struct ShardWorker<'a, P> {
     me: usize,
     env: ShardEnv<'a>,
+    /// Id of the shard's first node; the shard holds the ids
+    /// `first..first + nodes.len()`.
+    first: NodeId,
     /// Node states of this shard, ascending by node id.
     nodes: Vec<P>,
     /// Current-round inboxes, parallel to `nodes`.
     inboxes: Vec<Vec<(usize, Message)>>,
+    /// Next-round inboxes, filled by intra-shard sends and swapped with
+    /// `inboxes` at the round start. Invariant: all empty between the
+    /// swap and the round's first intra-shard send.
+    spare: Vec<Vec<(usize, Message)>>,
     /// This shard's metric partial; merged into the run metrics once at
     /// the end ([`NetMetrics::merge`] is commutative over disjoint node
     /// sets).
@@ -1009,12 +974,9 @@ pub(crate) struct ShardWorker<'a, P> {
     stage_sends: Vec<(usize, Message)>,
     stage_events: Vec<ProtocolDetail>,
     send_scratch: SendScratch,
-    /// Next-round deliveries to this shard's own nodes (the intra-shard
-    /// fast path never touches a lane).
-    pending_intra: LaneBatch,
     /// Per-destination outboxes for the current round (`out[me]` unused).
     out: Vec<LaneBatch>,
-    /// Local indices whose inbox went non-empty this round (sorted once
+    /// Local indices whose next-round inbox went non-empty (sorted once
     /// after all deliveries).
     touched: Vec<u32>,
     /// Which of the shard's nodes each round visits.
@@ -1048,14 +1010,15 @@ impl<'a, P: Protocol> ShardWorker<'a, P> {
         ShardWorker {
             me,
             env,
+            first: env.map.shards()[me].first().copied().unwrap_or(0),
             wake: WakeSet::new(nodes.len()),
+            spare: (0..nodes.len()).map(|_| Vec::new()).collect(),
             nodes,
             inboxes,
             metrics: NetMetrics::default(),
             stage_sends: Vec::new(),
             stage_events: Vec::new(),
             send_scratch: SendScratch::default(),
-            pending_intra: Vec::new(),
             out: (0..env.map.len()).map(|_| Vec::new()).collect(),
             touched,
             lanes_live: false,
@@ -1069,9 +1032,9 @@ impl<'a, P: Protocol> ShardWorker<'a, P> {
 
     /// The shard round loop: step round `round`, settle it over `lanes`,
     /// and go on until the verdict ends the run. A clean ending
-    /// (quiescence or the round limit) delivers the final round's batches
-    /// first, so the returned inboxes match the serial engine's post-swap
-    /// state; an aborted round delivers nothing, as in the serial engine.
+    /// (quiescence or the round limit) delivers the final round's mail
+    /// first, so the returned inboxes are the next round's, sorted; an
+    /// aborted round delivers nothing.
     pub(crate) fn run<L: Lanes>(
         mut self,
         lanes: &mut L,
@@ -1086,7 +1049,7 @@ impl<'a, P: Protocol> ShardWorker<'a, P> {
                 continue;
             }
             if verdict != VERDICT_ABORT {
-                self.drain_lanes(lanes);
+                self.take_mail(lanes);
                 for &local in &self.touched {
                     sort_inbox(&mut self.inboxes[local as usize]);
                 }
@@ -1095,17 +1058,13 @@ impl<'a, P: Protocol> ShardWorker<'a, P> {
         }
     }
 
-    /// Moves every peer's batch of the last round (and the shard's own
-    /// intra-shard staging, in its slot) into the owned inboxes.
-    fn drain_lanes<L: Lanes>(&mut self, lanes: &mut L) {
+    /// Makes the last round's mail current: swaps in the intra-shard
+    /// inboxes, then appends every peer's batch.
+    fn take_mail<L: Lanes>(&mut self, lanes: &mut L) {
+        std::mem::swap(&mut self.inboxes, &mut self.spare);
         let (inboxes, touched) = (&mut self.inboxes, &mut self.touched);
-        for src in 0..self.env.map.len() {
-            let push = |entry| deliver(inboxes, touched, entry);
-            if src == self.me {
-                self.pending_intra.drain(..).for_each(push);
-            } else {
-                lanes.receive(src, push);
-            }
+        for src in (0..self.env.map.len()).filter(|&src| src != self.me) {
+            lanes.receive(src, |entry| deliver(inboxes, touched, entry));
         }
     }
 
@@ -1119,11 +1078,15 @@ impl<'a, P: Protocol> ShardWorker<'a, P> {
             tracing,
             ..
         } = self.env;
+        // A one-shard run has no data plane to report: no busy or route
+        // time and no intra/cross split, so its profile has no workers.
+        let sharded = map.len() > 1;
         let clock = self
             .telemetry
             .as_ref()
             .is_some_and(|h| h.registry().clocked());
-        let busy_start = clock.then(Instant::now);
+        let lane_clock = clock && sharded;
+        let busy_start = lane_clock.then(Instant::now);
         self.metrics.begin_round(round);
         let mut route_ns = 0u64;
         let WorkerReply {
@@ -1134,13 +1097,13 @@ impl<'a, P: Protocol> ShardWorker<'a, P> {
             ..
         } = std::mem::take(&mut self.recycled);
 
-        // Delivery: drain the previous round's lanes, then the messages
-        // whose fault delay ends now (in that order — the serial engine
-        // also appends delayed messages after normal ones), then sort
-        // each touched inbox stably by port.
-        let t = clock.then(Instant::now);
+        // Delivery: take the previous round's mail, then the messages
+        // whose fault delay ends now (in that order: delayed messages
+        // follow normal ones), then sort each touched inbox stably by
+        // port.
+        let t = lane_clock.then(Instant::now);
         if self.lanes_live {
-            self.drain_lanes(lanes);
+            self.take_mail(lanes);
         }
         for entry in inject.drain(..) {
             deliver(&mut self.inboxes, &mut self.touched, entry);
@@ -1158,11 +1121,10 @@ impl<'a, P: Protocol> ShardWorker<'a, P> {
         // Step the shard in ascending node-id order, validating and
         // routing each node's sends immediately (shard-side
         // `account_sends` — no payload ever visits a coordinator).
-        let me = self.me;
-        let shard = &map.shards()[me];
+        let (me, first, len) = (self.me, self.first, self.nodes.len());
         let metrics = &mut self.metrics;
         let send_scratch = &mut self.send_scratch;
-        let pending_intra = &mut self.pending_intra;
+        let (spare, touched) = (&mut self.spare, &mut self.touched);
         let out = &mut self.out;
         let stage_sends = &mut self.stage_sends;
         let stage_events = &mut self.stage_events;
@@ -1175,12 +1137,12 @@ impl<'a, P: Protocol> ShardWorker<'a, P> {
         let mut compute_ns = 0u64;
         let mut inbox_messages = 0u64;
         let mut nodes_stepped = 0u64;
-        let (mut routed, mut intra, mut cross) = (0u64, 0u64, 0u64);
+        let (mut intra, mut cross) = (0u64, 0u64);
         while let Some(i) = self.wake.next_due() {
-            let v = shard[i];
+            let v = first + i as NodeId;
             let node = &mut self.nodes[i];
-            // Crash handling mirrors the serial engine: a down node is not
-            // stepped and loses its inbox for the round.
+            // A crashed node is down for the whole round: it neither steps
+            // nor keeps the messages that arrived while it was down.
             if faults.is_some_and(|p| p.crashed(v, round)) {
                 self.inboxes[i].clear();
                 self.wake.settle(i, round, node, false);
@@ -1207,66 +1169,64 @@ impl<'a, P: Protocol> ShardWorker<'a, P> {
                 compute_ns += t.elapsed().as_nanos() as u64;
             }
             let (mut node_sends, mut node_events) = (ctx.sends, ctx.events);
-            match outcome {
-                Ok(()) => {
-                    let t = clock.then(Instant::now);
-                    let events_before = sink.0.len();
-                    if tracing {
-                        for detail in node_events.drain(..) {
-                            sink.0.push(TraceEvent::Protocol {
-                                round,
-                                node: v,
-                                detail,
-                            });
-                        }
-                    }
-                    account_sends(
-                        v,
+            if let Err(payload) = outcome {
+                // The round stops here: the panicking node's output is
+                // dropped and its inbox kept.
+                panic = Some((v, panic_message(payload)));
+                break;
+            }
+            let t = lane_clock.then(Instant::now);
+            let events_before = sink.0.len();
+            if tracing {
+                for detail in node_events.drain(..) {
+                    sink.0.push(TraceEvent::Protocol {
                         round,
-                        node_sends.drain(..),
-                        graph,
-                        self.env.reverse,
-                        self.env.budget_bits,
-                        self.env.cut,
-                        metrics,
-                        send_scratch,
-                        |target, reverse_port, msg| {
-                            routed += 1;
-                            let entry = (map.local_of(target) as u32, reverse_port as u32, msg);
-                            let dest = map.shard_of(target);
-                            if dest == me {
-                                intra += 1;
-                                pending_intra.push(entry);
-                            } else {
-                                cross += 1;
-                                out[dest].push(entry);
-                            }
-                        },
-                        &mut first_error,
-                        tracing.then_some(&mut sink),
-                        faults,
-                        |due, target, port, msg| delayed.push((v, due, target, port, msg)),
-                    );
-                    let n_events = (sink.0.len() - events_before) as u32;
-                    if n_events > 0 {
-                        index.push((v, n_events));
-                    }
-                    if let Some(t) = t {
-                        route_ns += t.elapsed().as_nanos() as u64;
-                    }
+                        node: v,
+                        detail,
+                    });
                 }
-                Err(payload) => {
-                    node_sends.clear();
-                    node_events.clear();
-                    panic = Some((v, panic_message(payload)));
-                }
+            }
+            account_sends(
+                v,
+                round,
+                node_sends.drain(..),
+                graph,
+                self.env.reverse,
+                self.env.budget_bits,
+                self.env.cut,
+                metrics,
+                send_scratch,
+                |target, reverse_port, msg| {
+                    // The shard is the contiguous id range from `first`.
+                    let local = target.wrapping_sub(first) as usize;
+                    if local < len {
+                        intra += 1;
+                        let inbox = &mut spare[local];
+                        if inbox.is_empty() {
+                            touched.push(local as u32);
+                        }
+                        inbox.push((reverse_port, msg));
+                    } else {
+                        cross += 1;
+                        let entry = (map.local_of(target) as u32, reverse_port as u32, msg);
+                        out[map.shard_of(target)].push(entry);
+                    }
+                },
+                &mut first_error,
+                tracing.then_some(&mut sink),
+                faults,
+                |due, target, port, msg| delayed.push((v, due, target, port, msg)),
+            );
+            let n_events = (sink.0.len() - events_before) as u32;
+            if n_events > 0 {
+                index.push((v, n_events));
+            }
+            if let Some(t) = t {
+                route_ns += t.elapsed().as_nanos() as u64;
             }
             *stage_sends = node_sends;
             *stage_events = node_events;
             self.inboxes[i].clear();
-            if panic.is_some() {
-                break;
-            }
             self.wake.settle(i, round, &self.nodes[i], true);
         }
         let reply = WorkerReply {
@@ -1276,13 +1236,13 @@ impl<'a, P: Protocol> ShardWorker<'a, P> {
             inject,
             first_error: first_error.filter(|_| self.env.strict),
             panic,
-            routed,
+            routed: intra + cross,
             all_halted: self.wake.all_halted(),
         };
 
         // Publish this round's batches — exactly one per peer, empty or
         // not, which is what gives the next round's drain its barrier.
-        let t = clock.then(Instant::now);
+        let t = lane_clock.then(Instant::now);
         for (d, batch) in self.out.iter_mut().enumerate() {
             if d != me {
                 lanes.send(d, batch, round, &reply)?;
@@ -1300,7 +1260,7 @@ impl<'a, P: Protocol> ShardWorker<'a, P> {
                 route_ns,
                 inbox_messages,
                 nodes_stepped,
-                intra,
+                intra: if sharded { intra } else { 0 },
                 cross,
             };
             h.on_round(&self.metrics, &row);
@@ -1402,15 +1362,18 @@ impl Lanes for MeshLanes<'_> {
 /// and the next round's fault-delayed injections. Worker 0 runs
 /// on the calling thread, so it can hold the trace sink, which need not be
 /// `Send`.
-struct Coordinator<'s, 'n> {
-    mesh: MeshLanes<'s>,
-    map: &'n ShardMap,
+struct Coordinator<'a> {
+    mesh: MeshLanes<'a>,
+    map: &'a ShardMap,
     max_rounds: u64,
-    sink: &'n mut Option<Box<dyn TraceSink>>,
+    /// Quiescence ends the run; off, only the round limit does
+    /// ([`Network::run_rounds`]).
+    until_quiet: bool,
+    sink: &'a mut Option<Box<dyn TraceSink>>,
     /// The network's fault-delayed messages in flight, bucketed by
     /// delivery round.
-    delayed: &'n mut BTreeMap<u64, Vec<(NodeId, usize, Message)>>,
-    telemetry: Option<&'n Telemetry>,
+    delayed: &'a mut BTreeMap<u64, Vec<(NodeId, usize, Message)>>,
+    telemetry: Option<&'a Telemetry>,
     /// The round's replies, in worker order.
     replies: Vec<WorkerReply>,
     committed: u64,
@@ -1418,13 +1381,37 @@ struct Coordinator<'s, 'n> {
     abort: Result<(), CongestError>,
 }
 
-impl Coordinator<'_, '_> {
+/// What worker 0 hands back when the run ends.
+struct Lead<P> {
+    shard: ShardHandoff<P>,
+    /// The verdict that ended the run.
+    verdict: u8,
+    /// Rounds committed.
+    committed: u64,
+    /// Why the run aborted, if it did.
+    abort: Result<(), CongestError>,
+}
+
+impl<'a> Coordinator<'a> {
+    /// Runs worker 0 over these lanes until the run ends. A panic on the
+    /// way drops the lanes, which poisons the barrier, so the peers stop
+    /// instead of waiting for worker 0 forever.
+    fn lead<P: Protocol>(mut self, worker: ShardWorker<'a, P>, start: u64) -> Lead<P> {
+        let Ok((shard, verdict)) = worker.run(&mut self, start);
+        Lead {
+            shard,
+            verdict,
+            committed: self.committed,
+            abort: self.abort,
+        }
+    }
+
     /// Merges the round's replies and commits the round unless it aborts;
     /// returns the verdict.
     fn coordinate(&mut self, round: u64) -> u8 {
         let replies = &mut self.replies;
-        // The serial engine never observes anything nodes after a
-        // panicking one did, so the merges are clipped to ids under it.
+        // A round stops at its lowest-id panicking node: nothing a higher
+        // id did is observed, so the merges are clipped to ids under it.
         let abort = canonical_abort(
             replies.iter().map(|r| (&r.panic, r.first_error.as_ref())),
             round,
@@ -1434,7 +1421,7 @@ impl Coordinator<'_, '_> {
             _ => NodeId::MAX,
         };
         // Merge the workers' trace buffers in ascending node-id order —
-        // byte-identical to the serial event stream.
+        // byte-identical for every shard count.
         if let Some(s) = self.sink.as_deref_mut() {
             s.event(&TraceEvent::RoundStart { round });
             let mut runs = Vec::new();
@@ -1451,8 +1438,8 @@ impl Coordinator<'_, '_> {
             }
         }
         // Same order for fault-delayed sends: a stable sort by sender keeps
-        // each sender's own order, which reproduces the serial injection
-        // order exactly.
+        // each sender's own order, so injection follows ascending sender
+        // id, then staging order.
         let mut sends: Vec<_> = replies
             .iter_mut()
             .flat_map(|r| r.delayed.drain(..))
@@ -1465,8 +1452,9 @@ impl Coordinator<'_, '_> {
                 .push((target, port, msg));
         }
 
-        let quiet =
-            replies.iter().all(|r| r.routed == 0 && r.all_halted) && self.delayed.is_empty();
+        let quiet = self.until_quiet
+            && replies.iter().all(|r| r.routed == 0 && r.all_halted)
+            && self.delayed.is_empty();
         let verdict = round_verdict(abort.is_err(), quiet, round, self.max_rounds);
         if verdict == VERDICT_ABORT {
             self.abort = abort;
@@ -1489,7 +1477,7 @@ impl Coordinator<'_, '_> {
     }
 }
 
-impl Lanes for Coordinator<'_, '_> {
+impl Lanes for Coordinator<'_> {
     type Error = Infallible;
 
     fn send(
@@ -1530,7 +1518,8 @@ impl Lanes for Coordinator<'_, '_> {
 impl<P: Protocol + Send> Network<P> {
     /// Runs like [`Network::run`] but steps each round's nodes on a pool of
     /// `min(n, threads)` shard workers (one per [`ShardMap`] shard), each
-    /// running the shard round loop that socket shards run too.
+    /// running the shard round loop that socket shards run too;
+    /// `threads = 1` is [`Network::run`].
     ///
     /// Workers own their shards for the whole run, exchange message
     /// payloads directly over a worker→worker lane mesh, validate their
@@ -1539,8 +1528,8 @@ impl<P: Protocol + Send> Network<P> {
     /// merges the workers' trace events and fault-delayed sends in
     /// ascending node-id order and decides whether the run goes on. The
     /// result — node states, metrics, message order, traces — is identical
-    /// to the serial engine for every `threads` value, and a run may switch
-    /// between the engines at any round.
+    /// for every `threads` value, and a run may switch thread counts at any
+    /// round.
     ///
     /// # Errors
     ///
@@ -1555,136 +1544,31 @@ impl<P: Protocol + Send> Network<P> {
         threads: usize,
     ) -> Result<RunReport, CongestError> {
         assert!(threads > 0, "need at least one worker thread");
-        // Workers keep calendars of their own, so the serial one misses
-        // what earlier pooled runs did: check quiescence by a full scan.
-        self.wake.reset();
-        if self.quiescent() {
-            return Ok(RunReport { rounds: self.round });
-        }
-        if self.round >= max_rounds {
-            return Err(CongestError::RoundLimit { max_rounds });
-        }
-
-        let n = self.graph.n();
-        let map = ShardMap::new(n, threads);
-        let workers = map.len();
-        let start = self.round;
-
-        // Scatter node states, current inboxes, and the fault-delayed
-        // messages due this round to their shards (in ascending id order,
-        // so scatter position = shard-local index). Workers own them for
-        // the whole run and hand them back at the end.
-        let mut shards: Vec<(Vec<P>, Vec<_>, LaneBatch)> = map
-            .shards()
-            .iter()
-            .map(|s| {
-                (
-                    Vec::with_capacity(s.len()),
-                    Vec::with_capacity(s.len()),
-                    Vec::new(),
-                )
-            })
-            .collect();
-        for (v, (node, inbox)) in std::mem::take(&mut self.nodes)
-            .into_iter()
-            .zip(std::mem::take(&mut self.inboxes))
-            .enumerate()
-        {
-            let shard = &mut shards[map.shard_of(v as NodeId)];
-            shard.0.push(node);
-            shard.1.push(inbox);
-        }
-        for (target, port, msg) in self.delayed.remove(&start).unwrap_or_default() {
-            shards[map.shard_of(target)]
-                .2
-                .push((map.local_of(target) as u32, port as u32, msg));
-        }
-
-        let env = ShardEnv {
-            graph: &self.graph,
-            reverse: &self.reverse,
-            map: &map,
-            budget_bits: self.budget_bits,
-            cut: self.config.cut.as_ref(),
-            faults: self.config.faults.as_ref(),
-            skip_idle: self.config.skip_idle,
-            strict: matches!(self.config.enforcement, Enforcement::Strict),
-            tracing: self.sink.is_some(),
-        };
-        let telemetry = self.telemetry.as_ref().map(|h| h.registry().clone());
-        let pool: Vec<ShardWorker<'_, P>> = shards
-            .into_iter()
-            .enumerate()
-            .map(|(w, (nodes, inboxes, inject))| {
-                let handle = telemetry
-                    .as_ref()
-                    .map(|t| TelemetryHandle::new(t.clone(), w));
-                ShardWorker::new(w, env, nodes, inboxes, handle, inject)
-            })
-            .collect();
-        let sync = RoundSync {
-            barrier: SpinBarrier::new(workers),
-            slots: (0..workers).map(|_| Mutex::new(None)).collect(),
-            verdict: AtomicU8::new(VERDICT_CONTINUE),
-        };
-        let (verdict, handoff, committed, abort) = crossbeam::thread::scope(|scope| {
-            let mut lanes = MeshLanes::mesh(&sync).into_iter();
-            let mut coordinator = Coordinator {
-                mesh: lanes.next().expect("at least one shard"),
-                map: &map,
-                max_rounds,
-                sink: &mut self.sink,
-                delayed: &mut self.delayed,
-                telemetry: telemetry.as_deref(),
-                replies: Vec::with_capacity(workers),
-                committed: 0,
-                abort: Ok(()),
-            };
-            let mut pool = pool.into_iter();
-            let first = pool.next().expect("at least one shard");
-            let peers: Vec<_> = pool
-                .zip(lanes)
-                .map(|(worker, mut lanes)| scope.spawn(move |_| worker.run(&mut lanes, start)))
-                .collect();
-            let Ok((shard, verdict)) = first.run(&mut coordinator, start);
-            let mut handoff = vec![shard];
-            for h in peers {
-                let Ok((shard, _)) = h.join().expect("pool worker thread died");
-                handoff.push(shard);
-            }
-            (verdict, handoff, coordinator.committed, coordinator.abort)
-        })
-        .expect("worker pool scope failed");
-
-        // Gather: reassemble id-ordered state and fold each worker's
-        // metric partial into the run metrics (merge is commutative, so
-        // gather order does not matter).
-        self.round += committed;
-        if committed > 0 {
-            self.metrics.rounds = self.round;
-        }
-        let mut nodes: Vec<Option<P>> = (0..n).map(|_| None).collect();
-        let mut inboxes: Vec<Vec<(usize, Message)>> = (0..n).map(|_| Vec::new()).collect();
-        for (w, (worker_nodes, worker_inboxes, worker_metrics)) in handoff.into_iter().enumerate() {
-            self.metrics.merge(&worker_metrics);
-            for ((i, node), inbox) in worker_nodes.into_iter().enumerate().zip(worker_inboxes) {
-                let v = map.shards()[w][i] as usize;
-                nodes[v] = Some(node);
-                inboxes[v] = inbox;
-            }
-        }
-        self.nodes = nodes
-            .into_iter()
-            .map(|slot| slot.expect("every node returned by exactly one worker"))
-            .collect();
-        self.inboxes = inboxes;
-        debug_assert_eq!(self.nodes.len(), n);
-        debug_assert!(self.spare.iter().all(|i| i.is_empty()));
-        abort?;
-        match verdict {
-            VERDICT_ROUND_LIMIT => Err(CongestError::RoundLimit { max_rounds }),
-            _ => Ok(RunReport { rounds: self.round }),
-        }
+        self.run_shards(
+            max_rounds,
+            threads,
+            true,
+            |coordinator, lead, peers, start| {
+                crossbeam::thread::scope(|scope| {
+                    let peers: Vec<_> = peers
+                        .into_iter()
+                        .map(|(worker, mut lanes)| {
+                            scope.spawn(move |_| worker.run(&mut lanes, start))
+                        })
+                        .collect();
+                    let lead = coordinator.lead(lead, start);
+                    let rest = peers
+                        .into_iter()
+                        .map(|h| {
+                            let Ok((shard, _)) = h.join().expect("pool worker thread died");
+                            shard
+                        })
+                        .collect();
+                    (lead, rest)
+                })
+                .expect("worker pool scope failed")
+            },
+        )
     }
 }
 
@@ -1700,11 +1584,12 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Restores an inbox's canonical order: ascending port, equal ports in
-/// arrival order (a stable sort). Most inboxes arrive in that order
-/// already — a serial round steps senders in ascending id order, and a
-/// node's port to each neighbour grows with the neighbour's id — so they
-/// are only checked, not sorted.
+/// Restores an inbox's canonical order: ascending port, and equal ports —
+/// which share a sender — in that sender's staging order, fault-delayed
+/// copies last (a stable sort of the arrival order). Most inboxes arrive
+/// in that order already — a shard steps senders in ascending id order,
+/// and a node's port to each neighbour grows with the neighbour's id — so
+/// they are only checked, not sorted.
 pub(crate) fn sort_inbox(inbox: &mut [(usize, Message)]) {
     if !inbox.is_sorted_by_key(|&(port, _)| port) {
         inbox.sort_by_key(|&(port, _)| port);

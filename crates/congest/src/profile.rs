@@ -3,8 +3,8 @@
 //! The simulator's *logical* cost model (rounds, messages, bits) is
 //! covered by [`crate::NetMetrics`]; a profile describes the *physical*
 //! cost of simulating it — where the host's wall-clock time goes. It has
-//! no recorder of its own: every engine (serial, pooled, socket shard,
-//! α-synchronizer) reports each round into the [`crate::Telemetry`]
+//! no recorder of its own: every engine (the shard round loop, in process
+//! or on socket shards, and the α-synchronizer) reports each round into the [`crate::Telemetry`]
 //! registry, and with the registry's clock on ([`Telemetry::set_clock`])
 //! the registry keeps a [`RoundRecord`] of every round. Each record
 //! splits the round into
@@ -254,11 +254,11 @@ pub struct ProfileReport {
     /// Sum over rounds of nodes actually stepped (the round engines skip
     /// idle nodes; `rounds · n` minus this is work the engine avoided).
     pub nodes_stepped: u64,
-    /// Messages the parallel engine routed across worker shards (0 for
-    /// serial / α-sync runs).
+    /// Messages routed across worker shards (0 for one-shard and α-sync
+    /// runs).
     pub cross_shard_messages: u64,
-    /// Messages the parallel engine routed within the sending worker's
-    /// own shard (0 for serial / α-sync runs).
+    /// Messages routed within the sending worker's own shard (0 for
+    /// one-shard and α-sync runs).
     pub intra_shard_messages: u64,
     /// Per-phase spans (empty when phase boundaries are unknown).
     pub phases: Vec<PhaseSpan>,

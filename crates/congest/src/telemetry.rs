@@ -1,12 +1,12 @@
 //! Always-on run telemetry: a lock-free registry of typed counters and
 //! log-bucketed histograms, a per-round recorder, and crash postmortems.
 //!
-//! Every engine (serial, pooled-parallel, socket shard, α-synchronizer),
-//! the reliable transport, and the fault injector can share one
-//! [`Telemetry`] registry through an `Arc`. Writers never lock: counters
-//! and histogram buckets are per-shard relaxed atomics (one shard per pool
-//! worker, shard 0 for the serial engine and the synchronizer,
-//! `node % shards` for transport ports), aggregated only when a reader
+//! Every engine (the shard round loop, in process or on socket shards,
+//! and the α-synchronizer), the reliable transport, and the fault injector
+//! can share one [`Telemetry`] registry through an `Arc`. Writers never
+//! lock: counters and histogram buckets are per-shard relaxed atomics (one
+//! shard per round-loop worker, so shard 0 alone for a one-shard run;
+//! shard 0 for the synchronizer; `node % shards` for transport ports), aggregated only when a reader
 //! calls [`Telemetry::snapshot`]. The engines batch their updates to *one*
 //! [`TelemetryHandle::on_round`] call per worker per round — deltas are
 //! computed against the metrics the engines already maintain — so
@@ -238,11 +238,13 @@ impl Shard {
 }
 
 /// One shard's tallies of one round, the argument of
-/// [`TelemetryHandle::on_round`]: a pool worker's, a socket shard's, or
-/// the serial engine's. The timings are 0 unless the clock is on.
+/// [`TelemetryHandle::on_round`]: one worker's of the shard round loop
+/// (in process or a socket shard) or the synchronizer's. The timings are
+/// 0 unless the clock is on. A one-shard run reports no busy or route
+/// time and no intra/cross split.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProfRow {
-    /// Wall time the shard spent inside the round (ns; pooled and socket
+    /// Wall time the shard spent inside the round (ns; runs of two or more
     /// shards only).
     pub busy_ns: u64,
     /// Time inside `Protocol::round` calls (ns).
@@ -289,7 +291,7 @@ pub struct RoundRecord {
     /// Clock on: time inside `Protocol::round` calls (ns).
     pub compute_ns: u64,
     /// Clock on: busy time of each shard that reported one this round, in
-    /// shard order (empty for the serial engine and the synchronizer).
+    /// shard order (empty for one-shard runs and the synchronizer).
     pub worker_busy_ns: Vec<u64>,
     /// Clock on: routing time of the same shards (a subset of their busy
     /// time).
@@ -529,8 +531,8 @@ impl Telemetry {
     /// derives the round's deltas, runs the live straggler check (message
     /// load vs median × k over the last [`Telemetry::ring_capacity`]
     /// rounds), and advances the round gauge. Called exactly once per
-    /// committed round by whichever thread coordinates the round: the
-    /// serial loop, worker 0 of the pool, the synchronizer's pulse loop
+    /// committed round by whichever thread coordinates the round: worker
+    /// 0 of the shard round loop, the synchronizer's pulse loop
     /// (all through [`Telemetry::commit_round`]), or the socket leader
     /// replaying its shards' deltas.
     pub fn finish_round(&self, round: u64) {

@@ -1,11 +1,11 @@
 //! Event tracing for CONGEST executions.
 //!
-//! Every engine in this crate (serial, parallel, α-synchronizer) can emit a
-//! stream of [`TraceEvent`]s into a [`TraceSink`]: one `RoundStart` per
-//! round, one `MessageSent` per delivered message, a `ViolationDetected`
-//! for every CONGEST-constraint breach, and protocol-level events
-//! ([`ProtocolDetail`]) that the node state machines stage through
-//! [`crate::RoundCtx::trace`].
+//! Every engine in this crate (the shard round loop and the
+//! α-synchronizer) can emit a stream of [`TraceEvent`]s into a
+//! [`TraceSink`]: one `RoundStart` per round, one `MessageSent` per
+//! delivered message, a `ViolationDetected` for every CONGEST-constraint
+//! breach, and protocol-level events ([`ProtocolDetail`]) that the node
+//! state machines stage through [`crate::RoundCtx::trace`].
 //!
 //! Tracing is strictly opt-in: a network without a sink skips all event
 //! construction (the per-node flag short-circuits [`crate::RoundCtx::trace`]
@@ -153,9 +153,8 @@ pub enum ViolationKind {
 ///
 /// Implementations must tolerate high event rates; the engines call
 /// [`TraceSink::event`] synchronously on the simulation thread (worker
-/// buffers from the parallel engine are merged into node order first, so
-/// sinks always observe the same deterministic stream the serial engine
-/// produces).
+/// buffers are merged into ascending node-id order first, so sinks
+/// observe the same deterministic stream for every shard count).
 pub trait TraceSink {
     /// Records one event.
     fn event(&mut self, event: &TraceEvent);

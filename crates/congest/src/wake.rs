@@ -23,12 +23,12 @@
 //! in id order and traces and metrics do not change. The wheel and the
 //! per-node arrays are sized once from the shard; only the heap, which
 //! holds the rare far-ahead wakes, can grow. The set also tracks how many
-//! nodes are halted and how many inboxes hold mail, which replaces the
-//! engines' per-round full scans for quiescence.
+//! nodes are halted, which replaces the shard's per-round full scan for
+//! quiescence.
 //!
-//! A round that cannot trust the calendar — the first round after
-//! [`WakeSet::reset`], or any round the engine runs without it (faults,
-//! `skip_idle` off) — marks every node due, which is the plain scan.
+//! A round that cannot trust the calendar — a run's first round, or any
+//! round the engine runs without it (faults, `skip_idle` off) — marks
+//! every node due, which is the plain scan.
 //!
 //! [`Protocol::next_wake`]: crate::Protocol::next_wake
 
@@ -52,7 +52,7 @@ pub(crate) struct WakeSet {
     /// Nodes due this round; [`WakeSet::next_due`] clears bits as it
     /// yields them.
     due: Vec<u64>,
-    /// Nodes due next round: sent mail, or rescheduled for `round + 1`.
+    /// Nodes due next round: rescheduled for `round + 1`.
     /// The next round takes these bits whole, so a node woken every round
     /// (a polled one) needs no stored wake and no wheel slot.
     next: Vec<u64>,
@@ -72,14 +72,11 @@ pub(crate) struct WakeSet {
     heap: BinaryHeap<Reverse<(u64, u32)>>,
     halted: Vec<u64>,
     halted_count: usize,
-    /// Inboxes holding mail for the next round (counted by
-    /// [`WakeSet::post`]).
-    mail: usize,
-    /// No round has run since [`WakeSet::reset`]: the next round visits
-    /// every node, and the halted and mail counts are not known yet.
+    /// No round has run yet: the next round visits every node, and the
+    /// halted count is not known yet.
     fresh: bool,
-    /// This round is the first since a reset: every node's halted flag
-    /// is read, stepped or not.
+    /// This round is the run's first: every node's halted flag is read,
+    /// stepped or not.
     priming: bool,
     /// This round reschedules nodes from their timers.
     calendar: bool,
@@ -100,26 +97,10 @@ impl WakeSet {
             heap: BinaryHeap::new(),
             halted: vec![0; words],
             halted_count: 0,
-            mail: 0,
             fresh: true,
             priming: false,
             calendar: false,
         }
-    }
-
-    /// Forgets the calendar: the next round visits every node. Engines
-    /// call this at the start of each run, since node state may have
-    /// moved since the last one.
-    pub(crate) fn reset(&mut self) {
-        self.next.fill(0);
-        self.wheel.fill(0);
-        self.filled = [0; WHEEL as usize / 64];
-        self.at.fill(NEVER);
-        self.heap.clear();
-        self.halted.fill(0);
-        self.halted_count = 0;
-        self.mail = 0;
-        self.fresh = true;
     }
 
     /// The wheel slot of `round`.
@@ -136,10 +117,9 @@ impl WakeSet {
     }
 
     /// Builds the due set of `round`. With `calendar` off every node is
-    /// due, as in the first round after a reset; with it on, the nodes
-    /// whose stored wake is this round or that were sent mail last round
-    /// are. Mail that arrives at the start of the round is added with
-    /// [`WakeSet::mark`]. Rounds must be begun in order.
+    /// due, as in a run's first round; with it on, the nodes whose stored
+    /// wake is this round are. Mail that arrives at the start of the round
+    /// is added with [`WakeSet::mark`]. Rounds must be begun in order.
     pub(crate) fn begin_round(&mut self, round: u64, calendar: bool) {
         // A round that stopped early (a node panic) leaves `due` bits
         // behind; they are overwritten here.
@@ -155,7 +135,6 @@ impl WakeSet {
             self.next.fill(0);
         }
         self.cursor = 0;
-        self.mail = 0;
         self.calendar = calendar;
         self.priming = std::mem::take(&mut self.fresh);
         if self.priming || !calendar {
@@ -182,12 +161,6 @@ impl WakeSet {
         self.due[i / 64] |= 1 << (i % 64);
     }
 
-    /// Records that node `i`'s inbox received mail for the next round.
-    pub(crate) fn post(&mut self, i: usize) {
-        self.next[i / 64] |= 1 << (i % 64);
-        self.mail += 1;
-    }
-
     /// The next due node of this round, in ascending order.
     pub(crate) fn next_due(&mut self) -> Option<usize> {
         while let Some(word) = self.due.get_mut(self.cursor) {
@@ -204,7 +177,7 @@ impl WakeSet {
     /// Records node `i` after the engine visited it in `round`. Only a
     /// node that `stepped` can have halted; one that was skipped (idle or
     /// crashed) kept its state, so its halted flag is read only in the
-    /// first round after a reset. With the calendar on, the node is then
+    /// run's first round. With the calendar on, the node is then
     /// rescheduled from `next_wake(round + 1)`.
     pub(crate) fn settle<P: Protocol>(&mut self, i: usize, round: u64, node: &P, stepped: bool) {
         let (word, bit) = (i / 64, 1u64 << (i % 64));
@@ -253,12 +226,6 @@ impl WakeSet {
     pub(crate) fn all_halted(&self) -> bool {
         self.halted_count == self.len
     }
-
-    /// Whether every node is halted and no inbox holds mail, or `None`
-    /// right after a reset, when neither is known.
-    pub(crate) fn quiet(&self) -> Option<bool> {
-        (!self.fresh).then(|| self.mail == 0 && self.all_halted())
-    }
 }
 
 #[cfg(test)]
@@ -300,9 +267,8 @@ mod tests {
         for i in 0..70 {
             set.settle(i, 0, nodes.get(i).unwrap_or(&idle), false);
         }
-        set.post(65);
-        assert_eq!(set.quiet(), Some(false));
         set.begin_round(1, true);
+        set.mark(65);
         assert_eq!(due(&mut set), vec![0, 3, 65]);
         set.settle(0, 1, &Alarm(vec![]), true);
         set.begin_round(2, true);
@@ -349,16 +315,15 @@ mod tests {
                 (s.wheel.len(), s.wheel.capacity(), s.due.capacity(), s.next.capacity(), s.at.capacity())
             };
             let before = storage(&set);
-            // The model: each node's latest wake answer, and who has mail.
+            // The model: each node's latest wake answer.
             let mut wake: Vec<Option<u64>> = vec![None; len];
-            let mut mail = vec![false; len];
             for round in 0..1200u64 {
                 set.begin_round(round, true);
                 let mut want: Vec<usize> = (0..len)
-                    .filter(|&i| round == 0 || mail[i] || wake[i] == Some(round))
+                    .filter(|&i| round == 0 || wake[i] == Some(round))
                     .collect();
                 // Mail that arrives at the start of the round.
-                for _ in 0..rng.gen_range(0..3usize) {
+                for _ in 0..rng.gen_range(0..len / 8 + 3) {
                     let i = rng.gen_range(0..len);
                     set.mark(i);
                     want.push(i);
@@ -367,7 +332,6 @@ mod tests {
                 want.dedup();
                 let got = due(&mut set);
                 proptest::prop_assert_eq!(&got, &want, "round {}", round);
-                mail.fill(false);
                 for &i in &got {
                     // None, the next round, a gap below the wheel, its
                     // edge, past it, or the stored answer again; visits
@@ -385,13 +349,6 @@ mod tests {
                     set.settle(i, round, &Scripted(answer), true);
                     wake[i] = answer.map(|a| a.max(round + 1));
                 }
-                for _ in 0..rng.gen_range(0..len / 8 + 2) {
-                    let i = rng.gen_range(0..len);
-                    if !mail[i] {
-                        set.post(i);
-                        mail[i] = true;
-                    }
-                }
             }
             // The wheel and the per-node arrays keep their size however
             // many rounds run; only far-ahead wakes reach the heap.
@@ -402,14 +359,12 @@ mod tests {
     #[test]
     fn halted_counter_and_full_mode() {
         let mut set = WakeSet::new(3);
-        assert_eq!(set.quiet(), None);
         set.begin_round(0, false);
         assert_eq!(due(&mut set), vec![0, 1, 2]);
         for i in 0..3 {
             set.settle(i, 0, &Alarm(vec![]), false);
         }
         assert!(set.all_halted());
-        assert_eq!(set.quiet(), Some(true));
         set.begin_round(1, false);
         assert_eq!(due(&mut set), vec![0, 1, 2]);
         // A skipped node keeps its halted flag; a stepped one updates it.
@@ -417,7 +372,5 @@ mod tests {
         assert!(set.all_halted());
         set.settle(1, 1, &Alarm(vec![4]), true);
         assert!(!set.all_halted());
-        set.reset();
-        assert_eq!(set.quiet(), None);
     }
 }

@@ -6,7 +6,7 @@
 //! Unix-domain sockets, with nothing else changed: [`run_shard_engine`]
 //! runs the pool's shard round loop with `BATCH` frames for lanes, and
 //! the leader applies the same canonical join, so results, metrics, and
-//! telemetry snapshots stay bit-identical to the serial oracle.
+//! telemetry snapshots stay bit-identical to an in-process run.
 //!
 //! # Frame format
 //!
@@ -170,6 +170,7 @@ fn split_addr(addr: &str) -> Result<(&str, &str), WireError> {
 }
 
 /// A listening socket bound to a `tcp:HOST:PORT` or `unix:PATH` address.
+/// A `unix:` listener deletes its socket file when dropped.
 #[derive(Debug)]
 pub enum WireListener {
     /// TCP listener.
@@ -231,6 +232,15 @@ impl WireListener {
             WireListener::Unix(l, _) => l.set_nonblocking(nb)?,
         }
         Ok(())
+    }
+}
+
+impl Drop for WireListener {
+    fn drop(&mut self) {
+        #[cfg(unix)]
+        if let WireListener::Unix(_, path) = self {
+            let _ = std::fs::remove_file(path);
+        }
     }
 }
 
@@ -1235,6 +1245,16 @@ mod tests {
         // Reference vectors for the standard FNV-1a 64-bit parameters.
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn dropping_a_unix_listener_removes_its_socket_file() {
+        let path = std::env::temp_dir().join(format!("bc-wire-drop-{}.sock", std::process::id()));
+        let listener = WireListener::bind(&format!("unix:{}", path.display())).unwrap();
+        assert!(path.exists());
+        drop(listener);
+        assert!(!path.exists());
     }
 
     #[test]

@@ -85,9 +85,9 @@ pub struct DistBcConfig {
     pub enforcement: Enforcement,
     /// Per-message bit budget (default: `Θ(log N)` auto).
     pub budget: Budget,
-    /// Worker threads for the round engine; `0` or `1` runs serially.
-    /// The pool splits the ids into `min(n, threads)` contiguous shards
-    /// ([`bc_congest::ShardMap`]).
+    /// Worker threads for the round engine; `0` or `1` runs the one
+    /// shard on the calling thread. The ids are split into
+    /// `min(n, threads)` contiguous shards ([`bc_congest::ShardMap`]).
     pub threads: usize,
     /// Optional edge cut across which bit flow is measured (experiment E8).
     pub cut: Option<EdgeCut>,
@@ -419,11 +419,7 @@ fn run_engine<P: RunNode>(
     if let Some(t) = clock.as_ref().or(config.telemetry.as_ref()) {
         net.set_telemetry(t.clone());
     }
-    let report = if config.threads > 1 {
-        net.run_parallel(plan.max_rounds, config.threads)
-    } else {
-        net.run(plan.max_rounds)
-    };
+    let report = net.run_parallel(plan.max_rounds, config.threads.max(1));
     let rounds = clock.map(|t| Plan::stop_clock(&t));
     let report = report?;
     let (trace, metrics) = (net.take_trace_sink(), net.metrics().clone());
