@@ -86,8 +86,8 @@ pub use faults::{CrashWindow, FaultDecision, FaultPlan};
 pub use message::Message;
 pub use metrics::{EdgeCut, NetMetrics, PhaseStat};
 pub use network::{
-    canonical_abort, Budget, Config, CongestError, Enforcement, Network, Protocol, RoundCtx,
-    RunReport,
+    canonical_abort, panic_message, Budget, Config, CongestError, Enforcement, Network, Protocol,
+    RoundCtx, RunReport,
 };
 pub use partition::{ShardMap, ShardSkew};
 pub use profile::{PhaseSpan, ProfileReport, Straggler, SyncStats, WorkerStats};

@@ -1573,8 +1573,9 @@ impl<P: Protocol + Send> Network<P> {
 }
 
 /// Renders a `catch_unwind` payload (usually a `&str` or `String` from
-/// `panic!`/`assert!`) for [`CongestError::NodePanic`].
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// `panic!`/`assert!`) for [`CongestError::NodePanic`] and the query
+/// server's failed recomputes.
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

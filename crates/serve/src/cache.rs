@@ -73,6 +73,11 @@ impl SourceCache {
         }
     }
 
+    /// Most vectors the cache holds.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
     /// Number of cached vectors.
     pub fn len(&self) -> usize {
         self.entries.len()

@@ -14,9 +14,15 @@
 //!   ascending order — bit-identical to a from-scratch run by
 //!   construction, because the fold performs the same float additions
 //!   in the same order on the same values. Every BFS and per-source
-//!   pass runs on a [`BrandesKernel`], the one `betweenness_f64` uses;
-//!   the engine keeps one across sources, so a recomputed source
-//!   allocates only the vector it stores in the cache.
+//!   pass runs on a [`BrandesKernel`], the one `betweenness_f64` uses.
+//!   The sources missing from the cache are independent passes, so
+//!   they are split across one worker per core (the engine's own
+//!   thread is one). Each worker keeps its own kernel across sources
+//!   and yields after each, so a reader woken during a recompute waits
+//!   for one source, not a scheduler slice. The vectors the workers
+//!   fill are allocated on the engine's thread, and the fold still
+//!   runs there in ascending source order, so the worker count cannot
+//!   change a bit.
 //! * [`FullRecompute`] wraps any closure producing scores from a graph
 //!   (the distributed driver, in-process or over a `--connect` shard
 //!   mesh, or sampling). Those protocols accumulate across sources in
@@ -46,7 +52,8 @@ use crate::cache::SourceCache;
 use bc_brandes::BrandesKernel;
 use bc_graph::{Graph, GraphError, NodeId};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::thread;
 
 /// A graph mutation accepted by the server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,6 +142,10 @@ pub fn affected_sources(old: &Graph, m: Mutation) -> Vec<u32> {
         .collect()
 }
 
+/// Fewest misses one split of a fold may hold, so a small or disabled
+/// cache still gives each worker a run of sources per spawn.
+const SPLIT_MIN: usize = 64;
+
 /// Incremental Brandes engine: owns the current graph and the source
 /// cache, and rebuilds the score vector after each mutation by folding
 /// per-source dependency vectors in ascending source order — the exact
@@ -143,8 +154,11 @@ pub fn affected_sources(old: &Graph, m: Mutation) -> Vec<u32> {
 pub struct IncrementalEngine {
     graph: Graph,
     cache: SourceCache,
-    kernel: BrandesKernel,
-    /// Sources recomputed by the last `recompute` call (telemetry).
+    /// One kernel per recompute worker, kept across folds.
+    kernels: Vec<BrandesKernel>,
+    /// Most workers a fold runs on: the host's cores.
+    workers: usize,
+    /// Sources recomputed by the last fold (telemetry).
     last_recomputed: usize,
 }
 
@@ -156,9 +170,18 @@ impl IncrementalEngine {
         IncrementalEngine {
             graph,
             cache: SourceCache::new(cache_capacity),
-            kernel: BrandesKernel::default(),
+            kernels: Vec::new(),
+            workers: thread::available_parallelism().map_or(1, |c| c.get()),
             last_recomputed: 0,
         }
+    }
+
+    /// Caps the recompute workers at `workers` (tests vary the count;
+    /// the scores must not move).
+    #[cfg(test)]
+    pub(crate) fn with_workers(mut self, workers: usize) -> IncrementalEngine {
+        self.workers = workers.max(1);
+        self
     }
 
     /// The engine's current graph.
@@ -190,24 +213,42 @@ impl IncrementalEngine {
     /// order and halves — the accumulation schedule of
     /// [`bc_brandes::betweenness_f64`], reproduced addition-for-addition
     /// so the result is bit-identical whether a vector came from the
-    /// cache or a fresh BFS.
+    /// cache or a fresh BFS, and whichever worker computed it.
+    ///
+    /// The sources are looked up in ascending order and their misses
+    /// computed in one split across the workers. A cache smaller than
+    /// `n` cuts the fold into ascending runs of at most
+    /// `max(capacity, SPLIT_MIN)` misses, so the fresh vectors alive at
+    /// once stay within about the cache's own memory bound.
     fn fold(&mut self) -> Vec<f64> {
         let n = self.graph.n();
+        let split = self.cache.capacity().max(SPLIT_MIN);
         let mut cb = vec![0.0f64; n];
-        let mut recomputed = 0usize;
-        for s in 0..n as u32 {
-            let dep = match self.cache.get(s) {
-                Some(dep) => dep,
-                None => {
-                    recomputed += 1;
-                    let dep = Arc::new(self.kernel.dependencies(&self.graph, s, None).to_vec());
+        let mut recomputed = 0;
+        let mut next = 0u32;
+        while (next as usize) < n {
+            let mut lookups = Vec::new();
+            let mut misses = Vec::new();
+            while (next as usize) < n && misses.len() < split {
+                let hit = self.cache.get(next);
+                if hit.is_none() {
+                    misses.push(next);
+                }
+                lookups.push((next, hit));
+                next += 1;
+            }
+            recomputed += misses.len();
+            let mut fresh = self.recompute(&misses).into_iter();
+            for (s, hit) in lookups {
+                let dep = hit.unwrap_or_else(|| {
+                    let dep = Arc::new(fresh.next().expect("one vector per miss"));
                     self.cache.put(s, Arc::clone(&dep));
                     dep
-                }
-            };
-            for (w, d) in dep.iter().enumerate() {
-                if w as u32 != s {
-                    cb[w] += d;
+                });
+                for (w, d) in dep.iter().enumerate() {
+                    if w as u32 != s {
+                        cb[w] += d;
+                    }
                 }
             }
         }
@@ -216,6 +257,37 @@ impl IncrementalEngine {
         }
         self.last_recomputed = recomputed;
         cb
+    }
+
+    /// The dependency vectors of `sources`, in their order, computed on
+    /// up to `self.workers` threads that take the next source as they
+    /// finish one.
+    fn recompute(&mut self, sources: &[u32]) -> Vec<Vec<f64>> {
+        let n = self.graph.n();
+        let mut out: Vec<Vec<f64>> = sources.iter().map(|_| vec![0.0; n]).collect();
+        let workers = self.workers.min(sources.len()).max(1);
+        if self.kernels.len() < workers {
+            self.kernels.resize_with(workers, BrandesKernel::default);
+        }
+        let graph = &self.graph;
+        let queue = Mutex::new(sources.iter().zip(out.iter_mut()));
+        let work = |kernel: &mut BrandesKernel| loop {
+            let Some((&s, dep)) = queue.lock().expect("recompute queue").next() else {
+                return;
+            };
+            dep.copy_from_slice(kernel.dependencies(graph, s, None));
+            thread::yield_now();
+        };
+        let (own, helpers) = self.kernels[..workers]
+            .split_first_mut()
+            .expect("one kernel");
+        thread::scope(|scope| {
+            for kernel in helpers {
+                scope.spawn(|| work(kernel));
+            }
+            work(own);
+        });
+        out
     }
 
     /// Sources recomputed (cache misses) during the last fold.
@@ -342,6 +414,7 @@ mod tests {
     use super::*;
     use bc_brandes::{betweenness_f64, dependencies_from};
     use bc_graph::generators;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -489,5 +562,56 @@ mod tests {
         assert_bits_eq(&out.scores, &betweenness_f64(engine.graph()));
         assert!(engine.apply(Mutation::AddEdge(0, 3)).is_err());
         assert_eq!(engine.graph().m(), 4, "failed mutation must not commit");
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The worker count and the cache size move no bit: after every
+        /// mutation the scores equal a from-scratch run, and with every
+        /// vector cached exactly the affected sources are recomputed.
+        /// Graphs past `SPLIT_MIN` nodes with a small cache fold in more
+        /// than one split.
+        #[test]
+        fn fold_is_bit_identical_for_every_worker_count(
+            n in 8usize..100,
+            ba in any::<bool>(),
+            seed in any::<u64>(),
+            workers in 1usize..=3,
+            cap in 0usize..3,
+            edits in prop::collection::vec((0u32..100, 0u32..100), 1..24),
+        ) {
+            let g = if ba {
+                generators::barabasi_albert(n, 2, seed)
+            } else {
+                generators::erdos_renyi_connected(n, 0.15, seed)
+            };
+            let capacity = [0, n / 3, n][cap];
+            let mut engine = IncrementalEngine::new(g.clone(), capacity).with_workers(workers);
+            prop_assert_eq!(bits(&engine.scores()), bits(&betweenness_f64(&g)));
+            prop_assert_eq!(engine.last_recomputed(), n);
+            for (u, v) in edits {
+                let (u, v) = (u % n as u32, v % n as u32);
+                if u == v {
+                    continue;
+                }
+                let m = if engine.graph().has_edge(u, v) {
+                    Mutation::RemoveEdge(u, v)
+                } else {
+                    Mutation::AddEdge(u, v)
+                };
+                let affected = affected_sources(engine.graph(), m).len();
+                let scores = engine.apply(m).unwrap();
+                let scratch = betweenness_f64(engine.graph());
+                prop_assert_eq!(bits(&scores), bits(&scratch), "after {}", m);
+                if capacity == n {
+                    prop_assert_eq!(engine.last_recomputed(), affected, "after {}", m);
+                }
+            }
+        }
     }
 }

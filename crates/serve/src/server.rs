@@ -1,6 +1,6 @@
 //! The long-running query server: versioned snapshots behind an epoch
 //! cell, per-connection handler threads, and a single background
-//! mutation worker.
+//! mutation worker (whose incremental recomputes fan out across cores).
 //!
 //! # Lifecycle
 //!
@@ -28,13 +28,17 @@
 //! A malformed client — bad HELLO, unknown tag, truncated or oversized
 //! frame, garbage bytes — earns a best-effort `TAG_ERROR` frame and a
 //! dropped connection; the server never panics and other connections
-//! are unaffected. On shutdown, in-flight batches finish (the closer
-//! takes each connection's busy lock before shutting its socket), the
-//! mutation queue drains, and the final stats are returned for the
-//! telemetry checkpoint.
+//! are unaffected. A recompute that fails or panics poisons the
+//! mutation pipeline: pending and later mutations and flushes answer
+//! `Failed`, and reads keep being served from the last good snapshot.
+//! On shutdown, in-flight batches finish (the closer takes each
+//! connection's busy lock before shutting its socket), the mutation
+//! queue drains, and the final stats are returned for the telemetry
+//! checkpoint.
 
 use crate::engine::{component_count, Mutation, RecomputeEngine};
 use crate::proto::{decode_requests, encode_responses, QueryRequest, QueryResponse};
+use bc_congest::panic_message;
 use bc_congest::telemetry::{Counter, HistogramId, Telemetry};
 use bc_congest::wire::{
     graph_hash, Hello, WireError, WireListener, WireStream, ROLE_CLIENT, TAG_DONE, TAG_ERROR,
@@ -44,6 +48,7 @@ use bc_core::snapshot::{CentralitySnapshot, SnapshotStore};
 use bc_graph::Graph;
 use std::collections::VecDeque;
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
@@ -332,7 +337,12 @@ fn mutation_worker(mut engine: RecomputeEngine, shared: Arc<Shared>) {
             }
         };
         let Some(m) = m else { return };
-        match engine.apply(m) {
+        // A panicking recompute (a worker's panic re-raised by the
+        // engine's scope join, or a full engine's closure) fails the
+        // pipeline like an `Err`, so waiters wake instead of hanging.
+        let applied = panic::catch_unwind(AssertUnwindSafe(|| engine.apply(m)))
+            .unwrap_or_else(|payload| Err(format!("panicked: {}", panic_message(payload))));
+        match applied {
             Ok(out) => {
                 let g_hash = graph_hash(engine.graph());
                 let version = shared.store.load().version + 1;
@@ -359,8 +369,9 @@ fn mutation_worker(mut engine: RecomputeEngine, shared: Arc<Shared>) {
             }
             Err(reason) => {
                 // Enqueue-time validation filters graph errors, so this
-                // is an engine runtime failure: poison the pipeline (old
-                // snapshots keep serving) and reject the backlog.
+                // is an engine runtime failure or panic: poison the
+                // pipeline (old snapshots keep serving) and reject the
+                // backlog.
                 let mut q = shared.muts.lock().expect("mutation queue");
                 q.dead = Some(format!("mutation {m} failed: {reason}"));
                 q.applied_seq = q.enqueued_seq;
@@ -551,15 +562,19 @@ fn enqueue(shared: &Shared, m: Mutation) -> QueryResponse {
     QueryResponse::MutationQueued { seq }
 }
 
-/// Blocks until every mutation enqueued before this call is published.
+/// Blocks until every mutation enqueued before this call is published;
+/// fails once the pipeline is dead.
 fn flush(shared: &Shared) -> QueryResponse {
     let mut q = shared.muts.lock().expect("mutation queue");
     let target = q.enqueued_seq;
-    while q.applied_seq < target {
+    loop {
         if let Some(dead) = &q.dead {
             return QueryResponse::Failed {
                 reason: dead.clone(),
             };
+        }
+        if q.applied_seq >= target {
+            break;
         }
         let (guard, _) = shared
             .wake
@@ -575,12 +590,12 @@ fn flush(shared: &Shared) -> QueryResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::IncrementalEngine;
+    use crate::engine::{FullRunOutput, IncrementalEngine};
     use crate::proto::QueryClient;
     use bc_brandes::betweenness_f64;
     use bc_graph::generators;
     use std::sync::atomic::AtomicUsize;
-    use std::sync::Barrier;
+    use std::sync::{mpsc, Barrier};
 
     fn test_addr() -> String {
         static NEXT: AtomicUsize = AtomicUsize::new(0);
@@ -595,7 +610,13 @@ mod tests {
     }
 
     fn start(g: Graph) -> Running {
-        let engine = RecomputeEngine::Incremental(IncrementalEngine::new(g.clone(), g.n()));
+        start_engine(RecomputeEngine::Incremental(IncrementalEngine::new(
+            g.clone(),
+            g.n(),
+        )))
+    }
+
+    fn start_engine(engine: RecomputeEngine) -> Running {
         let cfg = ServerConfig {
             listen: test_addr(),
             algo: "brandes".into(),
@@ -884,5 +905,64 @@ mod tests {
         assert_eq!(stats.snapshots_published, 4);
         assert!(total > 0);
         assert!(stats.queries >= total);
+    }
+
+    #[test]
+    fn a_panicking_recompute_fails_flushes_instead_of_hanging() {
+        let g = generators::path(5);
+        let mut runs = 0;
+        let srv = start_engine(RecomputeEngine::Full {
+            graph: g,
+            run: Box::new(move |g| {
+                runs += 1;
+                assert!(runs < 2, "recompute {runs} blew up");
+                Ok(FullRunOutput {
+                    scores: betweenness_f64(g),
+                    sample_size: g.n(),
+                    rounds: 0,
+                })
+            }),
+        });
+        let addr = srv.addr.clone();
+        let (tx, rx) = mpsc::channel();
+        thread::spawn(move || {
+            let mut client = QueryClient::connect(&addr).unwrap();
+            let first = client
+                .batch(&[QueryRequest::AddEdge { u: 0, v: 2 }, QueryRequest::Flush])
+                .unwrap();
+            let later = client
+                .batch(&[
+                    QueryRequest::AddEdge { u: 0, v: 3 },
+                    QueryRequest::Flush,
+                    QueryRequest::Meta,
+                ])
+                .unwrap();
+            client.close();
+            let _ = tx.send((first, later));
+        });
+        let (first, later) = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("a flush after a panicking recompute must not hang");
+        assert_eq!(first[0], QueryResponse::MutationQueued { seq: 1 });
+        match &first[1] {
+            QueryResponse::Failed { reason } => {
+                assert!(reason.contains("recompute 2 blew up"), "{reason}")
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(
+            matches!(later[0], QueryResponse::Failed { .. }),
+            "{later:?}"
+        );
+        assert!(
+            matches!(later[1], QueryResponse::Failed { .. }),
+            "{later:?}"
+        );
+        match &later[2] {
+            QueryResponse::Meta { version, .. } => assert_eq!(*version, 1),
+            other => panic!("unexpected {other:?}"),
+        }
+        let stats = srv.stop();
+        assert_eq!(stats.snapshots_published, 0);
     }
 }

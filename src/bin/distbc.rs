@@ -161,7 +161,8 @@ const USAGE: &str = "usage:
   distbc serve       --listen tcp:HOST:PORT|unix:PATH (--input FILE | --generate SPEC)
                      [--algorithm distributed|brandes|sampled:K] [--sample-seed N]
                      [--estimator scaled|jiyan]
-                     [--threads N|auto] [--connect ADDR,ADDR,...] [--cache N]
+                     [--threads N|auto] [--connect ADDR,ADDR,...]   (distributed, sampled:K)
+                     [--cache N]                                      (brandes)
                      [--postmortem FILE] [--no-telemetry]
   distbc query       --connect ADDR [--top K] [--node V] [--percentile P] [--meta]
                      [--add-edge U:V] [--remove-edge U:V] [--flush] [--csv]
@@ -191,8 +192,9 @@ serving:         `distbc serve` keeps a centrality snapshot resident and
                  answers `distbc query` batches; every request flag adds one
                  request to a single batch frame, answered in flag order from
                  one snapshot version. add-edge/remove-edge trigger a
-                 background recompute (incremental for brandes) that publishes
-                 a new snapshot version; flush waits for the queue to drain.
+                 background recompute that publishes a new snapshot version
+                 (incremental for brandes: the affected sources run on every
+                 core); flush waits for the queue to drain.
                  SIGINT/SIGTERM drain in-flight batches and exit 0";
 
 fn parse_args(args: &[String]) -> Result<Command, String> {
@@ -216,7 +218,7 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut metrics = false;
     let mut profile = false;
     let mut json = false;
-    let mut threads = ThreadSpec::Fixed(0);
+    let mut threads: Option<ThreadSpec> = None;
     let mut skip_idle = true;
     let mut faults: Option<FaultPlan> = None;
     let mut fault_seed: Option<u64> = None;
@@ -280,11 +282,11 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
             }
             "--threads" => {
                 let v = value("--threads")?;
-                threads = if v == "auto" {
+                threads = Some(if v == "auto" {
                     ThreadSpec::Auto
                 } else {
                     ThreadSpec::Fixed(v.parse().map_err(|_| "bad --threads value".to_string())?)
-                };
+                });
             }
             "--partition" => {
                 return Err(
@@ -523,7 +525,7 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                 metrics,
                 profile,
                 json,
-                threads,
+                threads: threads.unwrap_or(ThreadSpec::Fixed(0)),
                 skip_idle,
                 faults,
                 reliable,
@@ -556,6 +558,13 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
             if cache.is_some() && algorithm != Algorithm::Brandes {
                 return Err("--cache requires --algorithm brandes (the incremental engine)".into());
             }
+            if threads.is_some() && algorithm == Algorithm::Brandes {
+                return Err(
+                    "--threads requires --algorithm distributed or sampled:K (the brandes \
+                     engine recomputes on every core)"
+                        .into(),
+                );
+            }
             if connect.is_some() && algorithm == Algorithm::Brandes {
                 return Err("--connect requires --algorithm distributed or sampled:K".into());
             }
@@ -572,7 +581,7 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                 algorithm,
                 sample_seed: sample_seed.unwrap_or(0),
                 estimator: estimator.unwrap_or_default(),
-                threads,
+                threads: threads.unwrap_or(ThreadSpec::Fixed(0)),
                 connect,
                 postmortem,
                 no_telemetry,

@@ -658,6 +658,29 @@ fn removed_partition_flag_is_a_usage_error() {
     assert!(err.contains("--partition was removed"), "{err}");
 }
 
+/// `serve --algorithm brandes` rejects `--threads` (exit 2) instead of
+/// ignoring it: the incremental engine recomputes on every core, and
+/// `--threads` sizes only the distributed driver.
+#[test]
+fn serve_brandes_with_threads_is_a_usage_error() {
+    for threads in ["2", "auto"] {
+        let run = distbc(&[
+            "serve",
+            "--listen",
+            "unix:never-bound.sock",
+            "--generate",
+            "path:8",
+            "--algorithm",
+            "brandes",
+            "--threads",
+            threads,
+        ]);
+        assert_eq!(run.status.code(), Some(2), "--threads {threads}: {run:?}");
+        let err = String::from_utf8_lossy(&run.stderr).into_owned();
+        assert!(err.contains("--threads requires"), "{err}");
+    }
+}
+
 /// Sampled runs whose sample leaves out node 0, the root of the DFS, used
 /// to panic ("own wave from a non-source"); the root now relays the token
 /// without a wave, as every sampled-out node does — on both sides of the
