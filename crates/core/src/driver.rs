@@ -493,6 +493,16 @@ impl Plan {
         // Built once and shared: every node keys its O(|S|) state off this map.
         let source_index = Arc::new(SourceIndex::build(&config.sources, n));
         let sched = PhaseSchedule::for_graph(g, config.scheduling, source_index.len());
+        // Nodes store each wave start round `T_s` as a `u32`, and every
+        // wave starts before the counting window closes.
+        if sched.reduce_start > u32::MAX as u64 {
+            return Err(DistBcError::BadConfig(format!(
+                "the counting window ends at round {}, past the largest wave start \
+                 round a node stores ({}); use pipelined scheduling or a smaller graph",
+                sched.reduce_start,
+                u32::MAX
+            )));
+        }
         if let Some(t) = &config.telemetry {
             sched.publish(t);
         }
@@ -670,4 +680,29 @@ pub fn run_distributed_bc_weighted(
         rounds: out.rounds,
         metrics: out.metrics,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bc_graph::generators;
+
+    /// Sequential windows on a 70,000-node path close after round
+    /// n(n + 2) > 2^32: planning refuses them, before any node (each of
+    /// which would hold 70,000 records) is built.
+    #[test]
+    fn plan_rejects_wave_starts_past_u32() {
+        let g = generators::path(70_000);
+        let sequential = DistBcConfig {
+            scheduling: Scheduling::Sequential,
+            ..DistBcConfig::default()
+        };
+        match Plan::new(&g, &sequential) {
+            Err(DistBcError::BadConfig(msg)) => assert!(msg.contains("counting window"), "{msg}"),
+            Err(e) => panic!("expected BadConfig, got {e}"),
+            Ok(plan) => panic!("planned windows {:?}", plan.sched),
+        }
+        // Pipelined windows on the same graph are linear in n.
+        assert!(Plan::new(&g, &DistBcConfig::default()).is_ok());
+    }
 }

@@ -61,10 +61,10 @@ pub struct AggInfo {
 }
 
 impl AggInfo {
-    /// Algorithm 3 line 3: the send round of a node at distance `dist`
-    /// from a source whose wave started at `ts`.
-    fn send_round(&self, ts: u64, dist: u32) -> u64 {
-        self.base + (ts - self.min_ts) + self.d as u64 - dist as u64
+    /// Algorithm 3 line 3: the send round of a node for the source of
+    /// its record `rec` (the wave started at `T_s`, `d` hops away).
+    fn send_round(&self, rec: &SourceState) -> u64 {
+        self.base + (rec.ts as u64 - self.min_ts) + self.d as u64 - rec.dist as u64
     }
 
     /// First round by which all aggregation messages are processed.
@@ -73,11 +73,16 @@ impl AggInfo {
     }
 }
 
-/// The per-source values every counting and aggregation message of a
-/// source touches, kept together so that handling one message touches one
-/// record instead of five arrays (valid iff the source is seen).
+/// The entry of `L_v` for one source — everything a counting or
+/// aggregation message of the source touches, and the aggregation
+/// schedule's send round — in one 32-byte record (valid iff the source is
+/// seen). An exact run holds N of these per node, so its size sets the
+/// run's memory.
 #[derive(Debug, Clone, Copy)]
 struct SourceState {
+    /// `T_s`: every wave starts before the counting window closes, and
+    /// [`crate::driver`] rejects windows past `u32::MAX`.
+    ts: u32,
     /// `d(s, v)`.
     dist: u32,
     /// `P_s(v)` as the CSR slice `pred_arena[pred_start..][..pred_len]`.
@@ -88,6 +93,8 @@ struct SourceState {
     /// Accumulated `ψ̂_s(v)` (Eq. 14).
     psi: CeilFloat,
 }
+
+const _: () = assert!(std::mem::size_of::<SourceState>() == 32);
 
 /// Algorithm-level options shared by every node of a run (engine-level
 /// options live in [`crate::DistBcConfig`]).
@@ -160,14 +167,11 @@ pub struct DistBcNode {
     subtree_done: bool,
     subtree_max_depth: u32,
     // Phase B: per-source state keyed by the dense source index (`L_v` of
-    // Algorithm 2, memory-dieted to O(|S|)): one hot record per source,
-    // plus the arrays no per-message path reads.
+    // Algorithm 2, memory-dieted to O(|S|)): one record per source, plus
+    // the arrays only opt-in extensions read.
     /// Bitset over dense indices: which sources' waves reached this node.
     seen: Vec<u64>,
-    /// `T_s` per dense index (valid iff seen). Read only to arm the reduce
-    /// and build the aggregation schedule; in the record it would pad it.
-    ts: Vec<u64>,
-    /// The hot record per dense index.
+    /// The record per dense index.
     src: Vec<SourceState>,
     /// Accumulated `ρ̂_s(v)` per dense index (empty unless stress).
     rho: Vec<CeilFloat>,
@@ -192,10 +196,11 @@ pub struct DistBcNode {
     acc_max_ts: u64,
     acc_max_d: u32,
     agg_info: Option<AggInfo>,
-    /// Flat `(send round, global source id)` schedule, sorted ascending and
-    /// consumed front-to-back by `agg_cursor` — deterministic iteration
-    /// order by construction, no hashing in the round hot path.
-    agg_schedule: Vec<(u64, u32)>,
+    /// Dense source indices sorted by (send round, index) and consumed
+    /// front-to-back by `agg_cursor`; the round is recomputed from the
+    /// record (`AggInfo::send_round`). Dense order is id order, so this
+    /// is the ascending (round, id) send order bit-identity depends on.
+    agg_schedule: Vec<u32>,
     agg_cursor: usize,
     // Per-round staging: the waves to rebroadcast, `(source, own
     // distance, σ̂)` each, expanded to every port at flush (at most one per
@@ -234,9 +239,9 @@ impl DistBcNode {
             is_source_self: src_index.contains(me),
             refined,
             seen: vec![0u64; k.div_ceil(64)],
-            ts: vec![0; k],
             src: vec![
                 SourceState {
+                    ts: 0,
                     dist: 0,
                     pred_start: 0,
                     pred_len: 0,
@@ -379,7 +384,6 @@ impl DistBcNode {
             heap(self.src_index.ids()) + self.src_index.n() as u64 * size_of::<u32>() as u64;
         size_of::<Self>() as u64
             + heap(&self.seen)
-            + heap(&self.ts)
             + heap(&self.src)
             + heap(&self.rho)
             + heap(&self.psi_in)
@@ -396,7 +400,7 @@ impl DistBcNode {
 
     /// Absolute wave start round `T_s` observed for source `s`.
     pub fn ts_of(&self, s: u32) -> Option<u64> {
-        self.seen_index(s).map(|i| self.ts[i as usize])
+        self.seen_index(s).map(|i| self.src[i as usize].ts as u64)
     }
 
     /// The globally agreed aggregation parameters, once broadcast.
@@ -516,9 +520,10 @@ impl DistBcNode {
         ctx.trace(ProtocolDetail::PhaseEnter { phase: 'C' });
         for i in 0..self.src_index.len() as u32 {
             if self.seen(i) {
-                self.acc_min_ts = self.acc_min_ts.min(self.ts[i as usize]);
-                self.acc_max_ts = self.acc_max_ts.max(self.ts[i as usize]);
-                self.acc_max_d = self.acc_max_d.max(self.src[i as usize].dist);
+                let rec = &self.src[i as usize];
+                self.acc_min_ts = self.acc_min_ts.min(rec.ts as u64);
+                self.acc_max_ts = self.acc_max_ts.max(rec.ts as u64);
+                self.acc_max_d = self.acc_max_d.max(rec.dist);
             }
         }
     }
@@ -532,8 +537,8 @@ impl DistBcNode {
             .src_index
             .index_of(ctx.id())
             .expect("own wave from a non-source") as usize;
-        self.ts[i] = r;
         let rec = &mut self.src[i];
+        rec.ts = wave_start(r);
         rec.dist = 0;
         rec.pred_start = self.pred_arena.len() as u32;
         rec.pred_len = 0;
@@ -656,11 +661,11 @@ impl DistBcNode {
     /// Phase B: source `i`'s wave has reached this node (Algorithm 2
     /// lines 8–12); record `T_s` and stage the rebroadcast.
     fn absorb_wave(&mut self, r: u64, i: u32) {
-        let rec = self.src[i as usize];
-        self.ts[i as usize] = r - rec.dist as u64;
+        let rec = &mut self.src[i as usize];
+        rec.ts = wave_start(r - rec.dist as u64);
+        let (dist, sigma) = (rec.dist, rec.sigma);
         self.mark_seen(i);
-        self.out_waves
-            .push((self.src_index.id_of(i), rec.dist, rec.sigma));
+        self.out_waves.push((self.src_index.id_of(i), dist, sigma));
     }
 
     /// Phase C1: send the subtree extrema to the parent once armed and all
@@ -691,34 +696,40 @@ impl DistBcNode {
         }
     }
 
-    /// Phase C2/D setup: with the global [`AggInfo`] known, precompute this
-    /// node's aggregation send rounds (Algorithm 3 line 3).
-    fn build_agg_schedule(&mut self, my_id: u32) {
-        let info = self.agg_info.expect("agg info set");
-        self.agg_schedule.reserve(self.src_index.len());
-        for i in 0..self.src_index.len() as u32 {
-            let s = self.src_index.id_of(i);
-            if s == my_id || !self.seen(i) {
-                continue;
-            }
-            let round = info.send_round(self.ts[i as usize], self.src[i as usize].dist);
-            self.agg_schedule.push((round, s));
-        }
-        // Keys are unique (one entry per source), so this yields exactly
-        // the old HashMap iteration: ascending rounds, ascending ids
-        // within a round — the bit-identity-critical send order.
-        self.agg_schedule.sort_unstable();
+    /// The send round of the next scheduled source, if any.
+    fn next_agg_round(&self) -> Option<u64> {
+        let info = self.agg_info.as_ref()?;
+        let &i = self.agg_schedule.get(self.agg_cursor)?;
+        Some(info.send_round(&self.src[i as usize]))
     }
 
-    /// Phase D: finalize source `s` (its ψ/ρ are complete), add its
+    /// Phase C2/D setup: with the global [`AggInfo`] known, order this
+    /// node's seen sources by aggregation send round. Counting is over, so
+    /// the predecessor arena is final: it is shrunk to fit first.
+    fn build_agg_schedule(&mut self, my_id: u32) {
+        let info = self.agg_info.expect("agg info set");
+        self.pred_arena.shrink_to_fit();
+        let k = self.src_index.len() as u32;
+        let scheduled = |i: &u32| self.seen(*i) && self.src_index.id_of(*i) != my_id;
+        let mut schedule = Vec::with_capacity((0..k).filter(scheduled).count());
+        schedule.extend((0..k).filter(scheduled));
+        // Keys are unique (one entry per source): ascending rounds,
+        // ascending ids within a round — the bit-identity-critical send
+        // order.
+        schedule.sort_unstable_by_key(|&i| (info.send_round(&self.src[i as usize]), i));
+        self.agg_schedule = schedule;
+    }
+
+    /// Phase D: finalize dense source `i` (its ψ/ρ are complete), add its
     /// dependency contributions, and ship the values to the predecessors.
-    fn aggregate_and_send(&mut self, ctx: &mut RoundCtx<'_>, s: u32) {
+    fn aggregate_and_send(&mut self, ctx: &mut RoundCtx<'_>, i: u32) {
+        let s = self.src_index.id_of(i);
         ctx.trace(ProtocolDetail::AggSend { source: s });
         let zero = CeilFloat::zero(self.codec.fp);
         let one = CeilFloat::one(self.codec.fp);
         let is_target = self.is_target(ctx.id());
-        let i = self.src_index.index_of(s).expect("scheduled source exists") as usize;
-        debug_assert!(self.seen(i as u32), "scheduled source was seen");
+        debug_assert!(self.seen(i), "scheduled source was seen");
+        let i = i as usize;
         let SourceState {
             sigma,
             psi,
@@ -780,6 +791,12 @@ impl DistBcNode {
         }
         unreachable!("caller guarantees an announce is present")
     }
+}
+
+/// A wave start round `T_s` as stored in [`SourceState`]. Planning
+/// rejects any schedule whose counting window ends past `u32::MAX`.
+fn wave_start(round: u64) -> u32 {
+    u32::try_from(round).expect("wave start inside the planned counting window")
 }
 
 impl Protocol for DistBcNode {
@@ -988,13 +1005,14 @@ impl Protocol for DistBcNode {
         }
 
         // ---- 5. Phase D: aggregation. -----------------------------------
-        while let Some(&(round, s)) = self.agg_schedule.get(self.agg_cursor) {
+        while let Some(round) = self.next_agg_round() {
             if round != r {
                 debug_assert!(round > r, "missed aggregation slot");
                 break;
             }
+            let i = self.agg_schedule[self.agg_cursor];
             self.agg_cursor += 1;
-            self.aggregate_and_send(ctx, s);
+            self.aggregate_and_send(ctx, i);
         }
         if let Some(info) = self.agg_info {
             if r >= info.end_round() {
@@ -1061,7 +1079,7 @@ impl Protocol for DistBcNode {
             wake = wake.min(r);
         }
         // Phase D: scheduled aggregation slots and the halting round.
-        if let Some(&(x, _)) = self.agg_schedule.get(self.agg_cursor) {
+        if let Some(x) = self.next_agg_round() {
             wake = wake.min(at(x));
         }
         if let (Some(info), false) = (self.agg_info, self.done) {

@@ -23,9 +23,11 @@ use std::ops::{Add, AddAssign, Div, Mul};
 const EXP_FIELD_BITS: u32 = 16;
 /// Exponent bias for the wire encoding.
 const EXP_BIAS: i32 = 1 << 15;
-/// Exponent saturation bound; far beyond anything a σ-count can reach in
-/// laptop-scale experiments (σ ≤ 2^N) while keeping `i32` arithmetic safe.
-const EXP_LIMIT: i32 = 1 << 20;
+/// Exponent saturation bound: exactly the range the 16-bit wire field
+/// holds (`±EXP_LIMIT + EXP_BIAS` lies in `1..2^16`), and far beyond any
+/// σ-count a laptop-scale run reaches (σ ≤ 2^N). Arithmetic runs in `i32`
+/// and saturates here before the exponent is stored as an `i16`.
+const EXP_LIMIT: i32 = i16::MAX as i32;
 
 /// Rounding mode for [`CeilFloat`] operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -131,9 +133,13 @@ impl Default for FpParams {
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CeilFloat {
     mant: u32,
-    exp: i32,
+    /// Saturated at `±EXP_LIMIT`; 8 bytes in all with the mantissa and
+    /// the 2-byte parameters, since every node stores two per source.
+    exp: i16,
     params: FpParams,
 }
+
+const _: () = assert!(std::mem::size_of::<CeilFloat>() == 8);
 
 impl CeilFloat {
     /// The value zero.
@@ -195,7 +201,7 @@ impl CeilFloat {
         if self.exp >= 0 {
             BigRational::from_biguint(m.shl_bits(self.exp as usize))
         } else {
-            BigRational::from_ratio(m, BigUint::one().shl_bits((-self.exp) as usize))
+            BigRational::from_ratio(m, BigUint::one().shl_bits(-(self.exp as i32) as usize))
         }
     }
 
@@ -211,7 +217,7 @@ impl CeilFloat {
         let num = 1u128 << 64;
         let q = num / self.mant as u128;
         let r = num % self.mant as u128;
-        normalize(q, -64 - self.exp, r != 0, self.params)
+        normalize(q, -64 - self.exp as i32, r != 0, self.params)
     }
 
     fn add_impl(&self, rhs: &CeilFloat) -> CeilFloat {
@@ -230,24 +236,24 @@ impl CeilFloat {
         } else {
             (rhs, self)
         };
-        let diff = (hi.exp - lo.exp) as u32;
+        let diff = (hi.exp as i32 - lo.exp as i32) as u32;
         if diff <= 32 {
             // Both mantissas are below 2^31, so the aligned sum is below
             // 2^63 + 2^31 and fits a `u64`: the common case of σ and ψ
             // sums, normalized without 128-bit arithmetic.
             let sum = ((hi.mant as u64) << diff) + lo.mant as u64;
-            return normalize_u64(sum, lo.exp, self.params);
+            return normalize_u64(sum, lo.exp as i32, self.params);
         }
         if diff > 90 {
             // lo is far below one ulp of hi: representable sum equals hi,
             // but ceiling rounding must still round up.
             return match self.params.rounding {
-                Rounding::Ceil => normalize(hi.mant as u128 + 1, hi.exp, false, self.params),
+                Rounding::Ceil => normalize(hi.mant as u128 + 1, hi.exp as i32, false, self.params),
                 Rounding::Nearest => *hi,
             };
         }
         let sum = ((hi.mant as u128) << diff) + lo.mant as u128;
-        normalize(sum, lo.exp, false, self.params)
+        normalize(sum, lo.exp as i32, false, self.params)
     }
 
     fn mul_impl(&self, rhs: &CeilFloat) -> CeilFloat {
@@ -259,7 +265,7 @@ impl CeilFloat {
             return CeilFloat::zero(self.params);
         }
         let prod = self.mant as u128 * rhs.mant as u128;
-        normalize(prod, self.exp + rhs.exp, false, self.params)
+        normalize(prod, self.exp as i32 + rhs.exp as i32, false, self.params)
     }
 
     fn div_impl(&self, rhs: &CeilFloat) -> CeilFloat {
@@ -274,7 +280,12 @@ impl CeilFloat {
         let num = (self.mant as u128) << 64;
         let q = num / rhs.mant as u128;
         let r = num % rhs.mant as u128;
-        normalize(q, self.exp - 64 - rhs.exp, r != 0, self.params)
+        normalize(
+            q,
+            self.exp as i32 - 64 - rhs.exp as i32,
+            r != 0,
+            self.params,
+        )
     }
 
     /// Encodes to the `L + 16`-bit wire format, returned in the low bits of
@@ -283,8 +294,8 @@ impl CeilFloat {
         if self.mant == 0 {
             return 0;
         }
-        let biased = (self.exp + EXP_BIAS) as u64;
-        debug_assert!(biased > 0 && biased < (1 << EXP_FIELD_BITS));
+        // `|exp| ≤ EXP_LIMIT`, so the biased field is in `1..2^16`.
+        let biased = (self.exp as i32 + EXP_BIAS) as u64;
         ((self.mant as u64) << EXP_FIELD_BITS) | biased
     }
 
@@ -297,7 +308,11 @@ impl CeilFloat {
         let mant = (bits >> EXP_FIELD_BITS) as u32;
         let exp = (bits & ((1 << EXP_FIELD_BITS) - 1)) as i32 - EXP_BIAS;
         debug_assert!(mant >= 1 << (params.l - 1) && mant < 1 << params.l);
-        CeilFloat { mant, exp, params }
+        CeilFloat {
+            mant,
+            exp: exp as i16,
+            params,
+        }
     }
 
     /// Checked variant of [`CeilFloat::decode`] for untrusted wire data:
@@ -314,7 +329,7 @@ impl CeilFloat {
         }
         Some(CeilFloat {
             mant,
-            exp: biased as i32 - EXP_BIAS,
+            exp: (biased as i32 - EXP_BIAS) as i16,
             params,
         })
     }
@@ -382,10 +397,9 @@ fn normalize(mut m: u128, mut exp: i32, mut sticky: bool, params: FpParams) -> C
             }
         }
     }
-    let exp = exp.clamp(-EXP_LIMIT, EXP_LIMIT);
     CeilFloat {
         mant: m as u32,
-        exp,
+        exp: exp.clamp(-EXP_LIMIT, EXP_LIMIT) as i16,
         params,
     }
 }
@@ -421,7 +435,7 @@ fn normalize_u64(mut m: u64, mut exp: i32, params: FpParams) -> CeilFloat {
     }
     CeilFloat {
         mant: m as u32,
-        exp: exp.clamp(-EXP_LIMIT, EXP_LIMIT),
+        exp: exp.clamp(-EXP_LIMIT, EXP_LIMIT) as i16,
         params,
     }
 }
@@ -508,15 +522,15 @@ mod tests {
             return *a;
         }
         let (hi, lo) = if a.exp >= b.exp { (a, b) } else { (b, a) };
-        let diff = (hi.exp - lo.exp) as u32;
+        let diff = (hi.exp as i32 - lo.exp as i32) as u32;
         if diff > 90 {
             return match a.params.rounding {
-                Rounding::Ceil => normalize(hi.mant as u128 + 1, hi.exp, false, a.params),
+                Rounding::Ceil => normalize(hi.mant as u128 + 1, hi.exp as i32, false, a.params),
                 Rounding::Nearest => *hi,
             };
         }
         let sum = ((hi.mant as u128) << diff) + lo.mant as u128;
-        normalize(sum, lo.exp, false, a.params)
+        normalize(sum, lo.exp as i32, false, a.params)
     }
 
     proptest! {
@@ -540,8 +554,8 @@ mod tests {
                 if zero == 0 { 0 } else { (1 << (l - 1)) | (m & ((1u32 << (l - 1)) - 1)) }
             };
             let gap = if far { far_gap } else { gap };
-            let a = CeilFloat { mant: mant(ma, zero_a), exp: base + gap, params };
-            let b = CeilFloat { mant: mant(mb, zero_b), exp: base, params };
+            let a = CeilFloat { mant: mant(ma, zero_a), exp: (base + gap) as i16, params };
+            let b = CeilFloat { mant: mant(mb, zero_b), exp: base as i16, params };
             let (a, b) = if swap { (b, a) } else { (a, b) };
             let (a, b) = (
                 if a.mant == 0 { CeilFloat::zero(params) } else { a },
@@ -748,6 +762,55 @@ mod tests {
         // Fractions round-trip too.
         let f = CeilFloat::from_u64(7, params).recip();
         assert_eq!(CeilFloat::decode(f.encode(), params), f);
+    }
+
+    /// The largest and smallest values the number system holds at `l`.
+    fn extremes(params: FpParams) -> (CeilFloat, CeilFloat) {
+        let l = params.mantissa_bits();
+        let max = CeilFloat {
+            mant: (1 << l) - 1,
+            exp: EXP_LIMIT as i16,
+            params,
+        };
+        let min = CeilFloat {
+            mant: 1 << (l - 1),
+            exp: -EXP_LIMIT as i16,
+            params,
+        };
+        (max, min)
+    }
+
+    fn assert_roundtrips(f: CeilFloat) {
+        let params = f.params();
+        let bits = f.encode();
+        assert!(bits < 1u64 << params.encoded_bits(), "{f:?}");
+        assert_eq!(CeilFloat::decode(bits, params), f);
+        assert_eq!(CeilFloat::try_decode(bits, params), Some(f));
+    }
+
+    #[test]
+    fn encode_decode_roundtrip_at_the_exponent_limits() {
+        for l in [1, 8, 14, 31] {
+            let (max, min) = extremes(p(l));
+            assert_roundtrips(max);
+            assert_roundtrips(min);
+        }
+    }
+
+    #[test]
+    fn saturating_sums_and_products_still_roundtrip() {
+        for l in [1, 8, 14, 31] {
+            let (max, min) = extremes(p(l));
+            let sum = max + max;
+            let prod = max * max;
+            assert_eq!(sum.exp as i32, EXP_LIMIT, "{sum:?}");
+            assert_eq!(prod.exp as i32, EXP_LIMIT, "{prod:?}");
+            assert_roundtrips(sum);
+            assert_roundtrips(prod);
+            let tiny = min * min;
+            assert_eq!(tiny.exp as i32, -EXP_LIMIT, "{tiny:?}");
+            assert_roundtrips(tiny);
+        }
     }
 
     #[test]

@@ -603,10 +603,13 @@ mod tests {
         format!("unix:/tmp/bc-serve-test-{}-{id}.sock", std::process::id())
     }
 
+    /// A server on a thread of its own. Dropping it (as a failing test
+    /// does while unwinding) stops the server without waiting for it and
+    /// removes its socket file, so a test that fails leaves none behind.
     struct Running {
         addr: String,
         shutdown: Arc<AtomicBool>,
-        join: thread::JoinHandle<Result<ServerStats, ServeError>>,
+        join: Option<thread::JoinHandle<Result<ServerStats, ServeError>>>,
     }
 
     fn start(g: Graph) -> Running {
@@ -630,14 +633,24 @@ mod tests {
         Running {
             addr,
             shutdown,
-            join,
+            join: Some(join),
         }
     }
 
     impl Running {
-        fn stop(self) -> ServerStats {
+        fn stop(mut self) -> ServerStats {
             self.shutdown.store(true, Ordering::SeqCst);
-            self.join.join().unwrap().unwrap()
+            let join = self.join.take().expect("server joined once");
+            join.join().unwrap().unwrap()
+        }
+    }
+
+    impl Drop for Running {
+        fn drop(&mut self) {
+            self.shutdown.store(true, Ordering::SeqCst);
+            if let Some(path) = self.addr.strip_prefix("unix:") {
+                let _ = std::fs::remove_file(path);
+            }
         }
     }
 
